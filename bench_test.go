@@ -271,7 +271,8 @@ func BenchmarkKMeansFlatElkan(b *testing.B)      { benchKMeansFlat(b, cluster.Pr
 // (Obs-style, inline) that building features for N caches performs O(1)
 // slice allocations: the flat matrix replaces the per-cache vector
 // allocations, and the per-worker probe.Measurer replaces the per-probe
-// RNG allocations, so the allocation count must not grow with N.
+// RNG allocations, so the allocation count must not grow with N. The same
+// guard covers Prober.MeasureMatrix, the landmark-selection probe path.
 func BenchmarkFeatureBuild(b *testing.B) {
 	g := benchTopology(b)
 	nw, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: 200}, simrand.New(17))
@@ -306,6 +307,32 @@ func BenchmarkFeatureBuild(b *testing.B) {
 	a50, a200 := allocsFor(50), allocsFor(200)
 	if a200 > a50+1 {
 		b.Fatalf("feature build allocations scale with N: %v allocs for N=50 vs %v for N=200, want O(1)", a50, a200)
+	}
+
+	// The landmark-selection matrix (Prober.MeasureMatrix) must likewise
+	// cost O(workers) allocations, serial and fanned out: quadrupling the
+	// pair count must not add allocations.
+	endpoints := []probe.Endpoint{probe.Origin()}
+	for i := 0; len(endpoints) < 100; i++ {
+		endpoints = append(endpoints, probe.Cache(topology.CacheIndex(i)))
+	}
+	fanned, err := probe.NewProber(nw, probe.DefaultConfig(), simrand.New(18))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mp := range []*probe.Prober{p, fanned} {
+		matrixAllocs := func(n int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := mp.MeasureMatrix(endpoints[:n]); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+		m50, m100 := matrixAllocs(50), matrixAllocs(100)
+		if m100 > m50+1 {
+			b.Fatalf("MeasureMatrix (parallelism %d) allocations scale with pairs: %v allocs for 50 endpoints vs %v for 100, want O(workers)",
+				mp.Config().Parallelism, m50, m100)
+		}
 	}
 }
 

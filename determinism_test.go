@@ -7,6 +7,8 @@ package ecg_test
 // on the outcome (scheduling must not leak into results).
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	ecg "edgecachegroups"
@@ -53,6 +55,67 @@ func TestPlanChecksumGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChecksumLiteralGoldens pins literal fingerprints of the pipeline's
+// random streams. The other goldens here compare runs against each other,
+// which a stream change that is itself deterministic (a wrong rngCooked
+// entry in simrand's source, an off-by-one register read, a different
+// per-pair label) would pass; these fail on any such change.
+func TestChecksumLiteralGoldens(t *testing.T) {
+	t.Run("PlanSL", func(t *testing.T) {
+		plan, _ := formPlan(t, 77, ecg.SL(8, 2), 6)
+		if got, want := plan.Checksum(), uint64(0x4575deb943f298df); got != want {
+			t.Fatalf("SL plan checksum %016x, want %016x", got, want)
+		}
+	})
+	t.Run("PlanSDSL", func(t *testing.T) {
+		plan, _ := formPlan(t, 77, ecg.SDSL(8, 2, 1.0), 6)
+		if got, want := plan.Checksum(), uint64(0x6196dad506278b84); got != want {
+			t.Fatalf("SDSL plan checksum %016x, want %016x", got, want)
+		}
+	})
+	t.Run("Report", func(t *testing.T) {
+		rep := runSimSharded(t, 55, 0)
+		if got, want := rep.Checksum(), uint64(0x034c79236437a48b); got != want {
+			t.Fatalf("report checksum %016x, want %016x", got, want)
+		}
+	})
+	t.Run("ProbeMeasure", func(t *testing.T) {
+		_, prober, _ := buildStack(t, 60, 77)
+		v, err := prober.Measure(ecg.CacheEndpoint(3), ecg.OriginEndpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%016x", math.Float64bits(v)), "4058b93de0fe0905"; got != want {
+			t.Fatalf("Measure(Ec3, Os) = %v (bits %s), want bits %s", v, got, want)
+		}
+	})
+	t.Run("ProbeMeasureLossy", func(t *testing.T) {
+		// 30% probe loss: the retry path draws a Bernoulli before each
+		// sample, so this pins the stream interleaving and the overhead
+		// counters as well as the value.
+		nw, _, src := buildStack(t, 60, 77)
+		cfg := ecg.DefaultProbeConfig()
+		cfg.LossProb = 0.3
+		prober, err := ecg.NewProber(nw, cfg, src.Split("lossy"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := prober.Measure(ecg.CacheEndpoint(41), ecg.CacheEndpoint(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%016x", math.Float64bits(v)), "40410cc60db8ed09"; got != want {
+			t.Fatalf("lossy Measure(Ec41, Ec2) = %v (bits %s), want bits %s", v, got, want)
+		}
+		if got, want := prober.ProbesSent(), int64(11); got != want {
+			t.Fatalf("lossy Measure sent %d probes, want %d", got, want)
+		}
+		if got, want := prober.Measurements(), int64(1); got != want {
+			t.Fatalf("lossy Measure counted %d measurements, want %d", got, want)
+		}
+	})
 }
 
 func TestPlanChecksumProbeParallelismInvariant(t *testing.T) {

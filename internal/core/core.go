@@ -442,7 +442,7 @@ func MeasureFeatureMatrix(p *probe.Prober, n int, lms []probe.Endpoint, parallel
 		// Defensive: every selector includes the origin, but if a custom one
 		// does not, measure server distances directly.
 		for i := 0; i < n; i++ {
-			d, err := p.Measure(probe.Cache(topology.CacheIndex(i)), probe.Origin())
+			d, err := meas[0].Measure(probe.Cache(topology.CacheIndex(i)), probe.Origin())
 			if err != nil {
 				return cluster.Matrix{}, nil, fmt.Errorf("measure server distance for cache %d: %w", i, err)
 			}

@@ -67,9 +67,10 @@ var (
 // elements have an undefined minimum; +Inf is returned.
 func MinPairwiseDist(p *probe.Prober, set []probe.Endpoint) (float64, error) {
 	minD := math.Inf(1)
+	m := p.NewMeasurer()
 	for i := 0; i < len(set); i++ {
 		for j := i + 1; j < len(set); j++ {
-			d, err := p.Measure(set[i], set[j])
+			d, err := m.Measure(set[i], set[j])
 			if err != nil {
 				return 0, fmt.Errorf("measure pair (%v,%v): %w", set[i], set[j], err)
 			}

@@ -1,16 +1,19 @@
 package probe
 
 import (
+	"sync"
 	"testing"
 
 	"edgecachegroups/internal/simrand"
+	"edgecachegroups/internal/topology"
 )
 
-// TestMeasurerMatchesProberMeasure pins the Measurer contract: the reusable
-// scratch path must reproduce Prober.Measure bit-for-bit — same per-pair
-// stream derivation, same canonical pair ordering (including the byte-wise
-// key comparison matching the string one), same self-measurement shortcut —
-// across origin/cache pairs in both argument orders and with loss/retries
+// TestMeasurerMatchesProberMeasure pins the Measurer contract: one
+// Measurer reused across many pairs (its scratch source reseeded after
+// partial use each time) must reproduce the one-shot Prober.Measure, which
+// runs on a fresh Measurer, bit-for-bit — same per-pair stream, same
+// canonical pair ordering, same self-measurement shortcut — across
+// origin/cache pairs in both argument orders and with loss/retries
 // enabled.
 func TestMeasurerMatchesProberMeasure(t *testing.T) {
 	nw := testNetwork(t, 30)
@@ -102,5 +105,109 @@ func TestMeasurerAllocationFree(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("Measurer.MeasureToInto allocates %v per row, want 0", a)
+	}
+}
+
+// TestBatchCountersMatchPerPairMeasure pins the batched overhead counters:
+// Measurers tally probes and measurements locally and flush once per
+// call, so after every batch call (MeasureMatrix, MeasureTo at either
+// parallelism, Measurer.MeasureToInto) the Prober's counters must equal
+// the sum of one-shot Prober.Measure calls over the same pairs — retries
+// included — and concurrent batch calls on one Prober must add up.
+func TestBatchCountersMatchPerPairMeasure(t *testing.T) {
+	nw := testNetwork(t, 20)
+	endpoints := []Endpoint{Origin()}
+	for i := 0; i < 20; i++ {
+		endpoints = append(endpoints, Cache(topology.CacheIndex(i)))
+	}
+	for _, parallelism := range []int{1, 8} {
+		cfg := DefaultConfig()
+		cfg.LossProb = 0.3
+		cfg.Parallelism = parallelism
+		p, err := NewProber(nw, cfg, simrand.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// counters returns the (probes, measurements) one call adds.
+		counters := func(call func()) (int64, int64) {
+			p.ResetCounters()
+			call()
+			return p.ProbesSent(), p.Measurements()
+		}
+		var wantProbes, wantMeas int64
+		for i := range endpoints {
+			for j := i + 1; j < len(endpoints); j++ {
+				probes, meas := counters(func() {
+					if _, err := p.Measure(endpoints[i], endpoints[j]); err != nil {
+						t.Fatal(err)
+					}
+				})
+				wantProbes += probes
+				wantMeas += meas
+			}
+		}
+		probes, meas := counters(func() {
+			if _, err := p.MeasureMatrix(endpoints); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if probes != wantProbes || meas != wantMeas {
+			t.Fatalf("parallelism %d: MeasureMatrix counted %d probes / %d measurements, per-pair Measure %d / %d",
+				parallelism, probes, meas, wantProbes, wantMeas)
+		}
+
+		// One row: the origin against every endpoint, itself included.
+		var rowProbes, rowMeas int64
+		for _, e := range endpoints {
+			probes, meas := counters(func() {
+				if _, err := p.Measure(Origin(), e); err != nil {
+					t.Fatal(err)
+				}
+			})
+			rowProbes += probes
+			rowMeas += meas
+		}
+		out := make([]float64, len(endpoints))
+		for _, c := range []struct {
+			name string
+			call func() error
+		}{
+			{"MeasureTo", func() error {
+				_, err := p.MeasureTo(Origin(), endpoints)
+				return err
+			}},
+			{"Measurer.MeasureToInto", func() error {
+				return p.NewMeasurer().MeasureToInto(Origin(), endpoints, out)
+			}},
+		} {
+			probes, meas := counters(func() {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if probes != rowProbes || meas != rowMeas {
+				t.Fatalf("parallelism %d: %s counted %d probes / %d measurements, per-pair Measure %d / %d",
+					parallelism, c.name, probes, meas, rowProbes, rowMeas)
+			}
+		}
+
+		const callers = 4
+		probes, meas = counters(func() {
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := p.MeasureMatrix(endpoints); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+		})
+		if probes != callers*wantProbes || meas != callers*wantMeas {
+			t.Fatalf("parallelism %d: %d concurrent MeasureMatrix calls counted %d probes / %d measurements, want %d / %d",
+				parallelism, callers, probes, meas, callers*wantProbes, callers*wantMeas)
+		}
 	}
 }

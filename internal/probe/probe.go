@@ -51,14 +51,6 @@ func (e Endpoint) String() string {
 	return fmt.Sprintf("Ec%d", int(e.cache))
 }
 
-// key returns a stable label for split-source derivation.
-func (e Endpoint) key() string {
-	if e.origin {
-		return "os"
-	}
-	return fmt.Sprintf("ec%d", int(e.cache))
-}
-
 // Config controls the measurement model.
 type Config struct {
 	// Samples is the number of probes averaged per measurement. Must be >= 1.
@@ -162,54 +154,11 @@ func (p *Prober) TrueRTT(a, b Endpoint) float64 {
 // against itself is exactly 0 — no probe is sent, matching the zero
 // diagonal of MeasureMatrix (a cache that is itself a landmark must not
 // see a spurious noise-floor self-distance in its feature vector).
+//
+// Measure is a one-shot convenience over a fresh Measurer; callers that
+// measure many pairs should hold a Measurer instead.
 func (p *Prober) Measure(a, b Endpoint) (float64, error) {
-	// Canonical pair order so Measure(a,b) == Measure(b,a).
-	ka, kb := a.key(), b.key()
-	if ka == kb {
-		p.measurements.Add(1)
-		return 0, nil
-	}
-	if ka > kb {
-		ka, kb = kb, ka
-	}
-	src := p.seed.Split("pair/" + ka + "/" + kb)
-	trueRTT := p.TrueRTT(a, b)
-	p.measurements.Add(1)
-
-	var sum float64
-	var got int
-	for s := 0; s < p.cfg.Samples; s++ {
-		v, ok := p.sampleOnce(trueRTT, src)
-		if !ok {
-			continue
-		}
-		sum += v
-		got++
-	}
-	if got == 0 {
-		return 0, fmt.Errorf("measure %v<->%v: %w", a, b, ErrProbeFailed)
-	}
-	return sum / float64(got), nil
-}
-
-// sampleOnce draws one probe sample, retrying on loss. The boolean result
-// is false when the sample (and all its retries) were lost.
-func (p *Prober) sampleOnce(trueRTT float64, src *simrand.Source) (float64, bool) {
-	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
-		p.probesSent.Add(1)
-		if p.cfg.LossProb > 0 && src.Float64() < p.cfg.LossProb {
-			continue
-		}
-		v := trueRTT * (1 + src.Normal(0, p.cfg.NoiseFrac))
-		if p.cfg.FloorMS > 0 {
-			v += math.Abs(src.Normal(0, p.cfg.FloorMS))
-		}
-		if v < 0 {
-			v = 0
-		}
-		return v, true
-	}
-	return 0, false
+	return p.NewMeasurer().Measure(a, b)
 }
 
 // MeasureTo measures from one endpoint to each target, fanning the probes
@@ -223,25 +172,19 @@ func (p *Prober) MeasureTo(from Endpoint, targets []Endpoint) ([]float64, error)
 }
 
 // MeasureToInto is MeasureTo writing into a caller-supplied slice (one row
-// of a flat feature matrix, typically). With Parallelism 1 it probes
-// through a scratch Measurer, costing O(1) allocations per call regardless
-// of the target count — callers that probe many rows (the feature-building
-// stage fans out per cache, making per-target fan-out here redundant)
-// should hold their own Measurer per worker and pay O(1) total. out must
-// have len(targets) elements.
+// of a flat feature matrix, typically), fanned out over one Measurer per
+// worker: O(workers) allocations per call regardless of the target count.
+// Callers that probe many rows (the feature-building stage fans out per
+// cache, making per-target fan-out here redundant) should hold their own
+// Measurer per worker and pay O(workers) total. out must have
+// len(targets) elements.
 func (p *Prober) MeasureToInto(from Endpoint, targets []Endpoint, out []float64) error {
-	if p.cfg.Parallelism == 1 {
-		// Per-pair measurement randomness is a pure function of the pair,
-		// so the serial loop measures the same values the parallel
-		// fan-out would.
-		return p.NewMeasurer().MeasureToInto(from, targets, out)
-	}
 	if len(out) != len(targets) {
 		return fmt.Errorf("probe: out has %d slots for %d targets", len(out), len(targets))
 	}
 	errs := make([]error, len(targets))
-	p.forEach(len(targets), func(i int) {
-		out[i], errs[i] = p.Measure(from, targets[i])
+	p.forEachMeasurer(len(targets), func(m *Measurer, i int) {
+		out[i], errs[i] = m.measure(from, targets[i])
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -251,22 +194,26 @@ func (p *Prober) MeasureToInto(from Endpoint, targets []Endpoint, out []float64)
 	return nil
 }
 
-// Measurer is a reusable single-goroutine measurement context. It performs
-// the same measurements as Prober.Measure — bit-identical values, same
-// per-pair stream derivation — but reuses a scratch random source and
-// label buffers so repeated measurements allocate nothing in steady state.
-// The flat-matrix feature build holds one Measurer per worker, making the
-// whole N-cache probing stage O(workers) allocations instead of O(N·L).
+// Measurer is a reusable single-goroutine measurement context and the one
+// implementation of a measurement: every Prober method measures through
+// one. It reuses a scratch random source and label buffers, so repeated
+// measurements allocate nothing in steady state. The flat-matrix feature
+// build holds one Measurer per worker, making the whole N-cache probing
+// stage O(workers) allocations instead of O(N·L).
 //
 // A Measurer must not be shared across goroutines; create one per worker
-// with NewMeasurer. The overhead counters still aggregate on the parent
-// Prober.
+// with NewMeasurer. The overhead counters aggregate on the parent Prober:
+// the Measurer tallies them locally and flushes once per Measure or
+// MeasureToInto call, so the parent's counters are exact after each call
+// returns.
 type Measurer struct {
 	p   *Prober
 	src *simrand.Source // scratch child source, reseeded per pair
 	ka  []byte          // scratch endpoint keys and pair label
 	kb  []byte
 	lbl []byte
+
+	probes, measured int64 // counter increments not yet flushed to p
 }
 
 // NewMeasurer returns a fresh measurement context bound to p.
@@ -280,8 +227,8 @@ func (p *Prober) NewMeasurer() *Measurer {
 	}
 }
 
-// appendKey appends e's split-source key (Endpoint.key) to dst without
-// allocating once dst has capacity.
+// appendKey appends e's split-source key ("os" for the origin, "ec<i>"
+// for cache i) to dst without allocating once dst has capacity.
 func appendKey(dst []byte, e Endpoint) []byte {
 	if e.origin {
 		return append(dst, "os"...)
@@ -290,17 +237,35 @@ func appendKey(dst []byte, e Endpoint) []byte {
 	return strconv.AppendInt(dst, int64(e.cache), 10)
 }
 
-// Measure is Prober.Measure through the reusable scratch: identical
-// results, zero steady-state allocations.
+// Measure performs one measurement with Prober.Measure's semantics through
+// the reusable scratch, with zero steady-state allocations.
 func (m *Measurer) Measure(a, b Endpoint) (float64, error) {
+	defer m.flush()
+	return m.measure(a, b)
+}
+
+// flush adds the locally tallied overhead counters to the parent Prober.
+func (m *Measurer) flush() {
+	if m.probes != 0 {
+		m.p.probesSent.Add(m.probes)
+		m.probes = 0
+	}
+	if m.measured != 0 {
+		m.p.measurements.Add(m.measured)
+		m.measured = 0
+	}
+}
+
+// measure performs one measurement, tallying the overhead counters
+// locally; callers flush them.
+func (m *Measurer) measure(a, b Endpoint) (float64, error) {
 	p := m.p
-	// Canonical pair order so Measure(a,b) == Measure(b,a). The byte-wise
-	// comparison matches the string comparison Prober.Measure performs on
-	// the same keys.
+	// Canonical pair order so Measure(a,b) == Measure(b,a): the pair
+	// label orders the two endpoint keys byte-wise.
 	m.ka = appendKey(m.ka[:0], a)
 	m.kb = appendKey(m.kb[:0], b)
+	m.measured++
 	if bytes.Equal(m.ka, m.kb) {
-		p.measurements.Add(1)
 		return 0, nil
 	}
 	ka, kb := m.ka, m.kb
@@ -313,12 +278,11 @@ func (m *Measurer) Measure(a, b Endpoint) (float64, error) {
 	m.lbl = append(m.lbl, kb...)
 	p.seed.SplitInto(m.src, m.lbl)
 	trueRTT := p.TrueRTT(a, b)
-	p.measurements.Add(1)
 
 	var sum float64
 	var got int
 	for s := 0; s < p.cfg.Samples; s++ {
-		v, ok := p.sampleOnce(trueRTT, m.src)
+		v, ok := m.sampleOnce(trueRTT)
 		if !ok {
 			continue
 		}
@@ -331,6 +295,28 @@ func (m *Measurer) Measure(a, b Endpoint) (float64, error) {
 	return sum / float64(got), nil
 }
 
+// sampleOnce draws one probe sample from the current pair stream,
+// retrying on loss. The boolean result is false when the sample (and all
+// its retries) were lost.
+func (m *Measurer) sampleOnce(trueRTT float64) (float64, bool) {
+	cfg, src := &m.p.cfg, m.src
+	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
+		m.probes++
+		if cfg.LossProb > 0 && src.Float64() < cfg.LossProb {
+			continue
+		}
+		v := trueRTT * (1 + src.Normal(0, cfg.NoiseFrac))
+		if cfg.FloorMS > 0 {
+			v += math.Abs(src.Normal(0, cfg.FloorMS))
+		}
+		if v < 0 {
+			v = 0
+		}
+		return v, true
+	}
+	return 0, false
+}
+
 // MeasureToInto measures from one endpoint to each target serially into
 // out, with zero steady-state allocations. out must have len(targets)
 // elements.
@@ -338,8 +324,9 @@ func (m *Measurer) MeasureToInto(from Endpoint, targets []Endpoint, out []float6
 	if len(out) != len(targets) {
 		return fmt.Errorf("probe: out has %d slots for %d targets", len(out), len(targets))
 	}
+	defer m.flush()
 	for i := range targets {
-		v, err := m.Measure(from, targets[i])
+		v, err := m.measure(from, targets[i])
 		if err != nil {
 			return fmt.Errorf("target %d: %w", i, err)
 		}
@@ -350,24 +337,27 @@ func (m *Measurer) MeasureToInto(from Endpoint, targets []Endpoint, out []float6
 
 // MeasureMatrix measures the full symmetric matrix among endpoints.
 // result[i][j] is the measured RTT between endpoints[i] and endpoints[j];
-// the diagonal is zero.
+// the diagonal is zero. The rows share one backing array and the pairs are
+// measured through one Measurer per worker, so the call costs O(workers)
+// allocations however many pairs it measures.
 func (p *Prober) MeasureMatrix(endpoints []Endpoint) ([][]float64, error) {
 	n := len(endpoints)
 	out := make([][]float64, n)
+	backing := make([]float64, n*n)
 	for i := range out {
-		out[i] = make([]float64, n)
+		out[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
 	type pair struct{ i, j int }
-	var pairs []pair
+	pairs := make([]pair, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pairs = append(pairs, pair{i, j})
 		}
 	}
 	errs := make([]error, len(pairs))
-	p.forEach(len(pairs), func(k int) {
+	p.forEachMeasurer(len(pairs), func(m *Measurer, k int) {
 		pr := pairs[k]
-		v, err := p.Measure(endpoints[pr.i], endpoints[pr.j])
+		v, err := m.measure(endpoints[pr.i], endpoints[pr.j])
 		if err != nil {
 			errs[k] = err
 			return
@@ -397,9 +387,17 @@ func (p *Prober) ResetCounters() {
 	p.measurements.Store(0)
 }
 
-// forEach runs fn(0..n-1) over the shared worker pool. Results are
-// schedule-independent because every measurement draws from its own
-// per-pair split source.
-func (p *Prober) forEach(n int, fn func(i int)) {
-	par.ForEach(n, p.cfg.Parallelism, fn)
+// forEachMeasurer runs fn(m, 0..n-1) over the shared worker pool, handing
+// each worker its own Measurer, and flushes the Measurers' counters once
+// all items are done. Results are schedule-independent because every
+// measurement draws from its own per-pair split source.
+func (p *Prober) forEachMeasurer(n int, fn func(m *Measurer, i int)) {
+	meas := make([]*Measurer, par.Workers(n, p.cfg.Parallelism))
+	for w := range meas {
+		meas[w] = p.NewMeasurer()
+	}
+	par.ForEachWorker(n, p.cfg.Parallelism, func(w, i int) { fn(meas[w], i) })
+	for _, m := range meas {
+		m.flush()
+	}
 }

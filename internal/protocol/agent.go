@@ -133,8 +133,9 @@ func (a *Agent) handle(msg Message) {
 	switch msg.Kind {
 	case MsgProbeRequest:
 		rtts := make([]float64, len(msg.Targets))
+		m := a.prober.NewMeasurer()
 		for i, tgt := range msg.Targets {
-			v, err := a.prober.Measure(probe.Cache(a.addr.Cache()), tgt)
+			v, err := m.Measure(probe.Cache(a.addr.Cache()), tgt)
 			if err != nil {
 				// A failed measurement is reported as a negative sentinel;
 				// the coordinator treats it as missing.

@@ -4,6 +4,18 @@
 // Every stochastic component in this repository owns an explicit *Source
 // derived from a user-provided seed, so experiments are reproducible
 // bit-for-bit. There is no package-level mutable state.
+//
+// A Source draws from the same stream as rand.New(rand.NewSource(seed)),
+// bit for bit, for every seed and every draw count, but seeding it costs
+// O(1): the stdlib rebuilds its whole 607-word lagged-Fibonacci register
+// on Seed (1,841 Park–Miller steps), while this package's Source64
+// records the Park–Miller start value and materializes each register
+// entry lazily, on its first read, from a precomputed power table and the
+// stdlib's rngCooked seeding table (copied, with its BSD license, from
+// $GOROOT/src/math/rand/rng.go). That makes the per-item streams of
+// Split/SplitInto cheap enough to derive one per probe pair. The
+// equivalence is pinned by a differential test and fuzz target against
+// math/rand and by literal checksum goldens at the module root.
 package simrand
 
 import (
@@ -22,10 +34,17 @@ type Source struct {
 	seed int64
 }
 
-// New returns a Source seeded with seed.
+// source must be a Source64: rand.Rand derives Uint64 differently from a
+// plain Source, which would break the stdlib-stream guarantee.
+var _ rand.Source64 = (*source)(nil)
+
+// New returns a Source seeded with seed. Its stream is that of
+// rand.New(rand.NewSource(seed)).
 func New(seed int64) *Source {
+	src := new(source)
+	src.Seed(seed)
 	return &Source{
-		rng:  rand.New(rand.NewSource(seed)),
+		rng:  rand.New(src),
 		seed: seed,
 	}
 }
@@ -51,15 +70,17 @@ func (s *Source) Split(label string) *Source {
 // SplitInto repositions child at the start of the exact stream that
 // s.Split(string(label)) would produce, reusing child's allocations. It
 // exists for hot paths (per-pair probe measurement) that derive a child
-// stream per item and must not allocate per item. It only reads s's
-// immutable seed, so concurrent SplitInto calls on a shared parent are
-// safe; child itself must be goroutine-private.
+// stream per item and must not allocate per item. Reseeding is O(1) —
+// the child's register is rebuilt lazily as it is drawn from — so a
+// stream that is used for only a few draws costs only those draws. It
+// only reads s's immutable seed, so concurrent SplitInto calls on a
+// shared parent are safe; child itself must be goroutine-private.
 func (s *Source) SplitInto(child *Source, label []byte) {
 	child.Reseed(childSeed(s.seed, label))
 }
 
 // Reseed repositions s at the start of the stream a fresh New(seed) source
-// would produce, reusing s's allocations.
+// would produce, reusing s's allocations, in O(1) time.
 func (s *Source) Reseed(seed int64) {
 	s.seed = seed
 	s.rng.Seed(seed)

@@ -8,13 +8,17 @@
 #   benchtime -benchtime passed to go test (default 1x for the figure bench,
 #             see BENCH_PATTERN below; raise for stabler numbers)
 #
-# The pattern covers the serial/parallel pairs (KMeansPar1/8,
+# The pattern covers the per-pair stream cost (SimrandReseed = simrand's
+# O(1) reseed plus 10 normal draws against the stdlib source it
+# reproduces, in ./internal/simrand; ProbeMeasure = one one-shot
+# Prober.Measure; GreedyLandmarkSelection = the SL landmark-selection
+# probe matrix), the serial/parallel pairs (KMeansPar1/8,
 # GNPEmbedHosts1/8, SimShards1/2/4/8), the exhaustive-vs-pruned large-N
 # K-means trio (KMeansFlatExhaustive/Pruned/Elkan, whose distevals/op and
 # wall-clock ratio pin the bounds-pruning win), the flat feature-build path
-# (FeatureBuild, with its O(1)-allocation guard), the end-to-end Fig3
-# sweep, the simulator throughput path whose allocs/op the allocation-lean
-# work targets, the observability record paths (ObsHistogram = enabled
+# (FeatureBuild, with its O(workers)-allocation guards on the feature build
+# and on Prober.MeasureMatrix), the end-to-end Fig3 sweep, the simulator
+# throughput path whose allocs/op the allocation-lean work targets, the observability record paths (ObsHistogram = enabled
 # per-sample cost, ObsDisabled = nil-handle overhead; both must stay at
 # 0 allocs/op), and the full-module lint-engine run (EcglintModule = the
 # per-invocation cost of the CI lint gate: load, type-check, call graph,
@@ -25,13 +29,13 @@ cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
 BENCHTIME="${2:-1x}"
-BENCH_PATTERN='BenchmarkKMeansPar|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkSimShards|BenchmarkObs|BenchmarkEcglint'
+BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansPar|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkSimShards|BenchmarkObs|BenchmarkEcglint'
 OUT="BENCH_pipeline.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 echo "==> go test -bench (count=$COUNT benchtime=$BENCHTIME)"
-go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$COUNT" -benchtime "$BENCHTIME" . | tee "$RAW"
+go test -run '^$' -bench "$BENCH_PATTERN" -benchmem -count "$COUNT" -benchtime "$BENCHTIME" . ./internal/simrand | tee "$RAW"
 
 echo "==> $OUT"
 go run ./cmd/benchjson < "$RAW" > "$OUT"
