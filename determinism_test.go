@@ -61,7 +61,10 @@ func TestPlanChecksumGolden(t *testing.T) {
 // random streams. The other goldens here compare runs against each other,
 // which a stream change that is itself deterministic (a wrong rngCooked
 // entry in simrand's source, an off-by-one register read, a different
-// per-pair label) would pass; these fail on any such change.
+// per-pair label) would pass; these fail on any such change. The
+// K-medoids, SuggestK and Silhouette values also pin the clustering
+// package's arithmetic, so a refactor of its data layout must reproduce
+// them bit for bit.
 func TestChecksumLiteralGoldens(t *testing.T) {
 	t.Run("PlanSL", func(t *testing.T) {
 		plan, _ := formPlan(t, 77, ecg.SL(8, 2), 6)
@@ -73,6 +76,47 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 		plan, _ := formPlan(t, 77, ecg.SDSL(8, 2, 1.0), 6)
 		if got, want := plan.Checksum(), uint64(0x6196dad506278b84); got != want {
 			t.Fatalf("SDSL plan checksum %016x, want %016x", got, want)
+		}
+	})
+	t.Run("PlanKMedoidsSL", func(t *testing.T) {
+		cfg := ecg.SL(8, 2)
+		cfg.Algorithm = ecg.AlgoKMedoids
+		plan, _ := formPlan(t, 77, cfg, 6)
+		if got, want := plan.Checksum(), uint64(0xe95bd35a30b11093); got != want {
+			t.Fatalf("K-medoids SL plan checksum %016x, want %016x", got, want)
+		}
+	})
+	t.Run("PlanKMedoidsSDSL", func(t *testing.T) {
+		cfg := ecg.SDSL(8, 2, 1.0)
+		cfg.Algorithm = ecg.AlgoKMedoids
+		plan, _ := formPlan(t, 77, cfg, 6)
+		if got, want := plan.Checksum(), uint64(0x39736a1a623f6ec2); got != want {
+			t.Fatalf("K-medoids SDSL plan checksum %016x, want %016x", got, want)
+		}
+	})
+	t.Run("SuggestK", func(t *testing.T) {
+		plan, _ := formPlan(t, 77, ecg.SL(8, 2), 6)
+		k, curve, err := ecg.SuggestK(plan.Points, 8, ecg.NewRand(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2; k != want {
+			t.Fatalf("SuggestK = %d, want %d", k, want)
+		}
+		want := "413f73bd076c60cc 412d1005f9e0b182 4125d738c24a4902 4124c8e3ca9fbf92 " +
+			"411e16216163ea9e 40ff12ae116e0525 4100b4b713340195 40f4efee7b6ab9bb"
+		if got := floatBits(curve); got != want {
+			t.Fatalf("SuggestK curve bits %s, want %s", got, want)
+		}
+	})
+	t.Run("Silhouette", func(t *testing.T) {
+		plan, _ := formPlan(t, 77, ecg.SL(8, 2), 6)
+		s, err := ecg.Silhouette(plan.Points, plan.Assignments, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := floatBits([]float64{s}), "3fe195e3a59eaec2"; got != want {
+			t.Fatalf("Silhouette = %v (bits %s), want bits %s", s, got, want)
 		}
 	})
 	t.Run("Report", func(t *testing.T) {
@@ -116,6 +160,19 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 			t.Fatalf("lossy Measure counted %d measurements, want %d", got, want)
 		}
 	})
+}
+
+// floatBits renders each value's IEEE-754 bits in hex, space-separated,
+// so a golden pins the exact floats rather than a rounded print.
+func floatBits(xs []float64) string {
+	s := ""
+	for i, x := range xs {
+		if i > 0 {
+			s += " "
+		}
+		s += fmt.Sprintf("%016x", math.Float64bits(x))
+	}
+	return s
 }
 
 func TestPlanChecksumProbeParallelismInvariant(t *testing.T) {

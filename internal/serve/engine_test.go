@@ -196,6 +196,9 @@ func TestEngineDefaultRecluster(t *testing.T) {
 	if err := ep.Plan.Verify(nil); err != nil {
 		t.Fatalf("reclustered plan fails verification: %v", err)
 	}
+	if got, want := ep.Checksum, uint64(0x7cd1e2e4f3b1f053); got != want {
+		t.Fatalf("re-clustered epoch checksum %016x, want %016x", got, want)
+	}
 	// The new plan clusters the ingested geometry: caches 0-3 together,
 	// 4-7 together.
 	a := ep.Plan.Assignments
