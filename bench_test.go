@@ -172,24 +172,6 @@ func BenchmarkProbeMeasure(b *testing.B) {
 	}
 }
 
-func BenchmarkKMeans500x25(b *testing.B) {
-	src := simrand.New(4)
-	points := make([]cluster.Vector, 500)
-	for i := range points {
-		points[i] = make(cluster.Vector, 25)
-		for j := range points[i] {
-			points[i][j] = src.Uniform(0, 300)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(points, 50, cluster.UniformSeeder{}, cluster.DefaultOptions(), src.SplitN("km", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchKMeansParallel runs the 500×25 K-means at a fixed worker-pool bound.
 // Compare Par1 vs Par8 for the parallel-pipeline speedup (results are
 // bit-identical across the pair; only wall-clock changes).
@@ -591,12 +573,9 @@ func BenchmarkVivaldiEmbedHost(b *testing.B) {
 
 func BenchmarkKMedoids500x25(b *testing.B) {
 	src := simrand.New(15)
-	points := make([]cluster.Vector, 500)
-	for i := range points {
-		points[i] = make(cluster.Vector, 25)
-		for j := range points[i] {
-			points[i][j] = src.Uniform(0, 300)
-		}
+	points := cluster.NewMatrix(500, 25)
+	for i := range points.Data() {
+		points.Data()[i] = src.Uniform(0, 300)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -206,7 +206,7 @@ func run(args []string, w io.Writer) error {
 		if kMax > 40 {
 			kMax = 40
 		}
-		suggested, _, err = ecg.SuggestK(plan.Points, kMax, src.Split("suggestk"))
+		suggested, _, err = ecg.SuggestK(plan.Points, kMax, *parallel, src.Split("suggestk"))
 		if err != nil {
 			return fmt.Errorf("suggest k: %w", err)
 		}

@@ -96,27 +96,31 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 	})
 	t.Run("SuggestK", func(t *testing.T) {
 		plan, _ := formPlan(t, 77, ecg.SL(8, 2), 6)
-		k, curve, err := ecg.SuggestK(plan.Points, 8, ecg.NewRand(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 2; k != want {
-			t.Fatalf("SuggestK = %d, want %d", k, want)
-		}
-		want := "413f73bd076c60cc 412d1005f9e0b182 4125d738c24a4902 4124c8e3ca9fbf92 " +
-			"411e16216163ea9e 40ff12ae116e0525 4100b4b713340195 40f4efee7b6ab9bb"
-		if got := floatBits(curve); got != want {
-			t.Fatalf("SuggestK curve bits %s, want %s", got, want)
+		for _, workers := range []int{1, 4} {
+			k, curve, err := ecg.SuggestK(plan.Points, 8, workers, ecg.NewRand(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 2; k != want {
+				t.Fatalf("workers=%d: SuggestK = %d, want %d", workers, k, want)
+			}
+			want := "413f73bd076c60cc 412d1005f9e0b182 4125d738c24a4902 4124c8e3ca9fbf92 " +
+				"411e16216163ea9e 40ff12ae116e0525 4100b4b713340195 40f4efee7b6ab9bb"
+			if got := floatBits(curve); got != want {
+				t.Fatalf("workers=%d: SuggestK curve bits %s, want %s", workers, got, want)
+			}
 		}
 	})
 	t.Run("Silhouette", func(t *testing.T) {
 		plan, _ := formPlan(t, 77, ecg.SL(8, 2), 6)
-		s, err := ecg.Silhouette(plan.Points, plan.Assignments, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := floatBits([]float64{s}), "3fe195e3a59eaec2"; got != want {
-			t.Fatalf("Silhouette = %v (bits %s), want bits %s", s, got, want)
+		for _, workers := range []int{1, 4} {
+			s, err := ecg.Silhouette(plan.Points, plan.Assignments, 6, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := floatBits([]float64{s}), "3fe195e3a59eaec2"; got != want {
+				t.Fatalf("workers=%d: Silhouette = %v (bits %s), want bits %s", workers, s, got, want)
+			}
 		}
 	})
 	t.Run("Report", func(t *testing.T) {

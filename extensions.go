@@ -54,32 +54,31 @@ const (
 
 // Silhouette returns the mean silhouette coefficient of a partition in the
 // clustered feature space — a clustering-quality diagnostic in [-1, 1].
-func Silhouette(points []FeatureVector, assignments []int, k int) (float64, error) {
-	return cluster.Silhouette(points, assignments, k)
-}
-
-// SilhouetteParallel is Silhouette with its O(N²) distance loop fanned out
-// over at most workers goroutines (0 or 1 means serial). The coefficient
-// is bit-identical for every worker count.
-func SilhouetteParallel(points []FeatureVector, assignments []int, k, workers int) (float64, error) {
-	return cluster.SilhouetteParallel(points, assignments, k, workers)
+// Its O(N²) distance loop fans out over at most workers goroutines (0 or
+// 1 means serial); the coefficient is bit-identical for every worker
+// count.
+func Silhouette(points []FeatureVector, assignments []int, k, workers int) (float64, error) {
+	m, err := cluster.MatrixFromVectors(points)
+	if err != nil {
+		return 0, err
+	}
+	return cluster.Silhouette(m, assignments, k, workers)
 }
 
 // SuggestK runs the clustering for k = 1..kMax and returns the elbow of
 // the within-cluster-SS curve plus the curve itself — a starting point for
-// choosing the paper's "pre-specified parameter" K.
-func SuggestK(points []FeatureVector, kMax int, src *Rand) (int, []float64, error) {
-	return cluster.SuggestK(points, kMax, cluster.UniformSeeder{}, cluster.DefaultOptions(), src)
-}
-
-// SuggestKParallel is SuggestK with the kMax independent clustering runs
-// fanned out over at most workers goroutines (0 or 1 means serial), each
+// choosing the paper's "pre-specified parameter" K. The kMax independent
+// runs fan out over at most workers goroutines (0 or 1 means serial), each
 // drawing from its own deterministic substream: the suggestion and curve
 // are bit-identical for every worker count.
-func SuggestKParallel(points []FeatureVector, kMax, workers int, src *Rand) (int, []float64, error) {
+func SuggestK(points []FeatureVector, kMax, workers int, src *Rand) (int, []float64, error) {
+	m, err := cluster.MatrixFromVectors(points)
+	if err != nil {
+		return 0, nil, err
+	}
 	opts := cluster.DefaultOptions()
 	opts.Parallelism = workers
-	return cluster.SuggestK(points, kMax, cluster.UniformSeeder{}, opts, src)
+	return cluster.SuggestK(m, kMax, cluster.UniformSeeder{}, opts, src)
 }
 
 // Flash-crowd workloads.

@@ -270,7 +270,7 @@ func TestKMedoidsAndVivaldiThroughFacade(t *testing.T) {
 	if plan.NumGroups() != 5 {
 		t.Fatalf("kmedoids groups = %d", plan.NumGroups())
 	}
-	sil, err := ecg.Silhouette(plan.Points, plan.Assignments, 5)
+	sil, err := ecg.Silhouette(plan.Points, plan.Assignments, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

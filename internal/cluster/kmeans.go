@@ -181,16 +181,7 @@ func (r *Result) Sizes() []int {
 
 // WithinClusterSS returns the total within-cluster sum of squared L2
 // distances (the K-means objective).
-func (r *Result) WithinClusterSS(points []Vector) float64 {
-	var sum float64
-	for i, a := range r.Assignments {
-		sum += sqL2(points[i], r.Centers[a])
-	}
-	return sum
-}
-
-// WithinClusterSSMatrix is WithinClusterSS over a flat feature matrix.
-func (r *Result) WithinClusterSSMatrix(points Matrix) float64 {
+func (r *Result) WithinClusterSS(points Matrix) float64 {
 	var sum float64
 	for i, a := range r.Assignments {
 		sum += sqL2(points.Row(i), r.Centers[a])
@@ -296,16 +287,14 @@ func (sc *kmScratch) totalEvals() int64 {
 // iteration (recompute means, reassign), and termination (when the number
 // of reassignments becomes minimal).
 //
-// This is the []Vector-shaped adapter: it copies the points into a flat
-// Matrix once (which also improves locality for the iteration) and runs
-// KMeansMatrix. Callers that already hold a flat feature store — the
-// formation pipeline does — should call KMeansMatrix directly and skip
-// the copy.
+// This is the []Vector-shaped adapter for callers outside the package: it
+// copies the points into a flat Matrix once and runs KMeansMatrix.
 func KMeans(points []Vector, k int, seeder Seeder, opts Options, src *simrand.Source) (*Result, error) {
-	if err := validatePoints(points); err != nil {
+	m, err := MatrixFromVectors(points)
+	if err != nil {
 		return nil, err
 	}
-	return KMeansMatrix(MatrixFromVectors(points), k, seeder, opts, src)
+	return KMeansMatrix(m, k, seeder, opts, src)
 }
 
 // KMeansMatrix is KMeans over a flat feature matrix — the
@@ -314,22 +303,10 @@ func KMeans(points []Vector, k int, seeder Seeder, opts Options, src *simrand.So
 // prunes provably-unchanged points with triangle-inequality bounds
 // (opts.Prune); the result is invariant to both knobs.
 func KMeansMatrix(points Matrix, k int, seeder Seeder, opts Options, src *simrand.Source) (*Result, error) {
-	if err := validateMatrix(points); err != nil {
-		return nil, err
-	}
-	if err := opts.Validate(); err != nil {
+	if err := checkInput(points, k, seeder, opts); err != nil {
 		return nil, err
 	}
 	n := points.Rows()
-	if k < 1 {
-		return nil, fmt.Errorf("cluster: k must be >= 1, got %d", k)
-	}
-	if k > n {
-		return nil, fmt.Errorf("cluster: k=%d exceeds number of points %d", k, n)
-	}
-	if seeder == nil {
-		return nil, fmt.Errorf("cluster: nil seeder")
-	}
 	opts = opts.withDefaults()
 	mode := resolvePrune(opts.Prune)
 
@@ -398,18 +375,29 @@ func KMeansMatrix(points Matrix, k int, seeder Seeder, opts Options, src *simran
 	return res, nil
 }
 
-// seedCenters runs the seeder (through its Matrix fast path when
-// available) and validates the returned indices.
-func seedCenters(seeder Seeder, points Matrix, k int, src *simrand.Source) ([]int, error) {
-	var seedIdx []int
-	var err error
-	if ms, ok := seeder.(MatrixSeeder); ok {
-		seedIdx, err = ms.SeedMatrix(points, k, src)
-	} else {
-		// Fallback for external seeders: one header-slice allocation of
-		// row views, no data copies.
-		seedIdx, err = seeder.Seed(points.RowViews(), k, src)
+// checkInput validates the arguments KMeansMatrix and KMedoids share.
+func checkInput(points Matrix, k int, seeder Seeder, opts Options) error {
+	if err := validateMatrix(points); err != nil {
+		return err
 	}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if k < 1 {
+		return fmt.Errorf("cluster: k must be >= 1, got %d", k)
+	}
+	if n := points.Rows(); k > n {
+		return fmt.Errorf("cluster: k=%d exceeds number of points %d", k, n)
+	}
+	if seeder == nil {
+		return fmt.Errorf("cluster: nil seeder")
+	}
+	return nil
+}
+
+// seedCenters runs the seeder and validates the returned indices.
+func seedCenters(seeder Seeder, points Matrix, k int, src *simrand.Source) ([]int, error) {
+	seedIdx, err := seeder.Seed(points, k, src)
 	if err != nil {
 		return nil, fmt.Errorf("seed centers: %w", err)
 	}
@@ -602,18 +590,4 @@ func repairEmptyClusters(sc *kmScratch, assign []int) bool {
 		repaired = true
 	}
 	return repaired
-}
-
-// nearestCenter returns the index of the center closest to p (ties go to
-// the lowest index for determinism). Retained for []Vector callers; the
-// flat sweeps use the chunk bodies in prune.go.
-func nearestCenter(p Vector, centers []Vector) int {
-	best := 0
-	bestD := sqL2(p, centers[0])
-	for c := 1; c < len(centers); c++ {
-		if d := sqL2(p, centers[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
 }

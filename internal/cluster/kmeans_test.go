@@ -115,7 +115,7 @@ type badSeeder struct {
 	indices []int
 }
 
-func (b badSeeder) Seed([]Vector, int, *simrand.Source) ([]int, error) {
+func (b badSeeder) Seed(Matrix, int, *simrand.Source) ([]int, error) {
 	return b.indices, nil
 }
 
@@ -168,10 +168,17 @@ func TestKMeansInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Invariant 3: at convergence each point is at its nearest center.
+		// Invariant 3: at convergence each point is at its nearest center
+		// (ties go to the lowest index).
 		if res.Converged {
-			for i := range points {
-				if nearestCenter(points[i], res.Centers) != res.Assignments[i] {
+			for i, p := range points {
+				best := 0
+				for c := 1; c < k; c++ {
+					if sqL2(p, res.Centers[c]) < sqL2(p, res.Centers[best]) {
+						best = c
+					}
+				}
+				if best != res.Assignments[i] {
 					return false
 				}
 			}
@@ -256,7 +263,7 @@ func TestResultMembersAndWithinSS(t *testing.T) {
 		t.Fatalf("Members cover %d points, want 4", total)
 	}
 	// Optimal SS: each pair clusters together -> SS = 2*(0.5^2)*2 = 1.
-	if ss := res.WithinClusterSS(points); math.Abs(ss-1) > 1e-9 {
+	if ss := res.WithinClusterSS(mustMatrix(t, points)); math.Abs(ss-1) > 1e-9 {
 		t.Fatalf("WithinClusterSS = %v, want 1", ss)
 	}
 }
@@ -266,7 +273,7 @@ func TestUniformSeederDistinct(t *testing.T) {
 	for i := range points {
 		points[i] = Vector{float64(i)}
 	}
-	idx, err := UniformSeeder{}.Seed(points, 5, simrand.New(9))
+	idx, err := UniformSeeder{}.Seed(mustMatrix(t, points), 5, simrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +294,11 @@ func TestWeightedSeederBias(t *testing.T) {
 		weights[i] = 0.001
 	}
 	weights[3] = 1000 // index 3 should almost always be seeded
+	m := mustMatrix(t, points)
 	src := simrand.New(10)
 	hits := 0
 	for trial := 0; trial < 100; trial++ {
-		idx, err := WeightedSeeder{Weights: weights}.Seed(points, 2, src)
+		idx, err := WeightedSeeder{Weights: weights}.Seed(m, 2, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +314,7 @@ func TestWeightedSeederBias(t *testing.T) {
 }
 
 func TestWeightedSeederErrors(t *testing.T) {
-	points := []Vector{{0}, {1}}
+	points := mustMatrix(t, []Vector{{0}, {1}})
 	if _, err := (WeightedSeeder{Weights: []float64{1}}).Seed(points, 1, simrand.New(11)); err == nil {
 		t.Fatal("mismatched weights accepted")
 	}
@@ -315,10 +323,28 @@ func TestWeightedSeederErrors(t *testing.T) {
 	}
 }
 
+func TestSDSLSeeder(t *testing.T) {
+	if s := SDSLSeeder([]float64{3, 4}, 0); s != (UniformSeeder{}) {
+		t.Fatalf("theta=0 seeder = %#v, want UniformSeeder (SL)", s)
+	}
+	// Distances below 1 ms are floored so one near-origin cache cannot
+	// swamp the others.
+	seeder := SDSLSeeder([]float64{0.5, 2, 4}, 2)
+	s, ok := seeder.(WeightedSeeder)
+	if !ok {
+		t.Fatalf("theta=2 seeder is %T, want WeightedSeeder", seeder)
+	}
+	for i, want := range []float64{1, 0.25, 0.0625} {
+		if s.Weights[i] != want {
+			t.Fatalf("weight[%d] = %v, want %v", i, s.Weights[i], want)
+		}
+	}
+}
+
 func TestSpreadSeederCoversBlobs(t *testing.T) {
 	src := simrand.New(12)
 	points := threeBlobs(10, src)
-	idx, err := SpreadSeeder{}.Seed(points, 3, src.Split("seed"))
+	idx, err := SpreadSeeder{}.Seed(mustMatrix(t, points), 3, src.Split("seed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +359,7 @@ func TestSpreadSeederCoversBlobs(t *testing.T) {
 }
 
 func TestSpreadSeederDuplicatePoints(t *testing.T) {
-	points := []Vector{{5}, {5}, {5}}
+	points := mustMatrix(t, []Vector{{5}, {5}, {5}})
 	idx, err := SpreadSeeder{}.Seed(points, 3, simrand.New(13))
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +374,7 @@ func TestSpreadSeederDuplicatePoints(t *testing.T) {
 }
 
 func TestSpreadSeederKTooLarge(t *testing.T) {
-	if _, err := (SpreadSeeder{}).Seed([]Vector{{1}}, 2, simrand.New(14)); err == nil {
+	if _, err := (SpreadSeeder{}).Seed(mustMatrix(t, []Vector{{1}}), 2, simrand.New(14)); err == nil {
 		t.Fatal("oversized k accepted")
 	}
 }
@@ -356,7 +382,7 @@ func TestSpreadSeederKTooLarge(t *testing.T) {
 func TestSuggestKFindsPlantedClusterCount(t *testing.T) {
 	src := simrand.New(20)
 	points := threeBlobs(20, src)
-	k, curve, err := SuggestK(points, 8, SpreadSeeder{}, DefaultOptions(), src.Split("sk"))
+	k, curve, err := SuggestK(mustMatrix(t, points), 8, SpreadSeeder{}, DefaultOptions(), src.Split("sk"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +400,10 @@ func TestSuggestKFindsPlantedClusterCount(t *testing.T) {
 
 func TestSuggestKErrors(t *testing.T) {
 	src := simrand.New(21)
-	if _, _, err := SuggestK(nil, 3, UniformSeeder{}, DefaultOptions(), src); err == nil {
+	if _, _, err := SuggestK(Matrix{}, 3, UniformSeeder{}, DefaultOptions(), src); err == nil {
 		t.Fatal("empty points accepted")
 	}
-	points := []Vector{{1}, {2}, {3}}
+	points := mustMatrix(t, []Vector{{1}, {2}, {3}})
 	if _, _, err := SuggestK(points, 1, UniformSeeder{}, DefaultOptions(), src); err == nil {
 		t.Fatal("kMax=1 accepted")
 	}
@@ -397,7 +423,7 @@ func TestSuggestKErrors(t *testing.T) {
 
 func TestSuggestKIdenticalPoints(t *testing.T) {
 	src := simrand.New(22)
-	points := []Vector{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
+	points := mustMatrix(t, []Vector{{5, 5}, {5, 5}, {5, 5}, {5, 5}})
 	k, _, err := SuggestK(points, 4, UniformSeeder{}, DefaultOptions(), src)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +439,7 @@ type fixedSeeder struct {
 	indices []int
 }
 
-func (f fixedSeeder) Seed([]Vector, int, *simrand.Source) ([]int, error) {
+func (f fixedSeeder) Seed(Matrix, int, *simrand.Source) ([]int, error) {
 	return f.indices, nil
 }
 

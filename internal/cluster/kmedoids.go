@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"edgecachegroups/internal/simrand"
 )
 
@@ -18,70 +16,29 @@ import (
 // the SDSL WeightedSeeder biases the initial medoids toward the origin.
 //
 // The returned Result is shaped like KMeans's: Centers hold the medoid
-// coordinates (copies of input points).
-func KMedoids(points []Vector, k int, seeder Seeder, opts Options, src *simrand.Source) (*Result, error) {
-	if err := validatePoints(points); err != nil {
+// coordinates (copies of input points). The medoid swap phase is
+// inherently O(n²) per cluster, so opts.Parallelism and opts.Prune do not
+// apply.
+func KMedoids(points Matrix, k int, seeder Seeder, opts Options, src *simrand.Source) (*Result, error) {
+	if err := checkInput(points, k, seeder, opts); err != nil {
 		return nil, err
-	}
-	return kmedoids(points, k, seeder, opts, src)
-}
-
-// KMedoidsMatrix is KMedoids over a flat feature matrix. The medoid swap
-// phase is inherently O(n²) per cluster, so unlike KMeansMatrix there is
-// no large-N fast path — this adapter exists so Matrix-holding callers
-// (the formation pipeline) can use either algorithm through one shape. It
-// costs one row-view header allocation and no data copies.
-func KMedoidsMatrix(points Matrix, k int, seeder Seeder, opts Options, src *simrand.Source) (*Result, error) {
-	if err := validateMatrix(points); err != nil {
-		return nil, err
-	}
-	return kmedoids(points.RowViews(), k, seeder, opts, src)
-}
-
-func kmedoids(points []Vector, k int, seeder Seeder, opts Options, src *simrand.Source) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(points)
-	if k < 1 {
-		return nil, fmt.Errorf("cluster: k must be >= 1, got %d", k)
-	}
-	if k > n {
-		return nil, fmt.Errorf("cluster: k=%d exceeds number of points %d", k, n)
-	}
-	if seeder == nil {
-		return nil, fmt.Errorf("cluster: nil seeder")
 	}
 	opts = opts.withDefaults()
-
-	seedIdx, err := seeder.Seed(points, k, src)
+	medoids, err := seedCenters(seeder, points, k, src)
 	if err != nil {
-		return nil, fmt.Errorf("seed medoids: %w", err)
-	}
-	if len(seedIdx) != k {
-		return nil, fmt.Errorf("cluster: seeder returned %d medoids, want %d", len(seedIdx), k)
-	}
-	medoids := make([]int, k)
-	seen := make(map[int]bool, k)
-	for c, idx := range seedIdx {
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("cluster: seeder returned out-of-range index %d", idx)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("cluster: seeder returned duplicate index %d", idx)
-		}
-		seen[idx] = true
-		medoids[c] = idx
+		return nil, err
 	}
 
+	n := points.Rows()
 	assign := make([]int, n)
 	assignAll := func() int {
 		moved := 0
-		for i := range points {
+		for i := range assign {
+			p := points.Row(i)
 			best := 0
-			bestD := sqL2(points[i], points[medoids[0]])
+			bestD := sqL2(p, points.Row(medoids[0]))
 			for c := 1; c < k; c++ {
-				if d := sqL2(points[i], points[medoids[c]]); d < bestD {
+				if d := sqL2(p, points.Row(medoids[c])); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -135,59 +92,26 @@ func kmedoids(points []Vector, k int, seeder Seeder, opts Options, src *simrand.
 		}
 	}
 
+	// The centers are the medoid rows in one flat array, repaired the same
+	// way KMeans repairs: repairEmptyClusters reads only these fields.
+	dim := points.Dim()
+	sc := &kmScratch{k: k, dim: dim, points: points, centers: make([]float64, k*dim), counts: make([]int, k)}
 	res.Centers = make([]Vector, k)
 	for c, m := range medoids {
-		res.Centers[c] = points[m].Clone()
+		res.Centers[c] = sc.centerRow(c)
+		copy(res.Centers[c], points.Row(m))
 	}
-	// Guarantee non-empty clusters the same way KMeans does.
-	repairEmptyClustersVec(points, res.Assignments, res.Centers, make([]int, k))
+	repairEmptyClusters(sc, assign)
 	return res, nil
-}
-
-// repairEmptyClustersVec is the []Vector-shaped twin of the flat
-// repairEmptyClusters in kmeans.go: it re-seeds each empty cluster at the
-// point farthest from its assigned center, stolen from a cluster that can
-// spare it.
-func repairEmptyClustersVec(points []Vector, assign []int, centers []Vector, counts []int) bool {
-	for c := range counts {
-		counts[c] = 0
-	}
-	for _, a := range assign {
-		counts[a]++
-	}
-	repaired := false
-	for c := range centers {
-		if counts[c] > 0 {
-			continue
-		}
-		best := -1
-		var bestD float64
-		for i, a := range assign {
-			if counts[a] <= 1 {
-				continue
-			}
-			if d := sqL2(points[i], centers[a]); best < 0 || d > bestD {
-				best, bestD = i, d
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		counts[assign[best]]--
-		assign[best] = c
-		counts[c] = 1
-		centers[c] = points[best].Clone()
-		repaired = true
-	}
-	return repaired
 }
 
 // clusterCost is the total L2 distance from candidate medoid cand to the
 // members.
-func clusterCost(points []Vector, members []int, cand int) float64 {
+func clusterCost(points Matrix, members []int, cand int) float64 {
+	c := points.Row(cand)
 	var sum float64
 	for _, m := range members {
-		sum += L2(points[m], points[cand])
+		sum += L2(points.Row(m), c)
 	}
 	return sum
 }

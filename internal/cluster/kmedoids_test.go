@@ -13,7 +13,7 @@ func TestKMedoidsRecoversBlobs(t *testing.T) {
 	// start two medoids in one blob and stay there.
 	src := simrand.New(1)
 	points := threeBlobs(20, src)
-	res, err := KMedoids(points, 3, SpreadSeeder{}, DefaultOptions(), src.Split("km"))
+	res, err := KMedoids(mustMatrix(t, points), 3, SpreadSeeder{}, DefaultOptions(), src.Split("km"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestKMedoidsRecoversBlobs(t *testing.T) {
 func TestKMedoidsCentersAreInputPoints(t *testing.T) {
 	src := simrand.New(2)
 	points := threeBlobs(10, src)
-	res, err := KMedoids(points, 3, UniformSeeder{}, DefaultOptions(), src.Split("km"))
+	res, err := KMedoids(mustMatrix(t, points), 3, UniformSeeder{}, DefaultOptions(), src.Split("km"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +56,15 @@ func TestKMedoidsCentersAreInputPoints(t *testing.T) {
 
 func TestKMedoidsValidation(t *testing.T) {
 	src := simrand.New(3)
-	points := []Vector{{1}, {2}}
+	points := mustMatrix(t, []Vector{{1}, {2}})
 	tests := []struct {
 		name   string
-		points []Vector
+		points Matrix
 		k      int
 		seeder Seeder
 		opts   Options
 	}{
-		{name: "no points", points: nil, k: 1, seeder: UniformSeeder{}},
+		{name: "no points", points: Matrix{}, k: 1, seeder: UniformSeeder{}},
 		{name: "k zero", points: points, k: 0, seeder: UniformSeeder{}},
 		{name: "k too big", points: points, k: 3, seeder: UniformSeeder{}},
 		{name: "nil seeder", points: points, k: 1, seeder: nil},
@@ -80,7 +80,7 @@ func TestKMedoidsValidation(t *testing.T) {
 }
 
 func TestKMedoidsRejectsBrokenSeeder(t *testing.T) {
-	points := []Vector{{0}, {1}, {2}}
+	points := mustMatrix(t, []Vector{{0}, {1}, {2}})
 	src := simrand.New(4)
 	for _, tt := range []struct {
 		name    string
@@ -107,7 +107,7 @@ func TestKMedoidsInvariantsProperty(t *testing.T) {
 		for i := range points {
 			points[i] = Vector{src.Uniform(0, 100), src.Uniform(0, 100)}
 		}
-		res, err := KMedoids(points, k, UniformSeeder{}, DefaultOptions(), src.Split("km"))
+		res, err := KMedoids(mustMatrix(t, points), k, UniformSeeder{}, DefaultOptions(), src.Split("km"))
 		if err != nil {
 			return false
 		}
@@ -147,7 +147,7 @@ func TestKMedoidsWeightedSeeding(t *testing.T) {
 		weights[i] = 0.0001
 	}
 	weights[0], weights[1] = 100, 100
-	res, err := KMedoids(points, 2, WeightedSeeder{Weights: weights}, DefaultOptions(), src.Split("km"))
+	res, err := KMedoids(mustMatrix(t, points), 2, WeightedSeeder{Weights: weights}, DefaultOptions(), src.Split("km"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestKMedoidsWeightedSeeding(t *testing.T) {
 
 func TestKMedoidsKEqualsN(t *testing.T) {
 	points := []Vector{{0}, {5}, {10}}
-	res, err := KMedoids(points, 3, UniformSeeder{}, DefaultOptions(), simrand.New(6))
+	res, err := KMedoids(mustMatrix(t, points), 3, UniformSeeder{}, DefaultOptions(), simrand.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,13 @@ func TestKMedoidsKEqualsN(t *testing.T) {
 func TestKMedoidsDeterministic(t *testing.T) {
 	src1 := simrand.New(7)
 	p1 := threeBlobs(12, src1)
-	r1, err := KMedoids(p1, 3, UniformSeeder{}, DefaultOptions(), src1.Split("km"))
+	r1, err := KMedoids(mustMatrix(t, p1), 3, UniformSeeder{}, DefaultOptions(), src1.Split("km"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src2 := simrand.New(7)
 	p2 := threeBlobs(12, src2)
-	r2, err := KMedoids(p2, 3, UniformSeeder{}, DefaultOptions(), src2.Split("km"))
+	r2, err := KMedoids(mustMatrix(t, p2), 3, UniformSeeder{}, DefaultOptions(), src2.Split("km"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,16 +197,17 @@ func TestKMedoidsDeterministic(t *testing.T) {
 func TestKMedoidsComparableToKMeans(t *testing.T) {
 	src := simrand.New(8)
 	points := threeBlobs(25, src)
+	m := mustMatrix(t, points)
 	km, err := KMeans(points, 3, UniformSeeder{}, DefaultOptions(), src.Split("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kd, err := KMedoids(points, 3, UniformSeeder{}, DefaultOptions(), src.Split("b"))
+	kd, err := KMedoids(m, 3, UniformSeeder{}, DefaultOptions(), src.Split("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssKM := km.WithinClusterSS(points)
-	ssKD := kd.WithinClusterSS(points)
+	ssKM := km.WithinClusterSS(m)
+	ssKD := kd.WithinClusterSS(m)
 	if ssKD > ssKM*1.5 {
 		t.Fatalf("k-medoids SS %v much worse than k-means %v", ssKD, ssKM)
 	}

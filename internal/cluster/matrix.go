@@ -27,17 +27,26 @@ func NewMatrix(n, dim int) Matrix {
 }
 
 // MatrixFromVectors copies points into a freshly allocated flat matrix.
-// All points must share one non-zero dimension (callers validate via
-// validatePoints; this panics on ragged input).
-func MatrixFromVectors(points []Vector) Matrix {
+// It is the one bridge from []Vector input into the package, so it
+// rejects what a fixed-width matrix cannot hold: no points, zero-width
+// points, or points of differing dimension. Component values are checked
+// by the functions the matrix is passed to.
+func MatrixFromVectors(points []Vector) (Matrix, error) {
 	if len(points) == 0 {
-		return Matrix{}
+		return Matrix{}, fmt.Errorf("cluster: no points")
 	}
-	m := NewMatrix(len(points), len(points[0]))
+	dim := len(points[0])
+	if dim == 0 {
+		return Matrix{}, fmt.Errorf("cluster: zero-dimensional points")
+	}
+	m := NewMatrix(len(points), dim)
 	for i, p := range points {
+		if len(p) != dim {
+			return Matrix{}, fmt.Errorf("cluster: point %d has dimension %d, want %d", i, len(p), dim)
+		}
 		copy(m.Row(i), p)
 	}
-	return m
+	return m, nil
 }
 
 // IsZero reports whether the matrix is the empty zero value.
@@ -70,8 +79,8 @@ func (m Matrix) Row(i int) Vector {
 
 // RowViews returns every row as a Vector view in one allocation (the
 // header slice). The views alias the backing array: mutating a view
-// mutates the matrix. This is the bridge to the []Vector-shaped APIs
-// (Plan.Features, Seeder, Silhouette) — N caches cost one header
+// mutates the matrix. This is the bridge to the []Vector-shaped plan
+// fields (Plan.Features, Plan.Points) — N caches cost one header
 // allocation, not N vector allocations.
 func (m Matrix) RowViews() []Vector {
 	n := m.Rows()
@@ -82,8 +91,7 @@ func (m Matrix) RowViews() []Vector {
 	return out
 }
 
-// validateMatrix checks the matrix is non-empty with finite components,
-// mirroring validatePoints for the flat representation.
+// validateMatrix checks the matrix is non-empty with finite components.
 func validateMatrix(m Matrix) error {
 	if m.Rows() == 0 {
 		return fmt.Errorf("cluster: no points")

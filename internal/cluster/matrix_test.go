@@ -3,11 +3,24 @@ package cluster
 import (
 	"math"
 	"testing"
+
+	"edgecachegroups/internal/simrand"
 )
+
+// mustMatrix copies test fixtures into a Matrix, failing the test on
+// input MatrixFromVectors rejects.
+func mustMatrix(tb testing.TB, points []Vector) Matrix {
+	tb.Helper()
+	m, err := MatrixFromVectors(points)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
 func TestMatrixRoundTrip(t *testing.T) {
 	points := []Vector{{1, 2}, {3, 4}, {5, 6}}
-	m := MatrixFromVectors(points)
+	m := mustMatrix(t, points)
 	if m.Rows() != 3 || m.Dim() != 2 {
 		t.Fatalf("shape = %d×%d, want 3×2", m.Rows(), m.Dim())
 	}
@@ -57,8 +70,8 @@ func TestMatrixZeroValue(t *testing.T) {
 	if err := validateMatrix(m); err == nil {
 		t.Fatal("validateMatrix accepted the zero value")
 	}
-	if got := MatrixFromVectors(nil); !got.IsZero() {
-		t.Fatal("MatrixFromVectors(nil) not zero")
+	if _, err := MatrixFromVectors(nil); err == nil {
+		t.Fatal("MatrixFromVectors accepted no points")
 	}
 }
 
@@ -85,4 +98,80 @@ func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 		}
 	}()
 	NewMatrix(1, 0)
+}
+
+// fuzzComponent decodes one fuzz byte into a feature component: the top
+// three values are NaN, +Inf and -Inf, everything else a small integer.
+func fuzzComponent(b byte) float64 {
+	switch b {
+	case 0xff:
+		return math.NaN()
+	case 0xfe:
+		return math.Inf(1)
+	case 0xfd:
+		return math.Inf(-1)
+	}
+	return float64(b)
+}
+
+// FuzzMatrixFromVectors drives arbitrary point sets through the []Vector
+// bridge and on into the clustering functions the ecg facade calls with
+// its result. widths gives each point's dimension (one byte per point,
+// mod 4, so zero-width points occur); values supplies the components
+// cyclically through fuzzComponent. MatrixFromVectors must reject exactly
+// the empty, zero-width and ragged sets; the clustering functions must
+// reject exactly the sets with a NaN or Inf component; nothing may panic.
+func FuzzMatrixFromVectors(f *testing.F) {
+	f.Fuzz(func(t *testing.T, widths, values []byte) {
+		if len(widths) > 32 {
+			widths = widths[:32]
+		}
+		points := make([]Vector, len(widths))
+		shapeOK, finite := len(points) > 0, true
+		next := 0
+		for i, w := range widths {
+			points[i] = make(Vector, w%4)
+			for j := range points[i] {
+				if len(values) > 0 {
+					points[i][j] = fuzzComponent(values[next%len(values)])
+					next++
+				}
+				finite = finite && !isNaNOrInf(points[i][j])
+			}
+			shapeOK = shapeOK && len(points[i]) > 0 && len(points[i]) == len(points[0])
+		}
+
+		m, err := MatrixFromVectors(points)
+		if (err == nil) != shapeOK {
+			t.Fatalf("MatrixFromVectors(%v): err = %v, want error %v", points, err, !shapeOK)
+		}
+		if err != nil {
+			return
+		}
+		for i, p := range points {
+			for j, x := range p {
+				if y := m.Row(i)[j]; math.Float64bits(y) != math.Float64bits(x) {
+					t.Fatalf("row %d component %d = %v, want %v", i, j, y, x)
+				}
+			}
+		}
+
+		k := min(2, m.Rows())
+		assign := make([]int, m.Rows())
+		for i := range assign {
+			assign[i] = i % k
+		}
+		_, errSil := Silhouette(m, assign, k, 2)
+		_, _, errSK := SuggestK(m, 3, UniformSeeder{}, DefaultOptions(), simrand.New(1))
+		_, errKM := KMeans(points, k, SpreadSeeder{}, DefaultOptions(), simrand.New(2))
+		_, errKD := KMedoids(m, k, UniformSeeder{}, DefaultOptions(), simrand.New(3))
+		for _, c := range []struct {
+			name string
+			err  error
+		}{{"Silhouette", errSil}, {"SuggestK", errSK}, {"KMeans", errKM}, {"KMedoids", errKD}} {
+			if (c.err == nil) != finite {
+				t.Fatalf("%s(%v): err = %v, want error %v", c.name, points, c.err, !finite)
+			}
+		}
+	})
 }

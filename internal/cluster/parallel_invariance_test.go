@@ -6,9 +6,9 @@ import (
 	"edgecachegroups/internal/simrand"
 )
 
-// TestSilhouetteParallelismInvariant pins SilhouetteParallel's contract:
-// the coefficient is bit-identical for every worker count (ordered chunk
-// reduction), and the serial entry point agrees.
+// TestSilhouetteParallelismInvariant pins Silhouette's contract: the
+// coefficient is bit-identical for every worker count (ordered chunk
+// reduction).
 func TestSilhouetteParallelismInvariant(t *testing.T) {
 	src := simrand.New(31)
 	points := threeBlobs(50, src) // n = 150: several chunks
@@ -16,12 +16,13 @@ func TestSilhouetteParallelismInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Silhouette(points, res.Assignments, 3)
+	m := mustMatrix(t, points)
+	want, err := Silhouette(m, res.Assignments, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		got, err := SilhouetteParallel(points, res.Assignments, 3, workers)
+	for _, workers := range []int{0, 2, 3, 8, 64} {
+		got, err := Silhouette(m, res.Assignments, 3, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -36,7 +37,7 @@ func TestSilhouetteParallelismInvariant(t *testing.T) {
 // suggestion and the whole curve are bit-identical at every worker count.
 func TestSuggestKParallelismInvariant(t *testing.T) {
 	src := simrand.New(37)
-	points := threeBlobs(15, src)
+	points := mustMatrix(t, threeBlobs(15, src))
 	serialOpts := DefaultOptions()
 	wantK, wantCurve, err := SuggestK(points, 8, UniformSeeder{}, serialOpts, simrand.New(5))
 	if err != nil {
@@ -64,29 +65,6 @@ func TestSuggestKParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestSuggestKMatrixMatchesVectors pins the Matrix entry point to the
-// []Vector one.
-func TestSuggestKMatrixMatchesVectors(t *testing.T) {
-	src := simrand.New(41)
-	points := threeBlobs(10, src)
-	wantK, wantCurve, err := SuggestK(points, 6, UniformSeeder{}, DefaultOptions(), simrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotK, gotCurve, err := SuggestKMatrix(MatrixFromVectors(points), 6, UniformSeeder{}, DefaultOptions(), simrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotK != wantK {
-		t.Fatalf("SuggestKMatrix = %d, want %d", gotK, wantK)
-	}
-	for i := range wantCurve {
-		if gotCurve[i] != wantCurve[i] {
-			t.Fatalf("curve[%d] = %v, want %v", i, gotCurve[i], wantCurve[i])
-		}
-	}
-}
-
 // TestSilhouetteLoopAllocationFree guards the satellite fix: the O(N²)
 // silhouette loop must not allocate per point (the per-cluster scratch is
 // hoisted per worker).
@@ -103,8 +81,9 @@ func TestSilhouetteLoopAllocationFree(t *testing.T) {
 	}
 	smallAssign, bigAssign := res(small), res(big)
 	allocs := func(points []Vector, assign []int) float64 {
+		m := mustMatrix(t, points)
 		return testing.AllocsPerRun(10, func() {
-			if _, err := SilhouetteParallel(points, assign, 3, 1); err != nil {
+			if _, err := Silhouette(m, assign, 3, 1); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -228,7 +228,7 @@ func TestKMeansMatrixSharesResultWithKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromMatrix, err := KMeansMatrix(MatrixFromVectors(points), 3, UniformSeeder{}, DefaultOptions(), base.Split("m"))
+	fromMatrix, err := KMeansMatrix(mustMatrix(t, points), 3, UniformSeeder{}, DefaultOptions(), base.Split("m"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"edgecachegroups/internal/simrand"
 )
@@ -9,39 +10,16 @@ import (
 // Seeder chooses k initial cluster centers from points, returning point
 // indices. Implementations must return k distinct indices.
 type Seeder interface {
-	Seed(points []Vector, k int, src *simrand.Source) ([]int, error)
-}
-
-// MatrixSeeder is the flat-matrix fast path of Seeder. KMeansMatrix
-// prefers it when the seeder implements it, avoiding the per-call row-view
-// header allocation the []Vector interface would force at million-point
-// scale. Implementations must consume randomness identically to their
-// Seed method so both paths pick the same centers from the same stream.
-type MatrixSeeder interface {
-	SeedMatrix(points Matrix, k int, src *simrand.Source) ([]int, error)
+	Seed(points Matrix, k int, src *simrand.Source) ([]int, error)
 }
 
 // UniformSeeder picks k distinct points uniformly at random. This is the
 // paper's SL-scheme initialization ("randomly chooses K edge caches").
 type UniformSeeder struct{}
 
-var (
-	_ Seeder       = UniformSeeder{}
-	_ MatrixSeeder = UniformSeeder{}
-)
-
 // Seed implements Seeder.
-func (UniformSeeder) Seed(points []Vector, k int, src *simrand.Source) ([]int, error) {
-	return uniformSeed(len(points), k, src)
-}
-
-// SeedMatrix implements MatrixSeeder.
-func (UniformSeeder) SeedMatrix(points Matrix, k int, src *simrand.Source) ([]int, error) {
-	return uniformSeed(points.Rows(), k, src)
-}
-
-func uniformSeed(n, k int, src *simrand.Source) ([]int, error) {
-	idx, err := src.SampleWithoutReplacement(n, k)
+func (UniformSeeder) Seed(points Matrix, k int, src *simrand.Source) ([]int, error) {
+	idx, err := src.SampleWithoutReplacement(points.Rows(), k)
 	if err != nil {
 		return nil, fmt.Errorf("uniform seed: %w", err)
 	}
@@ -51,29 +29,15 @@ func uniformSeed(n, k int, src *simrand.Source) ([]int, error) {
 // WeightedSeeder picks k distinct points with probability proportional to
 // the supplied per-point weights. The SDSL scheme uses weights
 // 1/Dist(Ec, Os)^theta so that more initial centers land near the origin
-// server.
+// server; SDSLSeeder builds them.
 type WeightedSeeder struct {
 	// Weights holds one non-negative weight per point.
 	Weights []float64
 }
 
-var (
-	_ Seeder       = WeightedSeeder{}
-	_ MatrixSeeder = WeightedSeeder{}
-)
-
 // Seed implements Seeder.
-func (s WeightedSeeder) Seed(points []Vector, k int, src *simrand.Source) ([]int, error) {
-	return s.weightedSeed(len(points), k, src)
-}
-
-// SeedMatrix implements MatrixSeeder.
-func (s WeightedSeeder) SeedMatrix(points Matrix, k int, src *simrand.Source) ([]int, error) {
-	return s.weightedSeed(points.Rows(), k, src)
-}
-
-func (s WeightedSeeder) weightedSeed(n, k int, src *simrand.Source) ([]int, error) {
-	if len(s.Weights) != n {
+func (s WeightedSeeder) Seed(points Matrix, k int, src *simrand.Source) ([]int, error) {
+	if n := points.Rows(); len(s.Weights) != n {
 		return nil, fmt.Errorf("cluster: %d weights for %d points", len(s.Weights), n)
 	}
 	idx, err := src.WeightedSampleWithoutReplacement(s.Weights, k)
@@ -81,6 +45,26 @@ func (s WeightedSeeder) weightedSeed(n, k int, src *simrand.Source) ([]int, erro
 		return nil, fmt.Errorf("weighted seed: %w", err)
 	}
 	return idx, nil
+}
+
+// minServerDistMS floors the measured server distances SDSLSeeder weights
+// by, so a near-zero RTT cannot make one cache's weight 1/d^theta swamp
+// every other.
+const minServerDistMS = 1.0
+
+// SDSLSeeder returns the seeder of the paper's SL (theta = 0) and SDSL
+// (theta > 0) schemes (§4.1). SL seeds uniformly; SDSL weights cache i by
+// 1/max(serverDist[i], 1 ms)^theta, so initial centers favor caches near
+// the origin server.
+func SDSLSeeder(serverDist []float64, theta float64) Seeder {
+	if theta == 0 {
+		return UniformSeeder{}
+	}
+	weights := make([]float64, len(serverDist))
+	for i, d := range serverDist {
+		weights[i] = 1 / math.Pow(math.Max(d, minServerDistMS), theta)
+	}
+	return WeightedSeeder{Weights: weights}
 }
 
 // SpreadSeeder implements k-means++-style seeding: the first center is
@@ -91,30 +75,9 @@ func (s WeightedSeeder) weightedSeed(n, k int, src *simrand.Source) ([]int, erro
 // ablation studies.
 type SpreadSeeder struct{}
 
-var (
-	_ Seeder       = SpreadSeeder{}
-	_ MatrixSeeder = SpreadSeeder{}
-)
-
 // Seed implements Seeder.
-func (SpreadSeeder) Seed(points []Vector, k int, src *simrand.Source) ([]int, error) {
-	return spreadSeed(len(points), func(i, j int) float64 {
-		return sqL2(points[i], points[j])
-	}, k, src)
-}
-
-// SeedMatrix implements MatrixSeeder.
-func (SpreadSeeder) SeedMatrix(points Matrix, k int, src *simrand.Source) ([]int, error) {
-	return spreadSeed(points.Rows(), func(i, j int) float64 {
-		return sqL2(points.Row(i), points.Row(j))
-	}, k, src)
-}
-
-// spreadSeed is the shared k-means++ body; sqDist(i,j) returns the squared
-// distance between points i and j. Both entry paths use the same sqL2
-// kernel and identical randomness consumption, so they choose the same
-// centers.
-func spreadSeed(n int, sqDist func(i, j int) float64, k int, src *simrand.Source) ([]int, error) {
+func (SpreadSeeder) Seed(points Matrix, k int, src *simrand.Source) ([]int, error) {
+	n := points.Rows()
 	if k > n {
 		return nil, fmt.Errorf("cluster: cannot seed %d centers from %d points", k, n)
 	}
@@ -122,7 +85,7 @@ func spreadSeed(n int, sqDist func(i, j int) float64, k int, src *simrand.Source
 	chosen = append(chosen, src.Intn(n))
 	minSq := make([]float64, n)
 	for i := range minSq {
-		minSq[i] = sqDist(i, chosen[0])
+		minSq[i] = sqL2(points.Row(i), points.Row(chosen[0]))
 	}
 	for len(chosen) < k {
 		i, err := src.WeightedChoice(minSq)
@@ -146,7 +109,7 @@ func spreadSeed(n int, sqDist func(i, j int) float64, k int, src *simrand.Source
 		}
 		chosen = append(chosen, i)
 		for j := range minSq {
-			if d := sqDist(j, i); d < minSq[j] {
+			if d := sqL2(points.Row(j), points.Row(i)); d < minSq[j] {
 				minSq[j] = d
 			}
 		}

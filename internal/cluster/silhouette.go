@@ -11,24 +11,19 @@ import (
 // each point, a is its mean distance to its own cluster's other members
 // and b the smallest mean distance to another cluster; the coefficient is
 // (b-a)/max(a,b). Points in singleton clusters contribute 0, following the
-// usual convention. It runs serially; SilhouetteParallel fans the O(N²)
-// distance work out over a worker pool.
-func Silhouette(points []Vector, assign []int, k int) (float64, error) {
-	return SilhouetteParallel(points, assign, k, 1)
-}
-
-// SilhouetteParallel is Silhouette with the outer loop fanned out over at
-// most workers goroutines (0 or 1 means serial, matching
-// Options.Parallelism semantics). Per-point work reads only shared
-// immutable state, and the per-chunk partial sums are reduced in fixed
-// chunk order, so the returned coefficient is bit-identical for every
-// worker count. The per-cluster distance scratch is hoisted per worker —
-// the O(N²) loop performs no allocations.
-func SilhouetteParallel(points []Vector, assign []int, k, workers int) (float64, error) {
-	if err := validatePoints(points); err != nil {
+// usual convention.
+//
+// The O(N²) outer loop fans out over at most workers goroutines (0 or 1
+// means serial, matching Options.Parallelism semantics). Per-point work
+// reads only shared immutable state, and the per-chunk partial sums are
+// reduced in fixed chunk order, so the returned coefficient is
+// bit-identical for every worker count. The per-cluster distance scratch
+// is hoisted per worker — the O(N²) loop performs no allocations.
+func Silhouette(points Matrix, assign []int, k, workers int) (float64, error) {
+	if err := validateMatrix(points); err != nil {
 		return 0, err
 	}
-	n := len(points)
+	n := points.Rows()
 	if len(assign) != n {
 		return 0, fmt.Errorf("cluster: %d assignments for %d points", len(assign), n)
 	}
@@ -71,11 +66,12 @@ func SilhouetteParallel(points []Vector, assign []int, k, workers int) (float64,
 			for j := range sums {
 				sums[j] = 0
 			}
-			for j := range points {
+			p := points.Row(i)
+			for j := 0; j < n; j++ {
 				if j == i {
 					continue
 				}
-				sums[assign[j]] += L2(points[i], points[j])
+				sums[assign[j]] += L2(p, points.Row(j))
 			}
 			a := sums[own] / float64(sizes[own]-1)
 			b := -1.0

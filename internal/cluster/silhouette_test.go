@@ -8,12 +8,12 @@ import (
 
 func TestSilhouetteSeparatedBlobs(t *testing.T) {
 	src := simrand.New(1)
-	points := threeBlobs(15, src)
-	assign := make([]int, len(points))
+	points := mustMatrix(t, threeBlobs(15, src))
+	assign := make([]int, points.Rows())
 	for i := range assign {
 		assign[i] = i / 15
 	}
-	s, err := Silhouette(points, assign, 3)
+	s, err := Silhouette(points, assign, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,18 +24,18 @@ func TestSilhouetteSeparatedBlobs(t *testing.T) {
 
 func TestSilhouetteBadPartitionIsWorse(t *testing.T) {
 	src := simrand.New(2)
-	points := threeBlobs(15, src)
-	good := make([]int, len(points))
-	bad := make([]int, len(points))
-	for i := range points {
+	points := mustMatrix(t, threeBlobs(15, src))
+	good := make([]int, points.Rows())
+	bad := make([]int, points.Rows())
+	for i := range good {
 		good[i] = i / 15
 		bad[i] = i % 3 // scrambles blobs across clusters
 	}
-	gs, err := Silhouette(points, good, 3)
+	gs, err := Silhouette(points, good, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := Silhouette(points, bad, 3)
+	bs, err := Silhouette(points, bad, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,24 +45,24 @@ func TestSilhouetteBadPartitionIsWorse(t *testing.T) {
 }
 
 func TestSilhouetteErrors(t *testing.T) {
-	points := []Vector{{1}, {2}}
-	if _, err := Silhouette(nil, nil, 1); err == nil {
+	points := mustMatrix(t, []Vector{{1}, {2}})
+	if _, err := Silhouette(Matrix{}, nil, 1, 1); err == nil {
 		t.Fatal("empty points accepted")
 	}
-	if _, err := Silhouette(points, []int{0}, 1); err == nil {
+	if _, err := Silhouette(points, []int{0}, 1, 1); err == nil {
 		t.Fatal("mismatched assignments accepted")
 	}
-	if _, err := Silhouette(points, []int{0, 5}, 2); err == nil {
+	if _, err := Silhouette(points, []int{0, 5}, 2, 1); err == nil {
 		t.Fatal("out-of-range assignment accepted")
 	}
-	if _, err := Silhouette(points, []int{0, 0}, 0); err == nil {
+	if _, err := Silhouette(points, []int{0, 0}, 0, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestSilhouetteSingleCluster(t *testing.T) {
-	points := []Vector{{1}, {2}, {3}}
-	s, err := Silhouette(points, []int{0, 0, 0}, 1)
+	points := mustMatrix(t, []Vector{{1}, {2}, {3}})
+	s, err := Silhouette(points, []int{0, 0, 0}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestSilhouetteSingleCluster(t *testing.T) {
 }
 
 func TestSilhouetteSingletons(t *testing.T) {
-	points := []Vector{{0}, {100}}
-	s, err := Silhouette(points, []int{0, 1}, 2)
+	points := mustMatrix(t, []Vector{{0}, {100}})
+	s, err := Silhouette(points, []int{0, 1}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

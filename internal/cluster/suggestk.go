@@ -21,23 +21,10 @@ import (
 //
 // The returned curve holds the WithinClusterSS for k = 1..kMax (indexed
 // k-1), so callers can plot or re-analyze it.
-func SuggestK(points []Vector, kMax int, seeder Seeder, opts Options, src *simrand.Source) (int, []float64, error) {
-	if err := validatePoints(points); err != nil {
-		return 0, nil, err
-	}
-	return suggestK(MatrixFromVectors(points), kMax, seeder, opts, src)
-}
-
-// SuggestKMatrix is SuggestK over a flat feature matrix, sharing the
-// backing array across all kMax clustering runs.
-func SuggestKMatrix(points Matrix, kMax int, seeder Seeder, opts Options, src *simrand.Source) (int, []float64, error) {
+func SuggestK(points Matrix, kMax int, seeder Seeder, opts Options, src *simrand.Source) (int, []float64, error) {
 	if err := validateMatrix(points); err != nil {
 		return 0, nil, err
 	}
-	return suggestK(points, kMax, seeder, opts, src)
-}
-
-func suggestK(points Matrix, kMax int, seeder Seeder, opts Options, src *simrand.Source) (int, []float64, error) {
 	if kMax < 2 {
 		return 0, nil, fmt.Errorf("cluster: kMax must be >= 2, got %d", kMax)
 	}
@@ -57,7 +44,7 @@ func suggestK(points Matrix, kMax int, seeder Seeder, opts Options, src *simrand
 			errs[i] = fmt.Errorf("k=%d: %w", k, err)
 			return
 		}
-		curve[i] = res.WithinClusterSSMatrix(points)
+		curve[i] = res.WithinClusterSS(points)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -69,26 +69,3 @@ func sqL2(a, b Vector) float64 {
 func isNaNOrInf(x float64) bool {
 	return x != x || x > math.MaxFloat64 || x < -math.MaxFloat64
 }
-
-// validatePoints checks that all points share one finite, non-zero
-// dimension.
-func validatePoints(points []Vector) error {
-	if len(points) == 0 {
-		return fmt.Errorf("cluster: no points")
-	}
-	dim := len(points[0])
-	if dim == 0 {
-		return fmt.Errorf("cluster: zero-dimensional points")
-	}
-	for i, p := range points {
-		if len(p) != dim {
-			return fmt.Errorf("cluster: point %d has dimension %d, want %d", i, len(p), dim)
-		}
-		for j, x := range p {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("cluster: point %d component %d is %v", i, j, x)
-			}
-		}
-	}
-	return nil
-}

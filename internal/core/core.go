@@ -326,17 +326,14 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 	// The clustering consumes the flat feature matrix directly — at
 	// million-cache scale the feature set is one contiguous allocation
 	// end to end, from probe output through the K-means kernel.
-	seeder, err := gf.seeder(serverDist)
-	if err != nil {
-		return nil, err
-	}
+	seeder := cluster.SDSLSeeder(serverDist, gf.cfg.Theta)
 	algo := gf.cfg.Algorithm
 	if algo == 0 {
 		algo = AlgoKMeans
 	}
 	clusterFn := cluster.KMeansMatrix
 	if algo == AlgoKMedoids {
-		clusterFn = cluster.KMedoidsMatrix
+		clusterFn = cluster.KMedoids
 	}
 	stopCluster := gf.stages.StartMem("cluster")
 	spanCluster := gf.cfg.Obs.StartSpan("cluster")
@@ -515,23 +512,4 @@ func (gf *Coordinator) embedVivaldi(lms []probe.Endpoint, features cluster.Matri
 		}
 	}
 	return points, lmCoords, nil
-}
-
-// minServerDistMS guards the SDSL weight 1/d^theta against near-zero
-// measured distances.
-const minServerDistMS = 1.0
-
-// seeder builds the K-means seeder for the configured scheme.
-func (gf *Coordinator) seeder(serverDist []float64) (cluster.Seeder, error) {
-	if gf.cfg.Theta == 0 {
-		return cluster.UniformSeeder{}, nil
-	}
-	weights := make([]float64, len(serverDist))
-	for i, d := range serverDist {
-		if d < minServerDistMS {
-			d = minServerDistMS
-		}
-		weights[i] = 1 / math.Pow(d, gf.cfg.Theta)
-	}
-	return cluster.WeightedSeeder{Weights: weights}, nil
 }

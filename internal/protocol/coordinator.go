@@ -89,7 +89,7 @@ func (c Config) Validate(numCaches int) error {
 		return fmt.Errorf("protocol: PLSet size M*(L-1)=%d exceeds %d caches", c.M*(c.L-1), numCaches)
 	case c.K < 1 || c.K > numCaches:
 		return fmt.Errorf("protocol: K=%d out of range [1,%d]", c.K, numCaches)
-	case c.Theta < 0:
+	case c.Theta < 0 || math.IsNaN(c.Theta):
 		return fmt.Errorf("protocol: Theta must be >= 0, got %v", c.Theta)
 	case c.Retries < NoRetries:
 		return fmt.Errorf("protocol: Retries must be >= 0 (or NoRetries), got %d", c.Retries)
@@ -269,21 +269,11 @@ func (c *Coordinator) Run() (*Result, error) {
 		}
 		serverDist[i] = fv[0] // landmark 0 is the origin
 	}
-	var seeder cluster.Seeder = cluster.UniformSeeder{}
-	if c.cfg.Theta > 0 {
-		weights := make([]float64, len(serverDist))
-		for i, d := range serverDist {
-			if d < 1 {
-				d = 1
-			}
-			weights[i] = 1 / math.Pow(d, c.cfg.Theta)
-		}
-		seeder = cluster.WeightedSeeder{Weights: weights}
-	}
 	k := c.cfg.K
 	if k > points.Rows() {
 		k = points.Rows()
 	}
+	seeder := cluster.SDSLSeeder(serverDist, c.cfg.Theta)
 	clustered, err := cluster.KMeansMatrix(points, k, seeder, c.cfg.Cluster, c.src.Split("kmeans"))
 	if err != nil {
 		return nil, &RoundError{Round: "cluster", Err: fmt.Errorf("cluster features: %w", err)}

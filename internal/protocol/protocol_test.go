@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -93,7 +94,8 @@ func TestConfigValidate(t *testing.T) {
 		{L: 4, M: 2, K: 0},
 		{L: 4, M: 2, K: 61},
 		{L: 4, M: 2, K: 2, Theta: -1},
-		{L: 4, M: 2, K: 2, Retries: -2}, // below the NoRetries sentinel
+		{L: 4, M: 2, K: 2, Theta: math.NaN()}, // NaN would silently seed SL
+		{L: 4, M: 2, K: 2, Retries: -2},       // below the NoRetries sentinel
 		{L: 4, M: 2, K: 2, BackoffBase: -time.Second},
 		{L: 4, M: 2, K: 2, BackoffMax: -time.Second},
 		{L: 4, M: 2, K: 2, RoundBudget: -time.Second},

@@ -217,25 +217,37 @@ func (e *Engine) measure(i topology.CacheIndex) (cluster.Vector, error) {
 // concurrent ingest into the *other* buffer.
 func (e *Engine) reclusterFromStats() (*core.Plan, error) {
 	cur := e.maint.Plan()
-	points := make([]cluster.Vector, cur.NumCaches())
-	copy(points, cur.Points)
+	points := cluster.NewMatrix(cur.NumCaches(), e.dim)
 	e.featMu.Lock()
-	for c := range points { // overlay by index walk: deterministic
-		if v, ok := e.features[c]; ok {
-			points[c] = v
+	for c, v := range cur.Points { // overlay by index walk: deterministic
+		fv, ingested := e.features[c]
+		if ingested {
+			v = fv
+		}
+		if len(v) != e.dim {
+			e.featMu.Unlock()
+			return nil, fmt.Errorf("serve: cache %d has %d features, want %d", c, len(v), e.dim)
+		}
+		row := points.Row(c)
+		copy(row, v)
+		if ingested {
+			// Share the plan's row, so one copy of each vector stays live
+			// rather than two. Neither side ever writes a stored vector.
+			e.features[c] = row
 		}
 	}
 	e.featMu.Unlock()
 	k := cur.NumGroups()
-	res, err := cluster.KMeans(points, k, cluster.SpreadSeeder{}, cluster.Options{}, e.cfg.Rand.Split("recluster"))
+	res, err := cluster.KMeansMatrix(points, k, cluster.SpreadSeeder{}, cluster.Options{}, e.cfg.Rand.Split("recluster"))
 	if err != nil {
 		return nil, err
 	}
+	views := points.RowViews()
 	next := &core.Plan{
 		Scheme:      cur.Scheme,
 		Landmarks:   cur.Landmarks,
-		Features:    append([]cluster.Vector(nil), points...),
-		Points:      points,
+		Features:    views,
+		Points:      views,
 		ServerDist:  cur.ServerDist,
 		Assignments: res.Assignments,
 		Centers:     res.Centers,
@@ -264,7 +276,9 @@ func (e *Engine) Tick() (core.MaintainerEvent, error) {
 		e.featMu.Lock()
 		for _, c := range caches {
 			s := window[c]
-			e.features[c] = cluster.Vector(s.RTTMS)
+			// Copied: published plans share these vectors, so a caller
+			// reusing its Ingest buffer must not reach an epoch.
+			e.features[c] = cluster.Vector(s.RTTMS).Clone()
 			e.requests += s.Requests
 		}
 		e.featMu.Unlock()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -214,6 +215,55 @@ func TestEngineDefaultRecluster(t *testing.T) {
 	}
 	if a[0] == a[4] {
 		t.Fatalf("all caches in one group: %v", a)
+	}
+}
+
+// TestEngineEpochOwnsIngestedVectors: a caller that reuses its Ingest
+// buffer after a Tick must not reach a published epoch, whether the round
+// re-clustered or updated the plan incrementally.
+func TestEngineEpochOwnsIngestedVectors(t *testing.T) {
+	for _, recluster := range []bool{true, false} {
+		t.Run(fmt.Sprintf("recluster=%v", recluster), func(t *testing.T) {
+			plan := testPlan(8)
+			cfg := testConfig(plan)
+			batch := statsFor(plan)
+			if recluster {
+				cfg.Maint.ReclusterFraction = 0.5
+				for i := range batch { // the drift of TestEngineDefaultRecluster
+					if i < 4 {
+						batch[i].RTTMS = []float64{500 + float64(i), 500}
+					} else {
+						batch[i].RTTMS = []float64{30 + float64(i), 30}
+					}
+				}
+			} else {
+				batch[0].RTTMS = []float64{201, 199}
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			if err := e.Ingest(batch); err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+			ev, err := e.Tick()
+			if err != nil {
+				t.Fatalf("Tick: %v", err)
+			}
+			if ev.Reclustered != recluster {
+				t.Fatalf("Reclustered = %v, want %v", ev.Reclustered, recluster)
+			}
+			ep := e.Epoch()
+			if ep.Seq != 2 {
+				t.Fatalf("epoch %d after the round, want 2", ep.Seq)
+			}
+			for i := range batch {
+				batch[i].RTTMS[0] = 1e6
+			}
+			if got := ep.Plan.Checksum(); got != ep.Checksum {
+				t.Fatalf("published plan changed with the caller's buffer: checksum %016x, epoch %016x", got, ep.Checksum)
+			}
+		})
 	}
 }
 

@@ -263,7 +263,7 @@ type pickSeeds struct {
 	indices []int
 }
 
-func (p pickSeeds) Seed([]cluster.Vector, int, *simrand.Source) ([]int, error) {
+func (p pickSeeds) Seed(cluster.Matrix, int, *simrand.Source) ([]int, error) {
 	return p.indices, nil
 }
 
