@@ -129,6 +129,18 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 			t.Fatalf("report checksum %016x, want %016x", got, want)
 		}
 	})
+	t.Run("ReportVariants", func(t *testing.T) {
+		for _, c := range reportVariantGoldens {
+			t.Run(c.name, func(t *testing.T) {
+				for _, shards := range []int{1, 4} {
+					rep := runSimVariant(t, 55, shards, c.v)
+					if got := rep.Checksum(); got != c.want {
+						t.Fatalf("Shards=%d: report checksum %016x, want %016x", shards, got, c.want)
+					}
+				}
+			})
+		}
+	})
 	t.Run("ProbeMeasure", func(t *testing.T) {
 		_, prober, _ := buildStack(t, 60, 77)
 		v, err := prober.Measure(ecg.CacheEndpoint(3), ecg.OriginEndpoint())
@@ -164,6 +176,35 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 			t.Fatalf("lossy Measure counted %d measurements, want %d", got, want)
 		}
 	})
+}
+
+// reportVariantGoldens pins the Report checksum of each simulator mode on
+// the seed-55 pipeline, so a change to the cache store or the event loop
+// that moves a victim, an event or a float addition fails on a literal
+// rather than only against another run of the same code.
+var reportVariantGoldens = []struct {
+	name string
+	v    simVariant
+	want uint64
+}{
+	// The default 600 KB caches barely fill in this 40 s trace, so the two
+	// replacement-policy variants shrink them to force steady eviction.
+	{"SmallCache", simVariant{cfg: func(c *ecg.SimConfig) { c.CacheCapacityKB = 200 }}, 0x29572545e6566e8e},
+	{"LRU", simVariant{cfg: func(c *ecg.SimConfig) {
+		c.CacheCapacityKB = 200
+		c.CachePolicy = ecg.PolicyLRU
+	}}, 0x327ddbf0893f6d64},
+	{"Beacons", simVariant{cfg: func(c *ecg.SimConfig) { c.BeaconsPerGroup = 2 }}, 0xae81071feb764f5c},
+	{"PushInvalidation", simVariant{cfg: func(c *ecg.SimConfig) { c.PushInvalidation = true }}, 0xd8abbee0acb1c365},
+	{"FailedCaches", simVariant{cfg: func(c *ecg.SimConfig) { c.FailedCaches = []ecg.CacheIndex{5, 23} }}, 0x1324237eea5c4f0c},
+	{"Warmup", simVariant{cfg: func(c *ecg.SimConfig) { c.WarmupSec = 10 }}, 0xeb1bc8ea783816fc},
+	// A fixed shuffle of the time-sorted log: the simulator must order the
+	// requests itself rather than rely on the generator's order.
+	{"ShuffledLog", simVariant{reqs: func(reqs []ecg.Request) []ecg.Request {
+		out := append([]ecg.Request(nil), reqs...)
+		ecg.NewRand(9).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}}, 0x034c79236437a48b},
 }
 
 // floatBits renders each value's IEEE-754 bits in hex, space-separated,
@@ -281,6 +322,21 @@ func TestReportChecksumGolden(t *testing.T) {
 // the given simulator shard count, with verification enabled end to end.
 func runSimSharded(t *testing.T, seed int64, shards int) *ecg.Report {
 	t.Helper()
+	return runSimVariant(t, seed, shards, simVariant{})
+}
+
+// simVariant adjusts the simulation runSimVariant performs: cfg edits the
+// simulator config and reqs rewrites the generated request log. Nil fields
+// leave the default in place.
+type simVariant struct {
+	cfg  func(*ecg.SimConfig)
+	reqs func([]ecg.Request) []ecg.Request
+}
+
+// runSimVariant is runSimSharded with the config and request log adjusted
+// by v.
+func runSimVariant(t *testing.T, seed int64, shards int, v simVariant) *ecg.Report {
+	t.Helper()
 	plan, nw := formPlan(t, seed, ecg.SDSL(8, 2, 1.0), 6)
 	src := ecg.NewRand(seed + 1000)
 	catalog, err := ecg.NewCatalog(ecg.DefaultCatalogParams(), src.Split("catalog"))
@@ -296,8 +352,14 @@ func runSimSharded(t *testing.T, seed int64, shards int) *ecg.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v.reqs != nil {
+		reqs = v.reqs(reqs)
+	}
 	simCfg := ecg.DefaultSimConfig()
 	simCfg.Verify = true
+	if v.cfg != nil {
+		v.cfg(&simCfg)
+	}
 	simCfg.Shards = shards
 	sim, err := ecg.NewSimulator(nw, plan.Groups(), catalog, simCfg)
 	if err != nil {
