@@ -17,6 +17,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"edgecachegroups/internal/workload"
 )
@@ -80,15 +81,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// entry is one cached document copy.
+// entry is one cached document copy. The store keeps entries by value in a
+// dense slice, so the field widths set its footprint: doc and accesses are
+// 32-bit to keep an entry at 48 bytes, and accesses saturates at
+// math.MaxInt32 rather than wrap.
 type entry struct {
-	doc        workload.DocID
 	sizeKB     float64
 	updateRate float64
 	version    int64
 	insertedAt float64
-	accesses   int
 	lastAccess float64
+	doc        int32
+	accesses   int32
 }
 
 // utility computes the Cache Clouds utility of e at time now.
@@ -119,8 +123,12 @@ type Stats struct {
 // EdgeCache is a single cache node. It is not safe for concurrent use; the
 // simulator's event loop serializes access.
 type EdgeCache struct {
-	cfg     Config
-	entries map[workload.DocID]*entry
+	cfg Config
+	// entries holds the cached copies densely, in no particular order; slot
+	// maps a document to its index in entries. Removal moves the last entry
+	// into the freed index, so the store never holds gaps.
+	entries []entry
+	slot    map[int32]int32
 	usedKB  float64
 	stats   Stats
 
@@ -141,9 +149,22 @@ func New(cfg Config) (*EdgeCache, error) {
 		cfg.Policy = PolicyUtility
 	}
 	return &EdgeCache{
-		cfg:     cfg,
-		entries: make(map[workload.DocID]*entry),
+		cfg:  cfg,
+		slot: make(map[int32]int32),
 	}, nil
+}
+
+// find returns the index in entries of the copy of doc, or -1. A DocID
+// outside the 32-bit range Insert admits is never cached.
+func (ec *EdgeCache) find(doc workload.DocID) int {
+	if doc < 0 || doc > math.MaxInt32 {
+		return -1
+	}
+	i, ok := ec.slot[int32(doc)]
+	if !ok {
+		return -1
+	}
+	return int(i)
 }
 
 // SetEvictionHook registers fn to be called whenever a document leaves the
@@ -165,26 +186,29 @@ func (ec *EdgeCache) Len() int { return len(ec.entries) }
 // no side effects on statistics or entry state. Used for cooperative
 // lookups by group peers.
 func (ec *EdgeCache) Contains(doc workload.DocID, version int64) bool {
-	e, ok := ec.entries[doc]
-	return ok && e.version == version
+	i := ec.find(doc)
+	return i >= 0 && ec.entries[i].version == version
 }
 
 // Lookup performs a client-driven lookup at time nowSec against the
 // current document version. It returns true on a fresh hit. Stale copies
 // are dropped and counted as consistency misses.
 func (ec *EdgeCache) Lookup(doc workload.DocID, version int64, nowSec float64) bool {
-	e, ok := ec.entries[doc]
-	if !ok {
+	i := ec.find(doc)
+	if i < 0 {
 		ec.stats.Misses++
 		return false
 	}
+	e := &ec.entries[i]
 	if e.version != version {
-		ec.removeEntry(e, true)
+		ec.removeEntry(i, true)
 		ec.stats.StaleDrops++
 		ec.stats.Misses++
 		return false
 	}
-	e.accesses++
+	if e.accesses < math.MaxInt32 {
+		e.accesses++
+	}
 	e.lastAccess = nowSec
 	ec.stats.Hits++
 	return true
@@ -196,16 +220,20 @@ var ErrTooLarge = errors.New("cache: document larger than capacity")
 
 // Insert admits a document copy fetched at time nowSec with the given
 // version, evicting low-utility entries as needed. A document larger than
-// the entire cache is rejected with ErrTooLarge. Inserting a document that
-// is already cached refreshes its version and metadata.
+// the entire cache is rejected with ErrTooLarge, and so is a DocID outside
+// [0, math.MaxInt32]. Inserting a document that is already cached
+// refreshes its version and metadata.
 func (ec *EdgeCache) Insert(d workload.Document, version int64, nowSec float64) error {
+	if d.ID < 0 || d.ID > math.MaxInt32 {
+		return fmt.Errorf("cache: document ID %d outside [0, %d]", d.ID, math.MaxInt32)
+	}
 	if d.SizeKB <= 0 {
 		return fmt.Errorf("cache: document %d has non-positive size %v", d.ID, d.SizeKB)
 	}
 	if d.SizeKB > ec.cfg.CapacityKB {
 		return fmt.Errorf("cache: document %d (%.1fKB > %.1fKB): %w", d.ID, d.SizeKB, ec.cfg.CapacityKB, ErrTooLarge)
 	}
-	if old, ok := ec.entries[d.ID]; ok {
+	if old := ec.find(d.ID); old >= 0 {
 		// Re-insert of a cached document: remove the old copy (without the
 		// eviction hook — the owner still holds the document) and fall
 		// through to the normal insert path, so the new size and update
@@ -220,14 +248,22 @@ func (ec *EdgeCache) Insert(d workload.Document, version int64, nowSec float64) 
 			return fmt.Errorf("cache: cannot make room for document %d", d.ID)
 		}
 	}
-	ec.entries[d.ID] = &entry{
-		doc:        d.ID,
+	if len(ec.entries) == cap(ec.entries) {
+		// Grow by about 1.25x rather than append's doubling: the store is
+		// kept for the cache's lifetime, so slack is retained heap.
+		grown := make([]entry, len(ec.entries), len(ec.entries)+len(ec.entries)/4+8)
+		copy(grown, ec.entries)
+		ec.entries = grown
+	}
+	ec.slot[int32(d.ID)] = int32(len(ec.entries))
+	ec.entries = append(ec.entries, entry{
+		doc:        int32(d.ID),
 		sizeKB:     d.SizeKB,
 		updateRate: d.UpdateRatePerSec,
 		version:    version,
 		insertedAt: nowSec,
 		lastAccess: nowSec,
-	}
+	})
 	ec.usedKB += d.SizeKB
 	ec.stats.Inserts++
 	return nil
@@ -236,32 +272,35 @@ func (ec *EdgeCache) Insert(d workload.Document, version int64, nowSec float64) 
 // Invalidate drops doc if cached (push-based consistency). It reports
 // whether a copy was present.
 func (ec *EdgeCache) Invalidate(doc workload.DocID) bool {
-	e, ok := ec.entries[doc]
-	if !ok {
+	i := ec.find(doc)
+	if i < 0 {
 		return false
 	}
-	ec.removeEntry(e, true)
+	ec.removeEntry(i, true)
 	return true
 }
 
-// evictOne removes the replacement-policy victim. It returns false when
-// the cache is already empty.
+// evictOne removes the replacement-policy victim: the entry with the least
+// (score, doc) pair. The order is total, so the victim does not depend on
+// where removals have moved entries in the slice. It returns false when the
+// cache is already empty.
 func (ec *EdgeCache) evictOne(nowSec float64) bool {
-	var victim *entry
+	victim := -1
 	var victimScore float64
-	//ecglint:allow maporder argmin with a total-order tie-break on (score, doc): the victim is order-independent
-	for _, e := range ec.entries {
+	var victimDoc int32
+	for i := range ec.entries {
+		e := &ec.entries[i]
 		var score float64
 		if ec.cfg.Policy == PolicyLRU {
 			score = e.lastAccess
 		} else {
 			score = e.utility(nowSec, ec.cfg.MinAgeSec, ec.cfg.MissPenaltyMS)
 		}
-		if victim == nil || score < victimScore || (score == victimScore && e.doc < victim.doc) {
-			victim, victimScore = e, score
+		if victim < 0 || score < victimScore || (score == victimScore && e.doc < victimDoc) {
+			victim, victimScore, victimDoc = i, score, e.doc
 		}
 	}
-	if victim == nil {
+	if victim < 0 {
 		return false
 	}
 	ec.removeEntry(victim, true)
@@ -269,14 +308,22 @@ func (ec *EdgeCache) evictOne(nowSec float64) bool {
 	return true
 }
 
-func (ec *EdgeCache) removeEntry(e *entry, notify bool) {
-	delete(ec.entries, e.doc)
-	ec.usedKB -= e.sizeKB
+// removeEntry drops entries[i] by moving the last entry into its index.
+func (ec *EdgeCache) removeEntry(i int, notify bool) {
+	doc, sizeKB := ec.entries[i].doc, ec.entries[i].sizeKB
+	last := len(ec.entries) - 1
+	if i != last {
+		ec.entries[i] = ec.entries[last]
+		ec.slot[ec.entries[i].doc] = int32(i)
+	}
+	ec.entries = ec.entries[:last]
+	delete(ec.slot, doc)
+	ec.usedKB -= sizeKB
 	if ec.usedKB < 0 {
 		ec.usedKB = 0
 	}
 	if notify && ec.onEvict != nil {
-		ec.onEvict(e.doc)
+		ec.onEvict(workload.DocID(doc))
 	}
 }
 
@@ -284,9 +331,9 @@ func (ec *EdgeCache) removeEntry(e *entry, notify bool) {
 // diagnostics. The boolean result is false when the document is not
 // cached.
 func (ec *EdgeCache) Utility(doc workload.DocID, nowSec float64) (float64, bool) {
-	e, ok := ec.entries[doc]
-	if !ok {
+	i := ec.find(doc)
+	if i < 0 {
 		return 0, false
 	}
-	return e.utility(nowSec, ec.cfg.MinAgeSec, ec.cfg.MissPenaltyMS), true
+	return ec.entries[i].utility(nowSec, ec.cfg.MinAgeSec, ec.cfg.MissPenaltyMS), true
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -390,11 +391,11 @@ func TestUtilityVsLRUDiffer(t *testing.T) {
 	}
 }
 
-// TestEvictVictimOrderIndependent pins the determinism contract the
-// //ecglint:allow maporder annotation in evictOne relies on: with tied
-// utility scores, the (score, doc) tie-break picks the same victim no
-// matter which order the entries were inserted in — and therefore no
-// matter how the entry map happens to iterate.
+// TestEvictVictimOrderIndependent pins the determinism contract evictOne's
+// scan relies on: with tied utility scores, the (score, doc) tie-break
+// picks the same victim no matter which order the entries were inserted in
+// — and therefore no matter where removals have moved entries in the dense
+// store.
 func TestEvictVictimOrderIndependent(t *testing.T) {
 	for _, order := range [][]int{{1, 2, 3}, {3, 2, 1}, {2, 3, 1}, {3, 1, 2}} {
 		ec := newCache(t, 30)
@@ -411,5 +412,29 @@ func TestEvictVictimOrderIndependent(t *testing.T) {
 		if len(evicted) != 1 || evicted[0] != 1 {
 			t.Fatalf("insertion order %v evicted %v, want [1]", order, evicted)
 		}
+	}
+}
+
+// TestInsertRejectsDocIDOutside32Bit pins the store's 32-bit document
+// keys: Insert refuses an ID it could not represent instead of aliasing it
+// onto another document, and lookups of such an ID miss.
+func TestInsertRejectsDocIDOutside32Bit(t *testing.T) {
+	ec := newCache(t, 100)
+	for _, id := range []int{-1, math.MaxInt32 + 1, math.MinInt32} {
+		if err := ec.Insert(doc(id, 10, 0), 1, 0); err == nil {
+			t.Fatalf("Insert(doc %d) succeeded, want an error", id)
+		}
+		if ec.Contains(workload.DocID(id), 1) || ec.Lookup(workload.DocID(id), 1, 0) || ec.Invalidate(workload.DocID(id)) {
+			t.Fatalf("doc %d reported as cached", id)
+		}
+	}
+	if ec.Len() != 0 || ec.UsedKB() != 0 || ec.Stats().Inserts != 0 {
+		t.Fatalf("rejected inserts changed the cache: len=%d used=%v stats=%+v", ec.Len(), ec.UsedKB(), ec.Stats())
+	}
+	if err := ec.Insert(doc(math.MaxInt32, 10, 0), 1, 0); err != nil {
+		t.Fatalf("Insert(doc MaxInt32): %v", err)
+	}
+	if !ec.Contains(math.MaxInt32, 1) || ec.Contains(-1, 1) {
+		t.Fatal("doc MaxInt32 not stored under its own ID")
 	}
 }

@@ -10,29 +10,20 @@ import (
 	"edgecachegroups/internal/workload"
 )
 
-// eventKind discriminates simulator events.
-type eventKind int
-
-const (
-	evRequest eventKind = iota + 1
-	evUpdate
-	evFetchComplete
-)
-
-// event is one entry in the simulation's event queue.
+// event is one request or fetch completion in a shard's event loop.
 type event struct {
 	timeSec float64
 	seq     int64 // tie-breaker for deterministic ordering
-	kind    eventKind
 	cache   topology.CacheIndex
 	doc     workload.DocID
 	version int64 // version carried by fetch completions
 }
 
-// eventQueue is a min-heap over (timeSec, seq). The heap operations work on
-// the concrete event type directly rather than through container/heap,
-// whose interface{} parameters box every pushed and popped event — two heap
-// allocations per simulated event on the hot path.
+// eventQueue is a min-heap over (timeSec, seq) holding a shard's pending
+// fetch completions. The heap operations work on the concrete event type
+// directly rather than through container/heap, whose interface{}
+// parameters box every pushed and popped event — two heap allocations per
+// simulated event on the hot path.
 type eventQueue []event
 
 func (q eventQueue) Len() int { return len(q) }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"edgecachegroups/internal/par"
@@ -16,16 +18,25 @@ import (
 // The partition follows the paper's own group abstraction: requests,
 // cooperative lookups, and fetch completions never cross group boundaries,
 // so cache groups are dealt round-robin onto shards and each shard runs its
-// own event heap. Origin updates are the only cross-shard events; they act
+// own event loop. Origin updates are the only cross-shard events; they act
 // as window boundaries and are applied by the coordinator while no shard is
 // running, at an identical virtual time in every shard.
 
-// simShard owns the event heap, scratch buffers, and report fragment of one
-// partition of the cache network. Everything a request can touch — the
-// requesting cache, its group peers, and its fetch completion — lives on a
-// single shard, so shards share no mutable state inside a window.
+// simShard owns the request cursor, completion heap, scratch buffers, and
+// report fragment of one partition of the cache network. Everything a
+// request can touch — the requesting cache, its group peers, and its fetch
+// completion — lives on a single shard, so shards share no mutable state
+// inside a window; the request log itself is shared read-only.
+//
+// A shard's events come from two sources merged under the global
+// (timeSec, seq) order: its requests, read in place from the log through
+// order and the cursor next, and its pending fetch completions, the only
+// events that go on the heap.
 type simShard struct {
-	queue   eventQueue
+	log     []workload.Request    // the whole request log, read-only
+	order   []int32               // this shard's log indices in (TimeSec, index) order
+	next    int                   // cursor: order[next] is the next request to run
+	queue   eventQueue            // pending fetch completions
 	seq     int64                 // next fetch-completion sequence number
 	holders []topology.CacheIndex // holder-scan scratch, reused per request
 	recs    []record              // ordered report fragment
@@ -72,18 +83,40 @@ func eventBefore(ev *event, t float64, seq int64) bool {
 	return ev.seq < seq
 }
 
-// buildShards partitions the request log into per-shard event heaps. The
-// shard count is the Shards knob clamped to [1, numGroups]; more shards
-// than groups would only add empty heaps.
+// head returns the shard's next event under the global (timeSec, seq)
+// order — the request at the cursor or the earliest pending fetch
+// completion, whichever sorts first — and whether it is the request. ok is
+// false when the shard has no events left.
+func (sh *simShard) head() (ev event, isRequest, ok bool) {
+	if sh.next < len(sh.order) {
+		i := sh.order[sh.next]
+		r := &sh.log[i]
+		ev = event{timeSec: r.TimeSec, seq: int64(i), cache: r.Cache, doc: r.Doc}
+		if len(sh.queue) == 0 || eventBefore(&ev, sh.queue[0].timeSec, sh.queue[0].seq) {
+			return ev, true, true
+		}
+	}
+	if len(sh.queue) > 0 {
+		return sh.queue[0], false, true
+	}
+	return event{}, false, false
+}
+
+// buildShards partitions the request log into per-shard request orders.
+// The shard count is the Shards knob clamped to [1, numGroups]; more shards
+// than groups would only add empty shards.
 //
 // Sequence numbers preserve the serial tie-break order at equal virtual
 // times: requests carry their log index (0..R-1), update boundaries use
 // R+updateIndex, and fetch completions draw from per-shard counters that
 // all start at R+U. At any timestamp, therefore, requests sort before the
 // update boundary and completions after it — exactly the order a single
-// global heap seeded the same way would produce. Completion counters can
+// global heap of every event would produce. Completion counters can
 // collide across shards, but completions never record anything and their
 // effects stay shard-local, so only their intra-shard order matters.
+//
+// Each shard's record fragment is presized to its request count, an upper
+// bound on what it records.
 func (s *Simulator) buildShards(requests []workload.Request, numUpdates int) []*simShard {
 	numShards := s.cfg.Shards
 	if numShards > s.numGroups {
@@ -99,18 +132,36 @@ func (s *Simulator) buildShards(requests []workload.Request, numUpdates int) []*
 	shards := make([]*simShard, numShards)
 	base := int64(len(requests) + numUpdates)
 	for i := range shards {
-		// Every request can schedule one fetch completion on top of the
-		// log, so size each heap for the worst case up front.
 		shards[i] = &simShard{
-			queue: make(eventQueue, 0, 2*counts[i]),
+			log:   requests,
+			order: make([]int32, 0, counts[i]),
+			recs:  make([]record, 0, counts[i]),
 			seq:   base,
 		}
 	}
 	for i, r := range requests {
 		sh := shards[s.groupOf[int(r.Cache)]%numShards]
-		sh.queue.push(event{timeSec: r.TimeSec, seq: int64(i), kind: evRequest, cache: r.Cache, doc: r.Doc})
+		sh.order = append(sh.order, int32(i))
+	}
+	for _, sh := range shards {
+		sh.sortOrder()
 	}
 	return shards
+}
+
+// sortOrder puts the shard's log indices into (TimeSec, index) order. The
+// indices start in index order, so a log already sorted by time — every
+// generated log is — needs only the O(n) check; any other log gets a
+// stable sort by time, which keeps equal times in index order.
+func (sh *simShard) sortOrder() {
+	for k := 1; k < len(sh.order); k++ {
+		if sh.log[sh.order[k]].TimeSec < sh.log[sh.order[k-1]].TimeSec {
+			slices.SortStableFunc(sh.order, func(a, b int32) int {
+				return cmp.Compare(sh.log[a].TimeSec, sh.log[b].TimeSec)
+			})
+			return
+		}
+	}
 }
 
 // updateOrder returns the update log's indices sorted into the global
@@ -142,7 +193,7 @@ func (s *Simulator) runWindow(shards []*simShard, boundT float64, boundSeq int64
 	// frequent when updates cluster between request batches.
 	active := false
 	for _, sh := range shards {
-		if sh.queue.Len() > 0 && (final || eventBefore(&sh.queue[0], boundT, boundSeq)) {
+		if ev, _, ok := sh.head(); ok && (final || eventBefore(&ev, boundT, boundSeq)) {
 			active = true
 			break
 		}
@@ -150,24 +201,36 @@ func (s *Simulator) runWindow(shards []*simShard, boundT float64, boundSeq int64
 	if !active {
 		return 0
 	}
+	if len(shards) == 1 {
+		// Serial runs skip the fan-out, whose closures would be allocated
+		// once per window.
+		s.drain(shards[0], boundT, boundSeq, final)
+		return 1
+	}
 	par.ForEach(len(shards), len(shards), func(i int) {
-		sh := shards[i]
-		for sh.queue.Len() > 0 {
-			if !final && !eventBefore(&sh.queue[0], boundT, boundSeq) {
-				break
-			}
-			ev := sh.queue.pop()
-			sh.events++
-			sh.lastT = ev.timeSec
-			switch ev.kind {
-			case evRequest:
-				s.handleRequest(sh, ev)
-			case evFetchComplete:
-				s.handleFetchComplete(ev)
-			}
-		}
+		s.drain(shards[i], boundT, boundSeq, final)
 	})
 	return 1
+}
+
+// drain processes sh's events that sort strictly before the window
+// boundary (boundT, boundSeq), or all of them when final is set.
+func (s *Simulator) drain(sh *simShard, boundT float64, boundSeq int64, final bool) {
+	for {
+		ev, isRequest, ok := sh.head()
+		if !ok || (!final && !eventBefore(&ev, boundT, boundSeq)) {
+			return
+		}
+		sh.events++
+		sh.lastT = ev.timeSec
+		if isRequest {
+			sh.next++
+			s.handleRequest(sh, ev)
+		} else {
+			sh.queue.pop()
+			s.handleFetchComplete(ev)
+		}
+	}
 }
 
 // mergeFragments replays every shard's report fragment into rep in global

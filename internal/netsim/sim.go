@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"edgecachegroups/internal/cache"
@@ -58,9 +59,10 @@ type Config struct {
 	WarmupSec float64
 	// Shards partitions the simulation by cache group for parallel
 	// execution: groups are dealt round-robin onto this many shards, each
-	// with its own event heap, scratch state, and report fragment, and the
-	// shards run concurrently inside conservative virtual-time windows
-	// bounded by origin updates (the only cross-group events). A
+	// with its own request cursor, completion heap, scratch state, and
+	// report fragment, and the shards run concurrently inside conservative
+	// virtual-time windows bounded by origin updates (the only cross-group
+	// events). A
 	// deterministic ordered merge reassembles the final Report, so the
 	// Report's Checksum is bit-identical to the serial run at any shard
 	// count — the knob trades goroutines for wall-clock time only. 0 or 1
@@ -398,7 +400,16 @@ func (s *Simulator) Run(requests []workload.Request, updates []workload.Update) 
 	}
 	s.ran = true
 
-	for _, r := range requests {
+	// Shards address requests by 32-bit log index.
+	if len(requests) > math.MaxInt32 {
+		return nil, fmt.Errorf("netsim: %d requests exceed the %d a run can index", len(requests), math.MaxInt32)
+	}
+	// Event order is a total order on (time, seq) only for finite times: a
+	// NaN compares false against everything and would land anywhere.
+	for i, r := range requests {
+		if math.IsNaN(r.TimeSec) || math.IsInf(r.TimeSec, 0) {
+			return nil, fmt.Errorf("netsim: request %d has non-finite time %v", i, r.TimeSec)
+		}
 		if int(r.Cache) < 0 || int(r.Cache) >= len(s.caches) {
 			return nil, fmt.Errorf("netsim: request for unknown cache %d", r.Cache)
 		}
@@ -406,7 +417,10 @@ func (s *Simulator) Run(requests []workload.Request, updates []workload.Update) 
 			return nil, fmt.Errorf("netsim: request: %w", err)
 		}
 	}
-	for _, u := range updates {
+	for i, u := range updates {
+		if math.IsNaN(u.TimeSec) || math.IsInf(u.TimeSec, 0) {
+			return nil, fmt.Errorf("netsim: update %d has non-finite time %v", i, u.TimeSec)
+		}
 		if _, err := s.catalog.Doc(u.Doc); err != nil {
 			return nil, fmt.Errorf("netsim: update: %w", err)
 		}
@@ -707,7 +721,6 @@ func (s *Simulator) scheduleInsert(sh *simShard, c topology.CacheIndex, doc work
 	ev := event{
 		timeSec: now + latencyMS/1000,
 		seq:     sh.seq,
-		kind:    evFetchComplete,
 		cache:   c,
 		doc:     doc,
 		version: version,

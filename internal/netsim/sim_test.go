@@ -353,6 +353,45 @@ func TestRunValidatesEvents(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteTimes pins Run's rejection of NaN and infinite
+// event times, naming the offending log index. A NaN time has no place in
+// the (time, seq) event order; accepted, its request would be replayed at
+// an arbitrary point.
+func TestRunRejectsNonFiniteTimes(t *testing.T) {
+	nw := lineNetwork(t)
+	cat := fixedCatalog(t, 3)
+	cases := []struct {
+		name    string
+		reqs    []workload.Request
+		ups     []workload.Update
+		wantErr string
+	}{
+		{"NaN request and +Inf update", []workload.Request{req(1, 0, 0), req(math.NaN(), 1, 1)},
+			[]workload.Update{{TimeSec: math.Inf(1), Doc: 0}}, "request 1 has non-finite time NaN"},
+		{"+Inf request", []workload.Request{req(math.Inf(1), 0, 0)}, nil, "request 0 has non-finite time +Inf"},
+		{"-Inf request", []workload.Request{req(1, 0, 0), req(2, 0, 1), req(math.Inf(-1), 1, 0)}, nil,
+			"request 2 has non-finite time -Inf"},
+		{"+Inf update", []workload.Request{req(1, 0, 0)},
+			[]workload.Update{{TimeSec: 1, Doc: 0}, {TimeSec: math.Inf(1), Doc: 1}}, "update 1 has non-finite time +Inf"},
+		{"NaN update", nil, []workload.Update{{TimeSec: math.NaN(), Doc: 2}}, "update 0 has non-finite time NaN"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sim, err := New(nw, oneGroup(), cat, exactConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sim.Run(c.reqs, c.ups)
+			if err == nil {
+				t.Fatalf("Run accepted the log and returned %+v", rep)
+			}
+			if !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Run error %q, want it to mention %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 func TestCacheStatsRange(t *testing.T) {
 	nw := lineNetwork(t)
 	cat := fixedCatalog(t, 3)
@@ -858,18 +897,54 @@ func TestRequestPathAllocationLean(t *testing.T) {
 	if err := s.caches[1].Insert(d, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	sh := &simShard{queue: make(eventQueue, 0, 4096), seq: 1}
-	ev := event{timeSec: 1, kind: evRequest, cache: 0, doc: 0}
+	sh := s.buildShards([]workload.Request{req(1, 0, 0)}, 0)[0]
+	ev, isRequest, ok := sh.head()
+	if !ok || !isRequest {
+		t.Fatalf("shard head = %+v request=%v ok=%v, want the logged request", ev, isRequest, ok)
+	}
 	avg := testing.AllocsPerRun(500, func() {
 		s.handleRequest(sh, ev)
 		sh.queue = sh.queue[:0] // discard scheduled fetch completions
 		sh.recs = sh.recs[:0]   // discard the recorded fragment
 	})
-	// The only remaining allocation is the amortized growth of the shard's
-	// record fragment; everything else runs on reused scratch.
-	if avg >= 1 {
-		t.Fatalf("request path averaged %v allocs/request, want < 1", avg)
+	// The record fragment is presized to the shard's request count and the
+	// completion heap keeps its capacity, so after the warm-up call the path
+	// runs entirely on reused memory.
+	if avg != 0 {
+		t.Fatalf("request path averaged %v allocs/request, want 0", avg)
 	}
+}
+
+// TestRunAllocationsPerRequest bounds the allocations of a whole Run: the
+// cache store, request cursor and record fragments allocate per cache or
+// per shard, not per request or per admitted document.
+func TestRunAllocationsPerRequest(t *testing.T) {
+	nw, cat, _, reqs, ups := realisticWorkload(t, 300)
+	groups := make([][]topology.CacheIndex, 2)
+	for i := 0; i < nw.NumCaches(); i++ {
+		groups[i%2] = append(groups[i%2], topology.CacheIndex(i))
+	}
+	const runs = 3
+	sims := make([]*Simulator, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range sims {
+		sim, err := New(nw, groups, cat, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = sim
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		sim := sims[next]
+		next++
+		if _, err := sim.Run(reqs, ups); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(len(reqs) / 4); avg >= limit {
+		t.Fatalf("Run of %d requests averaged %v allocs, want < %v", len(reqs), avg, limit)
+	}
+	t.Logf("Run of %d requests and %d updates: %v allocs", len(reqs), len(ups), avg)
 }
 
 func TestPushInvalidateAllocationFree(t *testing.T) {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"edgecachegroups/internal/simrand"
@@ -114,7 +116,7 @@ func (fc *FlashCrowd) GenerateRequests(numCaches int, base TraceParams, src *sim
 			out = append(out, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].TimeSec < out[b].TimeSec })
+	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
 	return out, nil
 }
 
@@ -142,7 +144,7 @@ func (fc *FlashCrowd) GenerateUpdates(durationSec float64, src *simrand.Source) 
 				out = append(out, Update{TimeSec: t, Doc: doc})
 			}
 		}
-		sort.SliceStable(out, func(a, b int) bool { return out[a].TimeSec < out[b].TimeSec })
+		slices.SortStableFunc(out, func(a, b Update) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
 	}
 	return out, nil
 }

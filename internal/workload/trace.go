@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"edgecachegroups/internal/simrand"
 	"edgecachegroups/internal/topology"
@@ -106,7 +107,7 @@ func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simran
 			out = append(out, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].TimeSec < out[b].TimeSec })
+	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
 	return out, nil
 }
 
@@ -132,6 +133,6 @@ func GenerateUpdates(c *Catalog, durationSec float64, src *simrand.Source) ([]Up
 			out = append(out, Update{TimeSec: t, Doc: doc.ID})
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].TimeSec < out[b].TimeSec })
+	slices.SortStableFunc(out, func(a, b Update) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
 	return out, nil
 }
