@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -117,5 +120,63 @@ func TestTraceHookRespectsWarmup(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("trace called %d times, want 1 (warmup excluded)", calls)
+	}
+}
+
+// traceStreamHash runs the simulator with cfg over realisticWorkload(seed)
+// and folds every TraceFn call, in call order, into one FNV-1a hash over all
+// RequestTrace fields (floats by their bit patterns), so both the order and
+// the content of the trace stream are pinned.
+func traceStreamHash(t *testing.T, seed int64, cfg Config) (uint64, int) {
+	t.Helper()
+	nw, cat, groups, reqs, ups := realisticWorkload(t, seed)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	calls := 0
+	cfg.TraceFn = func(tr RequestTrace) {
+		calls++
+		put(math.Float64bits(tr.TimeSec))
+		put(uint64(tr.Cache))
+		put(uint64(tr.Group))
+		put(uint64(tr.Doc))
+		put(uint64(tr.Outcome))
+		put(math.Float64bits(tr.LatencyMS))
+		put(uint64(tr.Peer))
+	}
+	sim, err := New(nw, groups, cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(reqs, ups); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64(), calls
+}
+
+// TestTraceStreamGolden pins the TraceFn stream — every call, in order,
+// every field — to literal hashes, for the default model and for push
+// invalidation with beacon cooperation.
+func TestTraceStreamGolden(t *testing.T) {
+	beacons := DefaultConfig()
+	beacons.PushInvalidation = true
+	beacons.BeaconsPerGroup = 2
+	for _, c := range []struct {
+		name      string
+		cfg       Config
+		wantHash  uint64
+		wantCalls int
+	}{
+		{"default", DefaultConfig(), 0x8cb2ecd8d223f8ac, 7271},
+		{"push-beacons", beacons, 0x858b83b9746207fe, 7271},
+	} {
+		got, calls := traceStreamHash(t, 210, c.cfg)
+		if got != c.wantHash || calls != c.wantCalls {
+			t.Errorf("%s: trace stream hash %#016x over %d calls, want %#016x over %d",
+				c.name, got, calls, c.wantHash, c.wantCalls)
+		}
 	}
 }
