@@ -445,55 +445,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(reqs)), "requests/op")
 }
 
-// benchSimShards measures the sharded simulator at a fixed workload and the
-// given shard count. The Shards1/2/4/8 quartet feeds benchjson's speedup
-// derivation; on a single-CPU host the multi-shard numbers mostly price the
-// window-barrier overhead rather than show wall-clock wins.
-func benchSimShards(b *testing.B, shards int) {
-	g := benchTopology(b)
-	const n = 240
-	nw, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: n}, simrand.New(20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	catalog, err := workload.NewCatalog(workload.DefaultCatalogParams(), simrand.New(21))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tp := workload.TraceParams{DurationSec: 120, RequestRatePerCache: 1, Similarity: 0.8}
-	reqs, err := workload.GenerateRequests(catalog, n, tp, simrand.New(22))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ups, err := workload.GenerateUpdates(catalog, 120, simrand.New(23))
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups := make([][]topology.CacheIndex, 24)
-	for i := 0; i < n; i++ {
-		groups[i%24] = append(groups[i%24], topology.CacheIndex(i))
-	}
-	cfg := netsim.DefaultConfig()
-	cfg.Shards = shards
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := netsim.New(nw, groups, catalog, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(reqs, ups); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "requests/op")
-}
-
-func BenchmarkSimShards1(b *testing.B) { benchSimShards(b, 1) }
-func BenchmarkSimShards2(b *testing.B) { benchSimShards(b, 2) }
-func BenchmarkSimShards4(b *testing.B) { benchSimShards(b, 4) }
-func BenchmarkSimShards8(b *testing.B) { benchSimShards(b, 8) }
-
 // BenchmarkFacadePipeline exercises the full public-API pipeline once per
 // iteration, as a downstream user would run it.
 func BenchmarkFacadePipeline(b *testing.B) {

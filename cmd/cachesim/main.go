@@ -46,7 +46,6 @@ func run(args []string, w io.Writer) error {
 		warmup   = fs.Float64("warmup", 0, "seconds of warm-up excluded from latency stats")
 		policy   = fs.String("policy", "utility", "cache replacement policy: utility or lru")
 		beacons  = fs.Int("beacons", 0, "beacon points per group (0 = multicast cooperation model)")
-		shards   = fs.Int("shards", 0, "group-partitioned simulator shards run concurrently (0 = serial; results are identical for any value)")
 		obsAddr  = fs.String("obs-addr", "", "serve live /metrics, /debug/vars, /debug/pprof, and /trace on this host:port (\":0\" for ephemeral; results are identical with or without)")
 		obsWait  = fs.Duration("obs-linger", 0, "keep the -obs-addr endpoint up this long after the run finishes, for scraping")
 	)
@@ -137,7 +136,6 @@ func run(args []string, w io.Writer) error {
 	simCfg := ecg.DefaultSimConfig()
 	simCfg.WarmupSec = *warmup
 	simCfg.BeaconsPerGroup = *beacons
-	simCfg.Shards = *shards
 	simCfg.Obs = o
 	switch strings.ToLower(*policy) {
 	case "utility":

@@ -124,7 +124,7 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 		}
 	})
 	t.Run("Report", func(t *testing.T) {
-		rep := runSimSharded(t, 55, 0)
+		rep := runSim(t, 55)
 		if got, want := rep.Checksum(), uint64(0x034c79236437a48b); got != want {
 			t.Fatalf("report checksum %016x, want %016x", got, want)
 		}
@@ -132,11 +132,8 @@ func TestChecksumLiteralGoldens(t *testing.T) {
 	t.Run("ReportVariants", func(t *testing.T) {
 		for _, c := range reportVariantGoldens {
 			t.Run(c.name, func(t *testing.T) {
-				for _, shards := range []int{1, 4} {
-					rep := runSimVariant(t, 55, shards, c.v)
-					if got := rep.Checksum(); got != c.want {
-						t.Fatalf("Shards=%d: report checksum %016x, want %016x", shards, got, c.want)
-					}
+				if got := runSimVariant(t, 55, c.v).Checksum(); got != c.want {
+					t.Fatalf("report checksum %016x, want %016x", got, c.want)
 				}
 			})
 		}
@@ -303,10 +300,6 @@ func TestPlanChecksumPruneInvariant(t *testing.T) {
 }
 
 func TestReportChecksumGolden(t *testing.T) {
-	runSim := func(t *testing.T, seed int64) *ecg.Report {
-		t.Helper()
-		return runSimSharded(t, seed, 0)
-	}
 	r1 := runSim(t, 55)
 	r2 := runSim(t, 55)
 	if c1, c2 := r1.Checksum(), r2.Checksum(); c1 != c2 {
@@ -318,11 +311,11 @@ func TestReportChecksumGolden(t *testing.T) {
 	}
 }
 
-// runSimSharded runs the full pipeline plus a simulation for one seed with
-// the given simulator shard count, with verification enabled end to end.
-func runSimSharded(t *testing.T, seed int64, shards int) *ecg.Report {
+// runSim runs the full pipeline plus a simulation for one seed, with
+// verification enabled end to end.
+func runSim(t *testing.T, seed int64) *ecg.Report {
 	t.Helper()
-	return runSimVariant(t, seed, shards, simVariant{})
+	return runSimVariant(t, seed, simVariant{})
 }
 
 // simVariant adjusts the simulation runSimVariant performs: cfg edits the
@@ -333,9 +326,8 @@ type simVariant struct {
 	reqs func([]ecg.Request) []ecg.Request
 }
 
-// runSimVariant is runSimSharded with the config and request log adjusted
-// by v.
-func runSimVariant(t *testing.T, seed int64, shards int, v simVariant) *ecg.Report {
+// runSimVariant is runSim with the config and request log adjusted by v.
+func runSimVariant(t *testing.T, seed int64, v simVariant) *ecg.Report {
 	t.Helper()
 	plan, nw := formPlan(t, seed, ecg.SDSL(8, 2, 1.0), 6)
 	src := ecg.NewRand(seed + 1000)
@@ -360,7 +352,6 @@ func runSimVariant(t *testing.T, seed int64, shards int, v simVariant) *ecg.Repo
 	if v.cfg != nil {
 		v.cfg(&simCfg)
 	}
-	simCfg.Shards = shards
 	sim, err := ecg.NewSimulator(nw, plan.Groups(), catalog, simCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -373,18 +364,4 @@ func runSimVariant(t *testing.T, seed int64, shards int, v simVariant) *ecg.Repo
 		t.Fatalf("report fails verification: %v", err)
 	}
 	return rep
-}
-
-// TestReportChecksumShardInvariant pins the sharded simulator's determinism
-// contract end to end through the public facade: the Report checksum must
-// be bit-identical across Shards ∈ {1, 2, 4, 8} (and the plan feeding it
-// must not change either).
-func TestReportChecksumShardInvariant(t *testing.T) {
-	base := runSimSharded(t, 55, 1)
-	for _, shards := range []int{2, 4, 8} {
-		rep := runSimSharded(t, 55, shards)
-		if got, want := rep.Checksum(), base.Checksum(); got != want {
-			t.Fatalf("Shards=%d report checksum %016x != serial %016x", shards, got, want)
-		}
-	}
 }

@@ -279,10 +279,10 @@ type (
 	Report = netsim.Report
 )
 
-// DefaultSimConfig returns the latency model used by the experiments. Set
-// SimConfig.Shards to run the simulator's group-partitioned shards
-// concurrently; the Report (and its Checksum) is bit-identical to the
-// serial run at any shard count.
+// DefaultSimConfig returns the latency model used by the experiments. A
+// simulation runs as one serial event loop, so its Report (and Checksum)
+// depends only on the logs and the config; run several simulators side by
+// side to use more cores.
 func DefaultSimConfig() SimConfig { return netsim.DefaultConfig() }
 
 // NewSimulator builds a simulator for a group partition.

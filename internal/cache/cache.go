@@ -64,6 +64,13 @@ type Config struct {
 
 // Validate reports whether the config is usable.
 func (c Config) Validate() error {
+	// NaN passes every ordered comparison below (a NaN capacity would
+	// never trigger eviction), so non-finite values are rejected first.
+	for _, v := range [...]float64{c.CapacityKB, c.MissPenaltyMS, c.MinAgeSec} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("cache: non-finite config value %v", v)
+		}
+	}
 	if c.CapacityKB <= 0 {
 		return fmt.Errorf("cache: CapacityKB must be > 0, got %v", c.CapacityKB)
 	}

@@ -32,6 +32,11 @@ func TestConfigValidate(t *testing.T) {
 		{"negative capacity", Config{CapacityKB: -1, MissPenaltyMS: 1}},
 		{"zero penalty", Config{CapacityKB: 10}},
 		{"negative min age", Config{CapacityKB: 10, MissPenaltyMS: 1, MinAgeSec: -1}},
+		{"NaN capacity", Config{CapacityKB: math.NaN(), MissPenaltyMS: 1}},
+		{"infinite capacity", Config{CapacityKB: math.Inf(1), MissPenaltyMS: 1}},
+		{"NaN penalty", Config{CapacityKB: 10, MissPenaltyMS: math.NaN()}},
+		{"infinite penalty", Config{CapacityKB: 10, MissPenaltyMS: math.Inf(1)}},
+		{"NaN min age", Config{CapacityKB: 10, MissPenaltyMS: 1, MinAgeSec: math.NaN()}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -31,17 +31,14 @@ type Options struct {
 	// proportionally; 1.0 reproduces the paper's scale (up to 500 caches).
 	Scale float64
 	// Parallelism bounds concurrent sweep-point execution; 0 means
-	// a sensible default.
+	// a sensible default. Each simulation is one serial event loop, so
+	// sweeps use several cores by running simulations side by side.
 	Parallelism int
 	// PipelineParallelism bounds the worker pools inside each formation
 	// pipeline (feature probing, embedding, clustering); 0 keeps the
 	// per-layer defaults. Results are invariant to this knob — it only
 	// changes wall-clock time.
 	PipelineParallelism int
-	// SimShards sets netsim.Config.Shards for every simulation run: the
-	// number of group-partitioned simulator shards executed concurrently.
-	// Like PipelineParallelism, results are invariant to this knob.
-	SimShards int
 	// Trials averages stochastic experiments over this many seeds; 0 means
 	// the default (1 at full scale).
 	Trials int
@@ -71,9 +68,6 @@ func (o Options) Validate() error {
 	}
 	if o.PipelineParallelism < 0 {
 		return fmt.Errorf("experiments: PipelineParallelism must be >= 0, got %d", o.PipelineParallelism)
-	}
-	if o.SimShards < 0 {
-		return fmt.Errorf("experiments: SimShards must be >= 0, got %d", o.SimShards)
 	}
 	if o.Trials < 0 {
 		return fmt.Errorf("experiments: Trials must be >= 0, got %d", o.Trials)
@@ -144,7 +138,6 @@ func newEnv(numCaches int, o Options, seed int64, withTraces bool) (*env, error)
 	}
 	e := &env{nw: nw, prober: prober, simCfg: netsim.DefaultConfig(), verify: !o.NoVerify, pipelinePar: o.PipelineParallelism, obs: o.Obs}
 	e.simCfg.Verify = e.verify
-	e.simCfg.Shards = o.SimShards
 	e.simCfg.Obs = o.Obs
 	if !withTraces {
 		return e, nil

@@ -10,7 +10,7 @@ import (
 	"edgecachegroups/internal/workload"
 )
 
-// event is one request or fetch completion in a shard's event loop.
+// event is one request or fetch completion in the event loop.
 type event struct {
 	timeSec float64
 	seq     int64 // tie-breaker for deterministic ordering
@@ -19,11 +19,11 @@ type event struct {
 	version int64 // version carried by fetch completions
 }
 
-// eventQueue is a min-heap over (timeSec, seq) holding a shard's pending
-// fetch completions. The heap operations work on the concrete event type
-// directly rather than through container/heap, whose interface{}
-// parameters box every pushed and popped event — two heap allocations per
-// simulated event on the hot path.
+// eventQueue is a min-heap over (timeSec, seq) holding the pending fetch
+// completions. The heap operations work on the concrete event type directly
+// rather than through container/heap, whose interface{} parameters box
+// every pushed and popped event — two heap allocations per simulated event
+// on the hot path.
 type eventQueue []event
 
 func (q eventQueue) Len() int { return len(q) }

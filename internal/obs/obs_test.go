@@ -42,7 +42,7 @@ func TestNilHandlesNoop(t *testing.T) {
 	o.Counter("x").Inc()
 	o.Gauge("x").Set(1)
 	o.Histogram("x").Record(1)
-	o.Emit(Event{Kind: KindShardWindow})
+	o.Emit(Event{Kind: KindCacheEvict})
 	o.EmitNow(KindProtocolRound, "r", 1)
 	o.StartSpan("s")()
 	if o.Counter("x").Value() != 0 || o.Gauge("x").Value() != 0 || o.Histogram("x").Count() != 0 {
@@ -210,7 +210,7 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 func TestTraceRingWraparound(t *testing.T) {
 	s := NewTraceSink(4)
 	for i := 0; i < 6; i++ {
-		s.Emit(Event{Kind: KindShardWindow, Value: int64(i), Cache: -1})
+		s.Emit(Event{Kind: KindCacheEvict, Value: int64(i), Cache: -1})
 	}
 	if got := s.Len(); got != 4 {
 		t.Fatalf("len = %d, want 4", got)
@@ -229,7 +229,7 @@ func TestTraceRingWraparound(t *testing.T) {
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	s := NewTraceSink(8)
 	s.Emit(Event{Kind: KindCacheEvict, Name: "doc", TimeSec: 1.5, Value: 9, Cache: 0})
-	s.Emit(Event{Kind: KindShardWindow, TimeSec: 2.0, DurMS: 500, Cache: -1})
+	s.Emit(Event{Kind: KindCacheEvict, TimeSec: 2.0, DurMS: 500, Cache: -1})
 	var buf bytes.Buffer
 	if err := s.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestPublishStages(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	o := New()
 	o.Counter("cache_hits_total").Add(7)
-	o.Gauge("sim_shards").Set(4)
+	o.Gauge("sim_events").Set(4)
 	h := o.Histogram("request_latency_ms")
 	for i := 1; i <= 100; i++ {
 		h.Record(float64(i))
@@ -309,7 +309,7 @@ func TestPrometheusExposition(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"# TYPE cache_hits_total counter\ncache_hits_total 7\n",
-		"# TYPE sim_shards gauge\nsim_shards 4\n",
+		"# TYPE sim_events gauge\nsim_events 4\n",
 		"# TYPE request_latency_ms summary\n",
 		"request_latency_ms{quantile=\"0.5\"} ",
 		"request_latency_ms_count 100\n",
@@ -343,7 +343,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	o := New()
 	o.Counter("cache_hits_total").Inc()
 	o.Histogram("request_latency_ms").Record(12)
-	o.Emit(Event{Kind: KindShardWindow, TimeSec: 3, Cache: -1})
+	o.Emit(Event{Kind: KindCacheEvict, TimeSec: 3, Cache: -1})
 	o.EmitNow(KindProtocolRound, "plset", 42)
 	srv := httptest.NewServer(Handler(o))
 	defer srv.Close()

@@ -18,9 +18,6 @@ const (
 	// KindProtocolRound marks one coordinator collection round (PLSet,
 	// features, assignments); Value carries the reply count.
 	KindProtocolRound EventKind = "protocol_round"
-	// KindShardWindow marks one conservative window barrier in the
-	// sharded simulator; TimeSec and DurMS are virtual time.
-	KindShardWindow EventKind = "shard_window"
 	// KindCacheEvict marks a document leaving a cache (capacity
 	// eviction, stale drop, or invalidation), via the eviction hook.
 	KindCacheEvict EventKind = "cache_evict"
@@ -28,11 +25,11 @@ const (
 
 // Event is one trace record. TimeSec is the emitting layer's clock:
 // virtual simulation seconds for simulator events, sink-relative wall
-// seconds for everything else (EmitNow/StartSpan). DurMS is a span or
-// window duration in the same clock domain. Cache is the cache index the
-// event concerns, -1 when not cache-scoped (always serialized, since
-// cache 0 is a valid index). Other zero-valued optional fields are
-// omitted from the JSONL export.
+// seconds for everything else (EmitNow/StartSpan). DurMS is a span
+// duration in the same clock domain. Cache is the cache index the event
+// concerns, -1 when not cache-scoped (always serialized, since cache 0 is
+// a valid index). Other zero-valued optional fields are omitted from the
+// JSONL export.
 type Event struct {
 	Kind    EventKind `json:"kind"`
 	Name    string    `json:"name,omitempty"`

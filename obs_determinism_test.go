@@ -2,8 +2,8 @@ package ecg_test
 
 // Observability determinism golden tests: attaching an Obs sink must be a
 // pure side channel. Plan and Report checksums have to stay bit-identical
-// whether obs is enabled or disabled, at any shard or worker count — the
-// sink may observe the pipeline but never steer it.
+// whether obs is enabled or disabled, at any worker count — the sink may
+// observe the pipeline but never steer it.
 
 import (
 	"testing"
@@ -12,9 +12,9 @@ import (
 )
 
 // runObsPipeline executes the full pipeline (formation + simulation) for
-// one seed with the given obs sink, pipeline parallelism, and simulator
-// shard count, returning both checksums and the report.
-func runObsPipeline(t *testing.T, seed int64, o *ecg.Obs, parallelism, shards int) (uint64, uint64, *ecg.Report) {
+// one seed with the given obs sink and pipeline parallelism, returning both
+// checksums and the report.
+func runObsPipeline(t *testing.T, seed int64, o *ecg.Obs, parallelism int) (uint64, uint64, *ecg.Report) {
 	t.Helper()
 	cfg := ecg.SDSL(8, 2, 1.0)
 	cfg.Verify = true
@@ -48,7 +48,6 @@ func runObsPipeline(t *testing.T, seed int64, o *ecg.Obs, parallelism, shards in
 	}
 	simCfg := ecg.DefaultSimConfig()
 	simCfg.Verify = true
-	simCfg.Shards = shards
 	simCfg.Obs = o
 	sim, err := ecg.NewSimulator(nw, plan.Groups(), catalog, simCfg)
 	if err != nil {
@@ -62,43 +61,37 @@ func runObsPipeline(t *testing.T, seed int64, o *ecg.Obs, parallelism, shards in
 }
 
 // TestObsChecksumInvariant is the determinism contract for the
-// observability layer: for every (shards, parallelism) combination the
-// plan and report checksums with obs attached must equal the obs-free
-// serial baseline bit for bit.
+// observability layer: at every parallelism the plan and report checksums
+// with obs attached must equal the obs-free serial baseline bit for bit.
 func TestObsChecksumInvariant(t *testing.T) {
 	const seed = 55
-	basePlan, baseReport, _ := runObsPipeline(t, seed, nil, 1, 1)
-	for _, shards := range []int{1, 4} {
-		for _, par := range []int{1, 8} {
-			o := ecg.NewObs()
-			planSum, repSum, rep := runObsPipeline(t, seed, o, par, shards)
-			if planSum != basePlan {
-				t.Errorf("Shards=%d Parallelism=%d: obs changed plan checksum %016x != %016x",
-					shards, par, planSum, basePlan)
-			}
-			if repSum != baseReport {
-				t.Errorf("Shards=%d Parallelism=%d: obs changed report checksum %016x != %016x",
-					shards, par, repSum, baseReport)
-			}
-			// The sink must also have seen the whole run: every simulated
-			// request records exactly one latency sample.
-			snap := o.Registry().Snapshot()
-			hist, ok := snap.Histograms["sim_request_latency_ms"]
-			if !ok {
-				t.Fatalf("Shards=%d Parallelism=%d: sim_request_latency_ms missing from snapshot", shards, par)
-			}
-			if hist.Count != rep.Requests() {
-				t.Errorf("Shards=%d Parallelism=%d: histogram count %d != %d simulated requests",
-					shards, par, hist.Count, rep.Requests())
-			}
-			outcomes := snap.Counters["sim_requests_local_total"] +
-				snap.Counters["sim_requests_group_total"] +
-				snap.Counters["sim_requests_origin_total"] +
-				snap.Counters["sim_requests_failover_total"]
-			if outcomes != rep.Requests() {
-				t.Errorf("Shards=%d Parallelism=%d: outcome counters sum to %d, want %d",
-					shards, par, outcomes, rep.Requests())
-			}
+	basePlan, baseReport, _ := runObsPipeline(t, seed, nil, 1)
+	for _, par := range []int{1, 8} {
+		o := ecg.NewObs()
+		planSum, repSum, rep := runObsPipeline(t, seed, o, par)
+		if planSum != basePlan {
+			t.Errorf("Parallelism=%d: obs changed plan checksum %016x != %016x", par, planSum, basePlan)
+		}
+		if repSum != baseReport {
+			t.Errorf("Parallelism=%d: obs changed report checksum %016x != %016x", par, repSum, baseReport)
+		}
+		// The sink must also have seen the whole run: every simulated
+		// request records exactly one latency sample.
+		snap := o.Registry().Snapshot()
+		hist, ok := snap.Histograms["sim_request_latency_ms"]
+		if !ok {
+			t.Fatalf("Parallelism=%d: sim_request_latency_ms missing from snapshot", par)
+		}
+		if hist.Count != rep.Requests() {
+			t.Errorf("Parallelism=%d: histogram count %d != %d simulated requests",
+				par, hist.Count, rep.Requests())
+		}
+		outcomes := snap.Counters["sim_requests_local_total"] +
+			snap.Counters["sim_requests_group_total"] +
+			snap.Counters["sim_requests_origin_total"] +
+			snap.Counters["sim_requests_failover_total"]
+		if outcomes != rep.Requests() {
+			t.Errorf("Parallelism=%d: outcome counters sum to %d, want %d", par, outcomes, rep.Requests())
 		}
 	}
 }
@@ -107,8 +100,8 @@ func TestObsChecksumInvariant(t *testing.T) {
 // runs agree with each other (the sink itself introduces no run-to-run
 // jitter into the results).
 func TestObsOnOffSameRun(t *testing.T) {
-	p1, r1, _ := runObsPipeline(t, 91, ecg.NewObs(), 4, 2)
-	p2, r2, _ := runObsPipeline(t, 91, ecg.NewObs(), 4, 2)
+	p1, r1, _ := runObsPipeline(t, 91, ecg.NewObs(), 4)
+	p2, r2, _ := runObsPipeline(t, 91, ecg.NewObs(), 4)
 	if p1 != p2 {
 		t.Fatalf("obs-enabled runs disagree on plan checksum: %016x vs %016x", p1, p2)
 	}

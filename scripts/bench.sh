@@ -13,7 +13,7 @@
 # reproduces, in ./internal/simrand; ProbeMeasure = one one-shot
 # Prober.Measure; GreedyLandmarkSelection = the SL landmark-selection
 # probe matrix), the serial/parallel pairs (KMeansPar1/8,
-# GNPEmbedHosts1/8, SimShards1/2/4/8), the exhaustive-vs-pruned large-N
+# GNPEmbedHosts1/8), the exhaustive-vs-pruned large-N
 # K-means trio (KMeansFlatExhaustive/Pruned/Elkan, whose distevals/op and
 # wall-clock ratio pin the bounds-pruning win), the flat feature-build path
 # (FeatureBuild, with its O(workers)-allocation guards on the feature build
@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
 BENCHTIME="${2:-1x}"
-BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansPar|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkSimShards|BenchmarkObs|BenchmarkEcglint'
+BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansPar|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkObs|BenchmarkEcglint'
 OUT="BENCH_pipeline.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
