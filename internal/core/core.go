@@ -326,18 +326,17 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 	// The clustering consumes the flat feature matrix directly — at
 	// million-cache scale the feature set is one contiguous allocation
 	// end to end, from probe output through the K-means kernel.
-	seeder := cluster.SDSLSeeder(serverDist, gf.cfg.Theta)
-	algo := gf.cfg.Algorithm
-	if algo == 0 {
-		algo = AlgoKMeans
-	}
-	clusterFn := cluster.KMeansMatrix
-	if algo == AlgoKMedoids {
-		clusterFn = cluster.KMedoids
+	base := Plan{
+		Scheme:         gf.cfg.Name(),
+		Landmarks:      lms,
+		LandmarkCoords: lmCoords,
+		ServerDist:     serverDist,
+		Algorithm:      gf.cfg.Algorithm,
+		Theta:          gf.cfg.Theta,
 	}
 	stopCluster := gf.stages.StartMem("cluster")
 	spanCluster := gf.cfg.Obs.StartSpan("cluster")
-	res, err := clusterFn(points, k, seeder, gf.cfg.Cluster, gf.src.Split("kmeans"))
+	plan, err := formPlan(base, k, features, points, gf.cfg.Cluster, gf.src.Split("kmeans"))
 	spanCluster()
 	stopCluster()
 	if err != nil {
@@ -346,26 +345,6 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 	gf.stages.Add("cluster", int64(points.Rows()))
 	gf.stages.SetParallelism("cluster", gf.cfg.Cluster.Parallelism)
 
-	// The plan's []Vector fields are row views of the flat matrices: one
-	// header-slice allocation each, no data copies.
-	featViews := features.RowViews()
-	pointViews := featViews
-	if !points.IsZero() && &points.Data()[0] != &features.Data()[0] {
-		pointViews = points.RowViews()
-	}
-	plan := &Plan{
-		Scheme:         gf.cfg.Name(),
-		Landmarks:      lms,
-		Features:       featViews,
-		Points:         pointViews,
-		LandmarkCoords: lmCoords,
-		ServerDist:     serverDist,
-		Assignments:    res.Assignments,
-		Centers:        res.Centers,
-		Algorithm:      algo,
-		Iterations:     res.Iterations,
-		Converged:      res.Converged,
-	}
 	if gf.cfg.Verify {
 		stopVerify := gf.stages.Start("verify")
 		spanVerify := gf.cfg.Obs.StartSpan("verify")
@@ -380,6 +359,52 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 	// registry (diagnostics only; the plan is already final).
 	obs.PublishStages(gf.cfg.Obs, gf.stages.Snapshot())
 	return plan, nil
+}
+
+// formPlan is the clustering step of formation, shared by
+// Coordinator.FormGroups and Plan.Reform, and the one place that picks
+// the seeder and the algorithm. It seeds the initial centers (uniformly
+// for SL; SDSL weights cache i by 1/d(i, origin)^θ), clusters points
+// into k groups with base.Algorithm (zero means K-means), and completes
+// base into the plan. base carries what clustering does not compute:
+// scheme name, landmarks, landmark coordinates, server distances, θ and
+// algorithm. features and points back the plan's Features and Points;
+// they are one matrix unless the representation embeds.
+func formPlan(base Plan, k int, features, points cluster.Matrix, opts cluster.Options, src *simrand.Source) (*Plan, error) {
+	clusterFn := cluster.KMeansMatrix
+	switch base.Algorithm {
+	case 0:
+		base.Algorithm = AlgoKMeans
+	case AlgoKMeans:
+	case AlgoKMedoids:
+		clusterFn = cluster.KMedoids
+	default:
+		return nil, fmt.Errorf("core: unknown clustering algorithm %v", base.Algorithm)
+	}
+	res, err := clusterFn(points, k, cluster.SDSLSeeder(base.ServerDist, base.Theta), opts, src)
+	if err != nil {
+		return nil, err
+	}
+	// The plan's []Vector fields are row views of the flat matrices: one
+	// header-slice allocation each, no data copies.
+	base.Features = features.RowViews()
+	base.Points = base.Features
+	if !points.IsZero() && &points.Data()[0] != &features.Data()[0] {
+		base.Points = points.RowViews()
+	}
+	base.Assignments, base.Centers = res.Assignments, res.Centers
+	base.Iterations, base.Converged = res.Iterations, res.Converged
+	return &base, nil
+}
+
+// originIndex returns the position of the origin among lms, or -1.
+func originIndex(lms []probe.Endpoint) int {
+	for i, lm := range lms {
+		if lm.IsOrigin() {
+			return i
+		}
+	}
+	return -1
 }
 
 // measureFeatures probes all landmarks from every cache concurrently.
@@ -402,13 +427,7 @@ func MeasureFeatureMatrix(p *probe.Prober, n int, lms []probe.Endpoint, parallel
 	serverDist := make([]float64, n)
 	errs := make([]error, n)
 
-	originIdx := -1
-	for i, lm := range lms {
-		if lm.IsOrigin() {
-			originIdx = i
-			break
-		}
-	}
+	originIdx := originIndex(lms)
 
 	// One reusable measurement context per worker: each row is probed
 	// serially by its worker (the per-cache fan-out already saturates the

@@ -301,8 +301,14 @@ func (m *Maintainer) runRound(ev *MaintainerEvent) error {
 
 	// Isolated drift: copy-on-write. Build the next plan with refreshed
 	// features, nearest-center reassignments, and recomputed centers for
-	// every touched group, then swap it in atomically.
+	// every touched group, then swap it in atomically. RTT points carry
+	// each cache's server distance in their origin column, so it is
+	// refreshed with the point and the plan stays self-consistent.
 	next := cur.cloneShallow()
+	originCol := -1
+	if col, err := cur.OriginColumn(); err == nil {
+		originCol = col
+	}
 	sizes := next.Sizes()
 	touched := make([]bool, next.NumGroups())
 	for _, ci := range ev.Drifted {
@@ -310,6 +316,9 @@ func (m *Maintainer) runRound(ev *MaintainerEvent) error {
 		next.Points[i] = fresh[i]
 		if i < len(next.Features) {
 			next.Features[i] = fresh[i]
+		}
+		if originCol >= 0 && i < len(next.ServerDist) {
+			next.ServerDist[i] = fresh[i][originCol]
 		}
 		// A drifted cache moves its group's mean even if it stays put.
 		touched[next.Assignments[i]] = true

@@ -663,3 +663,59 @@ func TestMaintainerEndToEnd(t *testing.T) {
 		t.Fatalf("stable conditions produced drift: %+v", ev)
 	}
 }
+
+// TestRunOnceRefreshesServerDist is the regression test for stale server
+// distances: an incremental round replaced the points and features of
+// drifted caches but kept their old ServerDist, so the published plan's
+// origin RTTs disagreed with its own feature vectors (and Checksum hashed
+// the stale values).
+func TestRunOnceRefreshesServerDist(t *testing.T) {
+	nw, p := testSetup(t, 40, 190)
+	gf, err := NewCoordinator(nw, p, SDSL(6, 3, 1), simrand.New(191))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := gf.FormGroups(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := plan.OriginColumn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]float64(nil), plan.ServerDist...)
+	// Three caches drift: every RTT doubles. Too few for a full recluster.
+	source := func(i topology.CacheIndex) (cluster.Vector, error) {
+		fv := plan.Features[int(i)].Clone()
+		if i < 3 {
+			for j := range fv {
+				fv[j] *= 2
+			}
+		}
+		return fv, nil
+	}
+	cfg := DefaultMaintainerConfig()
+	cfg.SampleFraction = 1
+	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := m.RunOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.Drifted) != 3 || ev.Reclustered {
+		t.Fatalf("want an incremental round over 3 drifted caches, got %+v", ev)
+	}
+	next := m.Plan()
+	for i, f := range next.Features {
+		if next.ServerDist[i] != f[origin] {
+			t.Fatalf("cache %d: ServerDist %v, origin feature %v", i, next.ServerDist[i], f[origin])
+		}
+	}
+	for i, d := range plan.ServerDist {
+		if d != before[i] {
+			t.Fatalf("round rewrote the published plan's ServerDist[%d]: %v -> %v", i, before[i], d)
+		}
+	}
+}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/probe"
+	"edgecachegroups/internal/simrand"
 	"edgecachegroups/internal/topology"
 	"edgecachegroups/internal/verify"
 )
@@ -35,6 +37,10 @@ type Plan struct {
 	// (K-means centers are member means; K-medoids centers are real
 	// points). Zero on plans built before this field existed.
 	Algorithm Algorithm
+	// Theta is the SDSL server-distance sensitivity the plan was seeded
+	// with (zero for SL), so Reform can seed the same way. Checksum does
+	// not hash it: Scheme already names θ.
+	Theta float64
 	// Iterations and Converged report the K-means outcome.
 	Iterations int
 	Converged  bool
@@ -179,7 +185,60 @@ func (p *Plan) cloneShallow() *Plan {
 	q.Points = append([]cluster.Vector(nil), p.Points...)
 	q.Features = append([]cluster.Vector(nil), p.Features...)
 	q.Centers = append([]cluster.Vector(nil), p.Centers...)
+	q.ServerDist = append([]float64(nil), p.ServerDist...)
 	return &q
+}
+
+// OriginColumn returns the index of the origin landmark among the plan's
+// point coordinates: the column that holds each cache's server distance.
+// It fails when the points are not landmark RTT vectors (an embedded GNP
+// or Vivaldi representation, or a landmark set whose size differs from
+// the point dimension) or when the landmarks omit the origin, since the
+// plan then cannot read server distances off fresh points.
+func (p *Plan) OriginColumn() (int, error) {
+	if len(p.LandmarkCoords) > 0 {
+		return 0, errors.New("core: plan points are embedded coordinates, not landmark RTTs")
+	}
+	dim := 0
+	if len(p.Points) > 0 {
+		dim = len(p.Points[0])
+	}
+	if len(p.Landmarks) != dim {
+		return 0, fmt.Errorf("core: plan has %d landmarks for %d-dimensional points", len(p.Landmarks), dim)
+	}
+	col := originIndex(p.Landmarks)
+	if col < 0 {
+		return 0, errors.New("core: plan landmarks do not include the origin")
+	}
+	return col, nil
+}
+
+// Reform re-forms the groups over points, one landmark RTT vector per
+// cache, through the same clustering step as Coordinator.FormGroups: at
+// the plan's own group count, scheme, θ and algorithm, with each cache's
+// server distance read from the origin landmark's column of points. The
+// returned plan's Features and Points are row views of points; p is left
+// unchanged.
+func (p *Plan) Reform(points cluster.Matrix, src *simrand.Source) (*Plan, error) {
+	col, err := p.OriginColumn()
+	if err != nil {
+		return nil, err
+	}
+	if points.Dim() != len(p.Landmarks) {
+		return nil, fmt.Errorf("core: reform points have dimension %d, want %d", points.Dim(), len(p.Landmarks))
+	}
+	serverDist := make([]float64, points.Rows())
+	for i := range serverDist {
+		serverDist[i] = points.Row(i)[col]
+	}
+	base := Plan{
+		Scheme:     p.Scheme,
+		Landmarks:  p.Landmarks,
+		ServerDist: serverDist,
+		Algorithm:  p.Algorithm,
+		Theta:      p.Theta,
+	}
+	return formPlan(base, p.NumGroups(), points, points, cluster.DefaultOptions(), src)
 }
 
 // Verify checks the plan's structural invariants: a well-formed partition

@@ -51,9 +51,10 @@ type Config struct {
 	// LoadSnapshot before constructing the engine to survive restarts.
 	Plan *core.Plan
 	// Recluster performs a full re-formation when drift is widespread.
-	// Nil installs the default: re-cluster the current feature vectors
-	// (plan features overlaid with the freshest ingested stats) with
-	// K-means at the current group count.
+	// Nil installs the default: Plan.Reform over the current feature
+	// vectors (plan features overlaid with the freshest ingested stats),
+	// which re-forms with the plan's own scheme (SL or SDSL with its θ),
+	// algorithm and group count, as batch formation does.
 	Recluster func() (*core.Plan, error)
 	// Maint tunes the maintenance loop (zero value: defaults with
 	// SampleFraction 1, since reading ingested stats is free).
@@ -111,11 +112,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Rand == nil {
 		return nil, errors.New("serve: nil random source")
 	}
-	if cfg.Plan.NumCaches() == 0 || len(cfg.Plan.Points) != cfg.Plan.NumCaches() {
-		return nil, fmt.Errorf("serve: plan has %d points for %d caches", len(cfg.Plan.Points), cfg.Plan.NumCaches())
-	}
-	if len(cfg.Plan.Features) > 0 && len(cfg.Plan.Features[0]) != len(cfg.Plan.Points[0]) {
-		return nil, errors.New("serve: embedded-representation plans are not servable (ingested RTT vectors must live in the clustered space; use a feature-vector scheme)")
+	if err := checkServable(cfg.Plan); err != nil {
+		return nil, err
 	}
 	if cfg.Maint.SampleFraction == 0 { // zero value: daemon defaults
 		m := core.DefaultMaintainerConfig()
@@ -151,6 +149,32 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.seq.Store(cfg.ResumeEpoch)
 	e.publish(cfg.Plan)
 	return e, nil
+}
+
+// checkServable reports why p cannot boot an engine. The daemon overlays
+// ingested landmark RTT vectors on the plan's points and re-forms from
+// them with Plan.Reform, so the points must be those RTTs, one per cache,
+// with the origin among the landmarks, and the plan's algorithm and θ
+// must be ones formation can run.
+func checkServable(p *core.Plan) error {
+	if p.NumCaches() == 0 || len(p.Points) != p.NumCaches() {
+		return fmt.Errorf("serve: plan has %d points for %d caches", len(p.Points), p.NumCaches())
+	}
+	if len(p.Features) > 0 && len(p.Features[0]) != len(p.Points[0]) {
+		return errors.New("serve: embedded-representation plans are not servable (ingested RTT vectors must live in the clustered space; use a feature-vector scheme)")
+	}
+	if _, err := p.OriginColumn(); err != nil {
+		return fmt.Errorf("serve: plan cannot re-form from ingested RTTs: %w", err)
+	}
+	switch p.Algorithm {
+	case 0, core.AlgoKMeans, core.AlgoKMedoids:
+	default:
+		return fmt.Errorf("serve: plan has unknown clustering algorithm %v", p.Algorithm)
+	}
+	if p.Theta < 0 {
+		return fmt.Errorf("serve: plan has theta %v, want >= 0", p.Theta)
+	}
+	return nil
 }
 
 // FeatureDim returns the dimension ingested RTT vectors must have.
@@ -210,11 +234,12 @@ func (e *Engine) measure(i topology.CacheIndex) (cluster.Vector, error) {
 	return fv, nil
 }
 
-// reclusterFromStats is the default full re-formation: K-means over the
-// current feature vectors (plan features overlaid with everything
-// ingested so far) at the current group count. It runs inside a
-// maintenance round, so the feature store is quiescent apart from
-// concurrent ingest into the *other* buffer.
+// reclusterFromStats is the default full re-formation: Plan.Reform over
+// the current feature vectors (plan features overlaid with everything
+// ingested so far), so the daemon re-forms with the plan's own scheme,
+// θ, algorithm and group count, exactly as batch formation clusters. It
+// runs inside a maintenance round, so the feature store is quiescent
+// apart from concurrent ingest into the *other* buffer.
 func (e *Engine) reclusterFromStats() (*core.Plan, error) {
 	cur := e.maint.Plan()
 	points := cluster.NewMatrix(cur.NumCaches(), e.dim)
@@ -237,25 +262,7 @@ func (e *Engine) reclusterFromStats() (*core.Plan, error) {
 		}
 	}
 	e.featMu.Unlock()
-	k := cur.NumGroups()
-	res, err := cluster.KMeansMatrix(points, k, cluster.SpreadSeeder{}, cluster.Options{}, e.cfg.Rand.Split("recluster"))
-	if err != nil {
-		return nil, err
-	}
-	views := points.RowViews()
-	next := &core.Plan{
-		Scheme:      cur.Scheme,
-		Landmarks:   cur.Landmarks,
-		Features:    views,
-		Points:      views,
-		ServerDist:  cur.ServerDist,
-		Assignments: res.Assignments,
-		Centers:     res.Centers,
-		Algorithm:   core.AlgoKMeans,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-	}
-	return next, nil
+	return cur.Reform(points, e.cfg.Rand.Split("recluster"))
 }
 
 // Tick runs one aggregation + maintenance round: drain the ingest

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/core"
+	"edgecachegroups/internal/probe"
 	"edgecachegroups/internal/simrand"
 )
 
@@ -28,21 +30,39 @@ func testConfig(plan *core.Plan) Config {
 }
 
 func TestNewEngineValidation(t *testing.T) {
-	if _, err := NewEngine(Config{Rand: simrand.New(1)}); err == nil {
-		t.Fatal("nil plan accepted")
+	withPlan := func(edit func(p *core.Plan)) Config {
+		p := testPlan(8)
+		edit(p)
+		return Config{Plan: p, Rand: simrand.New(1)}
 	}
-	if _, err := NewEngine(Config{Plan: testPlan(8)}); err == nil {
-		t.Fatal("nil random source accepted")
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"nil plan", Config{Rand: simrand.New(1)}, "nil plan"},
+		{"nil random source", Config{Plan: testPlan(8)}, "nil random source"},
+		{"embedded representation", withPlan(func(p *core.Plan) {
+			// Raw landmark RTTs in 3-dim feature space, clustered in a 2-dim
+			// embedding: ingested vectors would not live in the clustered space.
+			for i := range p.Features {
+				p.Features[i] = cluster.Vector{1, 2, 3}
+			}
+		}), "embedded-representation"},
+		{"missing landmarks", withPlan(func(p *core.Plan) { p.Landmarks = nil }), "landmarks"},
+		{"landmark count differs from feature dimension", withPlan(func(p *core.Plan) {
+			p.Landmarks = append(p.Landmarks, probe.Cache(1))
+		}), "landmarks"},
+		{"landmarks without the origin", withPlan(func(p *core.Plan) {
+			p.Landmarks = []probe.Endpoint{probe.Cache(0), probe.Cache(1)}
+		}), "origin"},
+		{"unknown algorithm", withPlan(func(p *core.Plan) { p.Algorithm = 9 }), "algorithm"},
+		{"negative theta", withPlan(func(p *core.Plan) { p.Theta = -1 }), "theta"},
 	}
-	embedded := testPlan(8)
-	for i := range embedded.Features {
-		// Raw landmark RTTs in 3-dim feature space, clustered in a 2-dim
-		// embedding: ingested vectors would not live in the clustered space.
-		embedded.Features[i] = cluster.Vector{1, 2, 3}
-	}
-	if _, err := NewEngine(Config{Plan: embedded, Rand: simrand.New(1)}); err == nil ||
-		!strings.Contains(err.Error(), "embedded-representation") {
-		t.Fatalf("embedded-representation plan accepted (err=%v)", err)
+	for _, tc := range cases {
+		if _, err := NewEngine(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewEngine err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -160,18 +180,9 @@ func TestEngineDriftReassign(t *testing.T) {
 	}
 }
 
-// TestEngineDefaultRecluster exercises the stats-based re-formation:
-// widespread drift pushes past ReclusterFraction and the default
-// recluster K-means over the ingested vectors replaces the plan.
-func TestEngineDefaultRecluster(t *testing.T) {
-	plan := testPlan(8)
-	cfg := testConfig(plan)
-	cfg.Maint.ReclusterFraction = 0.5
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	// Every cache drifts: the two clusters trade places and spread.
+// widespreadDrift is a stats report in which every cache of an 8-cache
+// testPlan drifts: the two clusters trade places and spread.
+func widespreadDrift(plan *core.Plan) []CacheStat {
 	batch := statsFor(plan)
 	for i := range batch {
 		if i < 4 {
@@ -180,7 +191,21 @@ func TestEngineDefaultRecluster(t *testing.T) {
 			batch[i].RTTMS = []float64{30 + float64(i), 30}
 		}
 	}
-	if err := e.Ingest(batch); err != nil {
+	return batch
+}
+
+// TestEngineDefaultRecluster exercises the stats-based re-formation:
+// widespread drift pushes past ReclusterFraction and the default
+// Plan.Reform over the ingested vectors replaces the plan.
+func TestEngineDefaultRecluster(t *testing.T) {
+	plan := testPlan(8)
+	cfg := testConfig(plan)
+	cfg.Maint.ReclusterFraction = 0.5
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if err := e.Ingest(widespreadDrift(plan)); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	ev, err := e.Tick()
@@ -197,7 +222,9 @@ func TestEngineDefaultRecluster(t *testing.T) {
 	if err := ep.Plan.Verify(nil); err != nil {
 		t.Fatalf("reclustered plan fails verification: %v", err)
 	}
-	if got, want := ep.Checksum, uint64(0x7cd1e2e4f3b1f053); got != want {
+	// The boot plan is SL, so the re-formation seeds uniformly, and its
+	// ServerDist is the origin column of the ingested vectors.
+	if got, want := ep.Checksum, uint64(0x430510942317721d); got != want {
 		t.Fatalf("re-clustered epoch checksum %016x, want %016x", got, want)
 	}
 	// The new plan clusters the ingested geometry: caches 0-3 together,
@@ -218,6 +245,42 @@ func TestEngineDefaultRecluster(t *testing.T) {
 	}
 }
 
+// TestEngineReclusterKeepsKMedoids: the default re-formation runs the
+// boot plan's own algorithm, so a K-medoids plan stays K-medoids, with
+// every center one of its members' points, instead of coming back as a
+// K-means plan with mean centers.
+func TestEngineReclusterKeepsKMedoids(t *testing.T) {
+	plan := testPlan(8)
+	plan.Algorithm = core.AlgoKMedoids
+	plan.Centers = []cluster.Vector{plan.Points[0], plan.Points[4]}
+	cfg := testConfig(plan)
+	cfg.Maint.ReclusterFraction = 0.5
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if err := e.Ingest(widespreadDrift(plan)); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	ev, err := e.Tick()
+	if err != nil || !ev.Reclustered {
+		t.Fatalf("Tick: %+v, %v; want a full recluster", ev, err)
+	}
+	next := e.Epoch().Plan
+	if next.Algorithm != core.AlgoKMedoids {
+		t.Fatalf("re-formed plan algorithm %v, want %v", next.Algorithm, core.AlgoKMedoids)
+	}
+	for g, c := range next.Centers {
+		isMember := false
+		for i, a := range next.Assignments {
+			isMember = isMember || (a == g && slices.Equal(next.Points[i], c))
+		}
+		if !isMember {
+			t.Fatalf("group %d center %v is no member's point", g, c)
+		}
+	}
+}
+
 // TestEngineEpochOwnsIngestedVectors: a caller that reuses its Ingest
 // buffer after a Tick must not reach a published epoch, whether the round
 // re-clustered or updated the plan incrementally.
@@ -229,13 +292,7 @@ func TestEngineEpochOwnsIngestedVectors(t *testing.T) {
 			batch := statsFor(plan)
 			if recluster {
 				cfg.Maint.ReclusterFraction = 0.5
-				for i := range batch { // the drift of TestEngineDefaultRecluster
-					if i < 4 {
-						batch[i].RTTMS = []float64{500 + float64(i), 500}
-					} else {
-						batch[i].RTTMS = []float64{30 + float64(i), 30}
-					}
-				}
+				batch = widespreadDrift(plan)
 			} else {
 				batch[0].RTTMS = []float64{201, 199}
 			}

@@ -13,8 +13,9 @@ import (
 	"edgecachegroups/internal/topology"
 )
 
-// snapshotVersion guards the on-disk format.
-const snapshotVersion = 1
+// snapshotVersion guards the on-disk format. Version 2 added theta: a
+// version-1 file would reload an SDSL plan as SL, so it is rejected.
+const snapshotVersion = 2
 
 // checksumHex renders a plan digest the way it appears on the wire and on
 // disk: 16 zero-padded hex digits.
@@ -38,6 +39,7 @@ type planJSON struct {
 	Assignments    []int          `json:"assignments"`
 	Centers        [][]float64    `json:"centers"`
 	Algorithm      int            `json:"algorithm,omitempty"`
+	Theta          float64        `json:"theta,omitempty"`
 	Iterations     int            `json:"iterations,omitempty"`
 	Converged      bool           `json:"converged,omitempty"`
 	Edited         bool           `json:"edited,omitempty"`
@@ -109,6 +111,7 @@ func SaveSnapshot(path string, ep *Epoch) error {
 			Assignments:    p.Assignments,
 			Centers:        vectorsToFloats(p.Centers),
 			Algorithm:      int(p.Algorithm),
+			Theta:          p.Theta,
 			Iterations:     p.Iterations,
 			Converged:      p.Converged,
 			Edited:         p.Edited(),
@@ -150,10 +153,10 @@ func SaveSnapshot(path string, ep *Epoch) error {
 }
 
 // LoadSnapshot reads a snapshot written by SaveSnapshot, rebuilds the
-// plan, verifies its structural invariants, and checks the recorded
-// checksum against the rebuilt plan's digest. The returned epoch carries
-// the persisted sequence number so a restarted daemon resumes counting
-// from where it stopped.
+// plan, verifies its structural invariants and that an engine can serve
+// it, and checks the recorded checksum against the rebuilt plan's digest.
+// The returned epoch carries the persisted sequence number so a restarted
+// daemon resumes counting from where it stopped.
 func LoadSnapshot(path string) (*Epoch, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -185,6 +188,7 @@ func LoadSnapshot(path string) (*Epoch, error) {
 		Assignments:    pj.Assignments,
 		Centers:        floatsToVectors(pj.Centers),
 		Algorithm:      core.Algorithm(pj.Algorithm),
+		Theta:          pj.Theta,
 		Iterations:     pj.Iterations,
 		Converged:      pj.Converged,
 	}
@@ -193,6 +197,9 @@ func LoadSnapshot(path string) (*Epoch, error) {
 	}
 	if err := plan.Verify(nil); err != nil {
 		return nil, fmt.Errorf("serve: snapshot %s holds an invalid plan: %w", path, err)
+	}
+	if err := checkServable(plan); err != nil {
+		return nil, fmt.Errorf("serve: snapshot %s holds an unservable plan: %w", path, err)
 	}
 	sum := plan.Checksum()
 	if got := checksumHex(sum); got != snap.Checksum {

@@ -1,16 +1,21 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"edgecachegroups/internal/simrand"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	plan := testPlan(8)
 	plan.Iterations = 4
+	plan.Scheme, plan.Theta = "SDSL(theta=0.5)", 0.5
 	ep := &Epoch{Seq: 7, Plan: plan, Checksum: plan.Checksum(), Updated: time.Now()}
 	path := filepath.Join(t.TempDir(), "plan.json")
 
@@ -32,8 +37,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored plan shape %s/%d/%d, want %s/%d/%d",
 			q.Scheme, q.NumCaches(), q.NumGroups(), plan.Scheme, plan.NumCaches(), plan.NumGroups())
 	}
-	if q.Algorithm != plan.Algorithm || q.Iterations != plan.Iterations || q.Converged != plan.Converged {
-		t.Fatalf("restored algorithm metadata %v/%d/%v differs", q.Algorithm, q.Iterations, q.Converged)
+	if q.Algorithm != plan.Algorithm || q.Theta != plan.Theta || q.Iterations != plan.Iterations || q.Converged != plan.Converged {
+		t.Fatalf("restored algorithm metadata %v/%v/%d/%v differs", q.Algorithm, q.Theta, q.Iterations, q.Converged)
 	}
 	if len(q.Landmarks) != 2 || !q.Landmarks[0].IsOrigin() || q.Landmarks[1].IsOrigin() {
 		t.Fatalf("landmarks did not round-trip: %v", q.Landmarks)
@@ -104,6 +109,9 @@ func TestSnapshotRejectsChecksumMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsVersionSkew: a file of another format version never
+// loads, including a version-1 file, which predates theta and would
+// reload an SDSL plan as SL.
 func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	plan := testPlan(8)
 	ep := &Epoch{Seq: 1, Plan: plan, Checksum: plan.Checksum(), Updated: time.Now()}
@@ -112,12 +120,18 @@ func TestSnapshotRejectsVersionSkew(t *testing.T) {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	data, _ := os.ReadFile(path)
-	bumped := strings.Replace(string(data), "\"version\":1", "\"version\":99", 1)
-	if err := os.WriteFile(path, []byte(bumped), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version-skewed snapshot accepted (err=%v)", err)
+	current := fmt.Sprintf("\"version\":%d", snapshotVersion)
+	for _, v := range []int{1, 99} {
+		skewed := strings.Replace(string(data), current, fmt.Sprintf("\"version\":%d", v), 1)
+		if skewed == string(data) {
+			t.Fatalf("version field %q not found in snapshot", current)
+		}
+		if err := os.WriteFile(path, []byte(skewed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-%d snapshot accepted (err=%v)", v, err)
+		}
 	}
 }
 
@@ -142,4 +156,35 @@ func TestSnapshotLeavesNoTempFiles(t *testing.T) {
 		}
 		t.Fatalf("snapshot dir holds %v, want exactly [plan.json]", names)
 	}
+}
+
+// FuzzLoadSnapshot: whatever bytes sit at the snapshot path, LoadSnapshot
+// either fails or returns a plan that passes Verify, digests to the
+// checksum the file records, and boots an engine. The committed corpus
+// holds a valid file, a version-1 file, a torn file, a checksum mismatch
+// and a file without landmarks.
+func FuzzLoadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		ep, err := LoadSnapshot(path)
+		if err != nil {
+			return
+		}
+		if err := ep.Plan.Verify(nil); err != nil {
+			t.Fatalf("loaded plan fails verification: %v", err)
+		}
+		var snap snapshotFile
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatalf("loaded a file that does not decode: %v", err)
+		}
+		if got := checksumHex(ep.Plan.Checksum()); got != snap.Checksum || ep.Checksum != ep.Plan.Checksum() {
+			t.Fatalf("loaded plan digests to %s (epoch records %016x), file records %s", got, ep.Checksum, snap.Checksum)
+		}
+		if _, err := NewEngine(Config{Plan: ep.Plan, Rand: simrand.New(1)}); err != nil {
+			t.Fatalf("loaded plan does not boot an engine: %v", err)
+		}
+	})
 }
