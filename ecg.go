@@ -318,18 +318,9 @@ func NewObs() *Obs { return obs.New() }
 // exposition endpoints on it until the returned server is closed.
 func ServeObs(addr string, o *Obs) (*ObsServer, error) { return obs.Serve(addr, o) }
 
-// Verification layer.
-type (
-	// Stages records per-pipeline-stage timing and work counters
-	// (landmark selection, feature probing, embedding, clustering,
-	// simulation).
-	Stages = verify.Stages
-	// StageStat is a snapshot of one stage's counters.
-	StageStat = verify.StageStat
-	// VerifyError is a violated pipeline invariant; its Stage field names
-	// the check that failed.
-	VerifyError = verify.Error
-)
+// VerifyError is a violated pipeline invariant; its Stage field names the
+// check that failed.
+type VerifyError = verify.Error
 
 // VerifyPlan checks a formed plan's structural invariants: every cache in
 // exactly one group, no empty groups, consistent dimensions, and — for

@@ -29,7 +29,6 @@ import (
 	"edgecachegroups/internal/probe"
 	"edgecachegroups/internal/simrand"
 	"edgecachegroups/internal/topology"
-	"edgecachegroups/internal/verify"
 	"edgecachegroups/internal/vivaldi"
 )
 
@@ -119,9 +118,9 @@ type Config struct {
 	// silently inconsistent partition.
 	Verify bool
 	// Obs is the optional observability sink: FormGroups brackets each
-	// pipeline stage with trace spans and mirrors the verify.Stages
-	// snapshot into its registry. Nil disables instrumentation; enabling
-	// it never changes the formed plan (see internal/obs).
+	// pipeline stage with a span, which emits the trace pair and records
+	// the stage_<name>_ms histogram. Nil disables instrumentation;
+	// enabling it never changes the formed plan (see internal/obs).
 	Obs *obs.Obs
 }
 
@@ -232,7 +231,6 @@ type Coordinator struct {
 	prober *probe.Prober
 	cfg    Config
 	src    *simrand.Source
-	stages verify.Stages
 }
 
 // NewCoordinator builds a Coordinator. The source drives landmark
@@ -262,12 +260,6 @@ func (gf *Coordinator) Config() Config { return gf.cfg }
 // Network returns the underlying edge cache network.
 func (gf *Coordinator) Network() *topology.Network { return gf.nw }
 
-// Stages returns the coordinator's per-stage timing/counter instrumentation
-// (landmark selection, feature probing, embedding, clustering),
-// accumulated across FormGroups calls in the same style as the Prober's
-// overhead counters.
-func (gf *Coordinator) Stages() *verify.Stages { return &gf.stages }
-
 // FormGroups partitions the network's caches into k cooperative groups.
 // With Config.Verify set, the finished plan is audited against the
 // invariant-checking layer before being returned.
@@ -278,48 +270,36 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 	}
 
 	// Step 1: choose the landmark set.
-	stopSelect := gf.stages.StartMem("landmark-select")
 	spanSelect := gf.cfg.Obs.StartSpan("landmark-select")
 	lms, err := gf.cfg.Selector.Select(gf.prober, n, gf.cfg.Landmarks, gf.src.Split("landmarks"))
 	spanSelect()
-	stopSelect()
 	if err != nil {
 		return nil, fmt.Errorf("select landmarks: %w", err)
 	}
-	gf.stages.Add("landmark-select", int64(len(lms)))
 
 	// Step 2: every cache probes the landmarks to build its feature vector.
-	stopProbe := gf.stages.StartMem("probe-features")
 	spanProbe := gf.cfg.Obs.StartSpan("probe-features")
 	features, serverDist, err := gf.measureFeatures(lms)
 	spanProbe()
-	stopProbe()
 	if err != nil {
 		return nil, fmt.Errorf("measure feature vectors: %w", err)
 	}
-	gf.stages.Add("probe-features", int64(n))
-	gf.stages.SetParallelism("probe-features", gf.cfg.ProbeParallelism)
 
 	// Optional representation change: GNP or Vivaldi coordinates.
 	points := features
 	var lmCoords [][]float64
 	if gf.cfg.Representation == Euclidean || gf.cfg.Representation == Vivaldi {
-		stopEmbed := gf.stages.StartMem("embed")
 		spanEmbed := gf.cfg.Obs.StartSpan("embed")
 		switch gf.cfg.Representation {
 		case Euclidean:
 			points, lmCoords, err = gf.embed(lms, features)
-			gf.stages.SetParallelism("embed", gf.gnpConfig().Parallelism)
 		case Vivaldi:
 			points, lmCoords, err = gf.embedVivaldi(lms, features)
-			gf.stages.SetParallelism("embed", gf.cfg.ProbeParallelism)
 		}
 		spanEmbed()
-		stopEmbed()
 		if err != nil {
 			return nil, fmt.Errorf("%v embedding: %w", gf.cfg.Representation, err)
 		}
-		gf.stages.Add("embed", int64(points.Rows()))
 	}
 
 	// Step 3: cluster. SDSL biases the initial centers toward the origin.
@@ -334,30 +314,21 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 		Algorithm:      gf.cfg.Algorithm,
 		Theta:          gf.cfg.Theta,
 	}
-	stopCluster := gf.stages.StartMem("cluster")
 	spanCluster := gf.cfg.Obs.StartSpan("cluster")
 	plan, err := formPlan(base, k, features, points, gf.cfg.Cluster, gf.src.Split("kmeans"))
 	spanCluster()
-	stopCluster()
 	if err != nil {
 		return nil, fmt.Errorf("cluster caches: %w", err)
 	}
-	gf.stages.Add("cluster", int64(points.Rows()))
-	gf.stages.SetParallelism("cluster", gf.cfg.Cluster.Parallelism)
 
 	if gf.cfg.Verify {
-		stopVerify := gf.stages.Start("verify")
 		spanVerify := gf.cfg.Obs.StartSpan("verify")
 		err := plan.Verify(gf.nw)
 		spanVerify()
-		stopVerify()
 		if err != nil {
 			return nil, fmt.Errorf("core: plan failed verification: %w", err)
 		}
 	}
-	// Mirror the accumulated stage counters into the observability
-	// registry (diagnostics only; the plan is already final).
-	obs.PublishStages(gf.cfg.Obs, gf.stages.Snapshot())
 	return plan, nil
 }
 

@@ -36,12 +36,10 @@ var simPackages = map[string]bool{
 	"simrand":     true,
 	"cache":       true,
 	"metrics":     true,
-	// verify is deliberately absent: its stage-timing instrumentation
-	// measures wall time by design and never feeds simulation results.
-	// obs is deliberately absent for the same reason: trace spans and
-	// the HTTP exposition read the wall clock, but the sink is a pure
-	// side channel — simulation packages hand it virtual timestamps and
-	// never read anything back from it.
+	// obs is deliberately absent: its stage spans and HTTP exposition
+	// read the wall clock, but the sink is a pure side channel —
+	// simulation packages hand it virtual timestamps and never read
+	// anything back from it.
 }
 
 // bannedClock are the time-package functions that read the wall clock,

@@ -36,11 +36,10 @@ type summary struct {
 }
 
 // clockExemptPackages are never wall-clock tainted: their wall-clock use
-// is a deliberate side channel (stage timing, trace spans) that
+// is a deliberate side channel (stage spans, trace stamps) that
 // simulation results never read back. Matching mirrors simPackages.
 var clockExemptPackages = map[string]bool{
-	"verify": true,
-	"obs":    true,
+	"obs": true,
 }
 
 func clockExempt(pkg *Package) bool {

@@ -9,7 +9,6 @@ import (
 	"edgecachegroups/internal/cache"
 	"edgecachegroups/internal/obs"
 	"edgecachegroups/internal/topology"
-	"edgecachegroups/internal/verify"
 	"edgecachegroups/internal/workload"
 )
 
@@ -64,10 +63,11 @@ type Config struct {
 	// Obs is the optional observability sink: request latencies and
 	// outcomes feed a histogram and counters in event order, cache
 	// hit/miss/eviction counters are aggregated after the run, and
-	// evictions emit trace events through the cache eviction hook. Nil
-	// disables instrumentation; enabling it never changes the Report (see
-	// internal/obs — every write is a side channel, and the simulator
-	// never reads the wall clock for it).
+	// evictions emit trace events through the cache eviction hook, and
+	// Run times its loop and report check as the simulate and
+	// verify-report spans. Nil disables instrumentation; enabling it never
+	// changes the Report (see internal/obs — every write is a side
+	// channel, and only obs reads the wall clock for it).
 	Obs *obs.Obs
 	// FailedCaches lists caches that are down for the whole run: they serve
 	// no cooperative lookups and their own clients fail over to the origin.
@@ -160,7 +160,6 @@ type Simulator struct {
 	ran               bool
 	groupHolderCounts []int // reused per-update per-group holder tally
 	touchedGroups     []int // reused per-update list of groups with holders
-	stages            verify.Stages
 
 	// Run state of the event loop (see loop.go). Requests are read in
 	// place through order and the cursor next; only pending fetch
@@ -431,22 +430,18 @@ func (s *Simulator) Run(requests []workload.Request, updates []workload.Update) 
 	}
 
 	s.rep = newReport(len(s.caches), s.numGroups, s.groupOf)
-	stopSim := s.stages.Start("simulate")
-	s.stages.Add("simulate", int64(len(requests)+len(updates)))
+	spanSim := s.cfg.Obs.StartSpan("simulate")
 	s.loop(requests, updates)
-	stopSim()
-	// perfbench sums the stages named sim-shard-* into netsim.events, so
-	// the event count is published under that name.
-	s.stages.Add("sim-shard-0", s.events)
+	spanSim()
 
 	rep := s.rep
 	if s.cfg.Verify {
-		stopVerify := s.stages.Start("verify")
+		spanVerify := s.cfg.Obs.StartSpan("verify-report")
 		minKB, maxKB, err := s.docSizeBounds()
 		if err == nil {
 			err = rep.verifyWithBounds(int64(len(requests)), int64(len(updates)), minKB, maxKB)
 		}
-		stopVerify()
+		spanVerify()
 		if err != nil {
 			return nil, fmt.Errorf("netsim: report failed verification: %w", err)
 		}
@@ -456,9 +451,7 @@ func (s *Simulator) Run(requests []workload.Request, updates []workload.Update) 
 }
 
 // publishObs mirrors the post-run aggregates into the observability
-// registry: cache counters summed across caches, the event count, and the
-// verify.Stages snapshot (including the wall-clock simulate timing measured
-// by verify, which detclock exempts).
+// registry: cache counters summed across caches and the event count.
 func (s *Simulator) publishObs() {
 	o := s.cfg.Obs
 	if o == nil {
@@ -479,7 +472,6 @@ func (s *Simulator) publishObs() {
 	o.Counter("cache_evictions_total").Add(st.Evictions)
 	o.Counter("cache_inserts_total").Add(st.Inserts)
 	o.Gauge("sim_events").Set(float64(s.events))
-	obs.PublishStages(o, s.stages.Snapshot())
 }
 
 // docSizeBounds returns the smallest and largest document size in the
@@ -506,9 +498,25 @@ func (s *Simulator) docSizeBounds() (minKB, maxKB float64, err error) {
 	return minKB, maxKB, nil
 }
 
-// Stages returns the simulator's timing/counter instrumentation, in the
-// same style as the Prober's overhead counters.
-func (s *Simulator) Stages() *verify.Stages { return &s.stages }
+// StageRecord is one record of the Stages shim: a name and a work count.
+type StageRecord struct {
+	Name  string
+	Items int64
+}
+
+// Stages is a read-only view of the last Run's event count, kept only
+// because perfbench sums the Items of records named sim-shard-* into
+// netsim.events. Stage timing lives in obs spans (SimConfig.Obs); the next
+// benchmark change deletes this shim along with its one reader.
+type Stages struct{ events int64 }
+
+// Snapshot returns the single sim-shard-0 record carrying the event count.
+func (st Stages) Snapshot() []StageRecord {
+	return []StageRecord{{Name: "sim-shard-0", Items: st.events}}
+}
+
+// Stages returns the event-count shim described on the Stages type.
+func (s *Simulator) Stages() Stages { return Stages{events: s.events} }
 
 // handleRequest serves one client request and records its outcome.
 func (s *Simulator) handleRequest(ev event) {

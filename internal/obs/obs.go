@@ -112,23 +112,28 @@ func (o *Obs) EmitNow(kind EventKind, name string, value int64) {
 var noopSpan = func() {}
 
 // StartSpan emits a KindStageBegin event and returns the closer that
-// emits the matching KindStageEnd with the span's wall-clock duration.
-// Spans are for the formation and protocol layers; simulation code emits
-// virtual-time events via Emit instead (the detclock lint rule keeps the
-// wall clock out of those packages).
+// emits the matching KindStageEnd with the span's wall-clock duration and
+// records that duration in the histogram stage_<name>_ms ("probe-features"
+// becomes stage_probe_features_ms). It is the repo's one stage timer: the
+// histogram's count and sum are the stage's invocations and total time,
+// summed across every instance sharing o. Simulation code may bracket a
+// whole run with a span, but its events carry virtual time via Emit (the
+// detclock lint rule keeps the wall clock out of those packages).
 func (o *Obs) StartSpan(name string) func() {
 	if o == nil {
 		return noopSpan
 	}
+	h := o.reg.Histogram("stage_" + name + "_ms")
 	begin := time.Now()
 	o.trace.Emit(Event{Kind: KindStageBegin, Name: name, TimeSec: o.trace.sinceStart(), Cache: -1})
 	return func() {
-		d := time.Since(begin)
+		ms := float64(time.Since(begin)) / float64(time.Millisecond)
+		h.Record(ms)
 		o.trace.Emit(Event{
 			Kind:    KindStageEnd,
 			Name:    name,
 			TimeSec: o.trace.sinceStart(),
-			DurMS:   float64(d) / float64(time.Millisecond),
+			DurMS:   ms,
 			Cache:   -1,
 		})
 	}

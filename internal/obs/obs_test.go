@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"edgecachegroups/internal/verify"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -269,29 +267,32 @@ func TestStartSpanEmitsPair(t *testing.T) {
 	if evs[1].DurMS <= 0 {
 		t.Fatalf("span duration %v, want > 0", evs[1].DurMS)
 	}
+	h := o.Registry().Snapshot().Histograms["stage_probe_features_ms"]
+	if h.Count != 1 || h.Sum != evs[1].DurMS {
+		t.Fatalf("stage_probe_features_ms = %+v, want one sample of %v", h, evs[1].DurMS)
+	}
 }
 
-func TestPublishStages(t *testing.T) {
-	var st verify.Stages
-	st.Observe("probe-features", 3*time.Millisecond)
-	st.Add("probe-features", 60)
-	st.SetParallelism("probe-features", 4)
+// TestStartSpanConcurrent pins the span histogram's concurrency
+// contract: spans closed from many goroutines on one Obs all land in the
+// one stage_<name>_ms histogram, with no lost update (run under -race).
+func TestStartSpanConcurrent(t *testing.T) {
 	o := New()
-	PublishStages(o, st.Snapshot())
-	snap := o.Registry().Snapshot()
-	if got := snap.Gauges["stage_probe_features_count"]; got != 1 {
-		t.Fatalf("stage count gauge = %v, want 1", got)
+	const workers, per = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				o.StartSpan("x")()
+			}
+		}()
 	}
-	if got := snap.Gauges["stage_probe_features_nanos"]; got != 3e6 {
-		t.Fatalf("stage nanos gauge = %v, want 3e6", got)
+	wg.Wait()
+	if got := o.Registry().Snapshot().Histograms["stage_x_ms"].Count; got != workers*per {
+		t.Fatalf("stage_x_ms count = %d, want %d", got, workers*per)
 	}
-	if got := snap.Gauges["stage_probe_features_items"]; got != 60 {
-		t.Fatalf("stage items gauge = %v, want 60", got)
-	}
-	if got := snap.Gauges["stage_probe_features_parallelism"]; got != 4 {
-		t.Fatalf("stage parallelism gauge = %v, want 4", got)
-	}
-	PublishStages(nil, st.Snapshot()) // must not panic
 }
 
 func TestPrometheusExposition(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"edgecachegroups/internal/obs"
 	"edgecachegroups/internal/probe"
 	"edgecachegroups/internal/simrand"
 	"edgecachegroups/internal/topology"
-	"edgecachegroups/internal/verify"
 )
 
 // chaosCaches is the network size of the chaos matrix. Small enough that
@@ -432,12 +432,12 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestStagesRecordProtocolRounds wires a Stages recorder through Config
-// and asserts the per-round timings and run counters appear.
+// TestStagesRecordProtocolRounds attaches an Obs and asserts each round's
+// span histogram and the run counters match the Result.
 func TestStagesRecordProtocolRounds(t *testing.T) {
-	stages := &verify.Stages{}
+	o := obs.New()
 	cfg := chaosCfg()
-	cfg.Stages = stages
+	cfg.Obs = o
 	tr := faultStack(t, FaultConfig{Loss: 0.15}, 9500)
 	coord, err := NewCoordinator(cfg, chaosCaches, tr, simrand.New(9501))
 	if err != nil {
@@ -447,27 +447,23 @@ func TestStagesRecordProtocolRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string]verify.StageStat)
-	for _, st := range stages.Snapshot() {
-		got[st.Name] = st
-	}
-	for _, name := range []string{"protocol-plset", "protocol-features", "protocol-assign"} {
-		st, ok := got[name]
-		if !ok {
-			t.Fatalf("stage %q not recorded; have %v", name, stages.Snapshot())
-		}
-		if st.Count != 1 || st.Items <= 0 {
-			t.Fatalf("stage %q recorded count=%d items=%d", name, st.Count, st.Items)
+	snap := o.Registry().Snapshot()
+	for _, name := range []string{"plset", "features", "assign"} {
+		if got := snap.Histograms["stage_protocol_"+name+"_ms"].Count; got != 1 {
+			t.Fatalf("stage_protocol_%s_ms count = %d, want 1", name, got)
 		}
 	}
-	if got["protocol-retries"].Items != res.Retries {
-		t.Fatalf("stage retries %d != result %d", got["protocol-retries"].Items, res.Retries)
-	}
-	if got["protocol-duplicate-replies"].Items != res.DuplicateReplies {
-		t.Fatalf("stage dups %d != result %d", got["protocol-duplicate-replies"].Items, res.DuplicateReplies)
+	for name, want := range map[string]int64{
+		"protocol_retries_total":           res.Retries,
+		"protocol_duplicate_replies_total": res.DuplicateReplies,
+		"protocol_timed_out_waits_total":   res.TimedOutWaits,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Fatalf("%s = %d, result has %d", name, got, want)
+		}
 	}
 	if res.Retries == 0 {
-		t.Fatal("15% loss but zero retries; stage counters untested")
+		t.Fatal("15% loss but zero retries; run counters untested")
 	}
 }
 

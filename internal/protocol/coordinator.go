@@ -50,9 +50,6 @@ type Config struct {
 	// an error wrapping ErrBudgetExceeded if it is below quorum). Zero
 	// means unlimited.
 	RoundBudget time.Duration
-	// Stages, when non-nil, records per-round wall time and the retry /
-	// duplicate / timeout counters of the run.
-	Stages *verify.Stages
 	// Obs is the optional observability sink: rounds emit trace spans and
 	// KindProtocolRound events (reply counts), and the run's message /
 	// retry / duplicate / timeout totals land in its counters. Nil
@@ -312,11 +309,6 @@ func (c *Coordinator) Run() (*Result, error) {
 		len(res.Unresponsive) > 0 ||
 		len(res.UnackedAssignments) > 0
 
-	if c.cfg.Stages != nil {
-		c.cfg.Stages.Add("protocol-retries", res.Retries)
-		c.cfg.Stages.Add("protocol-duplicate-replies", res.DuplicateReplies)
-		c.cfg.Stages.Add("protocol-timeouts", res.TimedOutWaits)
-	}
 	if o := c.cfg.Obs; o != nil {
 		o.Counter("protocol_messages_sent_total").Add(res.MessagesSent)
 		o.Counter("protocol_retries_total").Add(res.Retries)
@@ -463,10 +455,6 @@ func (c *Coordinator) waitWindow(budgetEnd time.Time) (time.Duration, bool) {
 // unanswered peers (with backoff) inside the round budget, and returns
 // the RTT vectors keyed by cache index.
 func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, targets []probe.Endpoint) (map[topology.CacheIndex][]float64, roundOutcome) {
-	if c.cfg.Stages != nil {
-		defer c.cfg.Stages.Start("protocol-" + name)()
-		defer func() { c.cfg.Stages.Add("protocol-"+name, int64(len(peers))) }()
-	}
 	defer c.cfg.Obs.StartSpan("protocol-" + name)()
 	var out roundOutcome
 	replies := make(map[topology.CacheIndex][]float64, len(peers))
@@ -644,10 +632,6 @@ func symmetricPLSetMatrix(plset []topology.CacheIndex, plTargets []probe.Endpoin
 // retrying unacked peers with the same backoff and budget discipline as
 // the request rounds. It returns the caches that never acked, ascending.
 func (c *Coordinator) assignRound(res *Result) []topology.CacheIndex {
-	if c.cfg.Stages != nil {
-		defer c.cfg.Stages.Start("protocol-assign")()
-		defer func() { c.cfg.Stages.Add("protocol-assign", int64(len(res.Assignments))) }()
-	}
 	defer c.cfg.Obs.StartSpan("protocol-assign")()
 	order := make([]topology.CacheIndex, 0, len(res.Assignments))
 	for ci := range res.Assignments {

@@ -286,7 +286,7 @@ func (e *Engine) Tick() (core.MaintainerEvent, error) {
 			// Copied: published plans share these vectors, so a caller
 			// reusing its Ingest buffer must not reach an epoch.
 			e.features[c] = cluster.Vector(s.RTTMS).Clone()
-			e.requests += s.Requests
+			e.requests = addRequests(e.requests, s.Requests)
 		}
 		e.featMu.Unlock()
 	}

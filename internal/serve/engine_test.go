@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -177,6 +178,30 @@ func TestEngineDriftReassign(t *testing.T) {
 	}
 	if h.ReportedCaches != 8 || h.IngestedRequests != 8 {
 		t.Fatalf("ingest accounting: %d caches, %d requests, want 8/8", h.ReportedCaches, h.IngestedRequests)
+	}
+}
+
+// TestEngineIngestedRequestsSaturate feeds request counts whose sums
+// overflow int64, both within one window (StatsBuffer.Record) and across
+// windows (Engine.Tick): /healthz must read math.MaxInt64, never wrap
+// negative.
+func TestEngineIngestedRequestsSaturate(t *testing.T) {
+	plan := testPlan(8)
+	e, err := NewEngine(testConfig(plan))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	huge := CacheStat{Cache: 0, RTTMS: append([]float64(nil), plan.Points[0]...), Requests: math.MaxInt64}
+	for window := 1; window <= 2; window++ {
+		if err := e.Ingest([]CacheStat{huge, huge}); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		if _, err := e.Tick(); err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+		if got := e.Health().IngestedRequests; got != math.MaxInt64 {
+			t.Fatalf("window %d: ingestedRequests = %d, want saturation at %d", window, got, int64(math.MaxInt64))
+		}
 	}
 }
 

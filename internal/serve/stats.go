@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -67,7 +68,7 @@ func (b *StatsBuffer) Record(s CacheStat) {
 			continue // lost the swap race: retry against the fresh buffer
 		}
 		if prev, ok := buf.latest[s.Cache]; ok {
-			s.Requests += prev.Requests
+			s.Requests = addRequests(prev.Requests, s.Requests)
 		}
 		buf.latest[s.Cache] = s //ecglint:allow cowmutate double-buffer write path: mutation happens under buf.mu with the sealed check, never on a retired buffer (covers reports++ below)
 		buf.reports++
@@ -75,6 +76,15 @@ func (b *StatsBuffer) Record(s CacheStat) {
 		b.total.Add(1)
 		return
 	}
+}
+
+// addRequests sums two non-negative request counts, saturating at
+// math.MaxInt64 instead of wrapping negative.
+func addRequests(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // Swap atomically installs a fresh active buffer and drains the previous

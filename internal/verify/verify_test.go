@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/simrand"
@@ -231,33 +230,6 @@ func TestDigestStability(t *testing.T) {
 	}
 }
 
-func TestStages(t *testing.T) {
-	var s Stages
-	stop := s.Start("cluster")
-	stop()
-	s.Observe("probe", 5*time.Millisecond)
-	s.Observe("probe", 3*time.Millisecond)
-	s.Add("probe", 100)
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("got %d stages, want 2", len(snap))
-	}
-	// Sorted by name: cluster, probe.
-	if snap[0].Name != "cluster" || snap[1].Name != "probe" {
-		t.Fatalf("unexpected order: %v", snap)
-	}
-	if snap[1].Count != 2 || snap[1].Items != 100 || snap[1].Duration != 8*time.Millisecond {
-		t.Fatalf("probe stage counters wrong: %+v", snap[1])
-	}
-	if !strings.Contains(s.String(), "probe") {
-		t.Fatalf("String() missing stage: %s", s.String())
-	}
-	s.Reset()
-	if len(s.Snapshot()) != 0 {
-		t.Fatal("Reset did not clear stages")
-	}
-}
-
 // pickSeeds is a cluster.Seeder returning fixed indices.
 type pickSeeds struct {
 	indices []int
@@ -283,39 +255,5 @@ func TestCentersAreMeansCatchesKMeansRepair(t *testing.T) {
 	}
 	if err := Partition(res.Assignments, res.K()); err != nil {
 		t.Fatalf("K-means emitted a malformed partition: %v", err)
-	}
-}
-
-func TestStagesParallelismAndAllocs(t *testing.T) {
-	var s Stages
-	s.SetParallelism("cluster", 4)
-	s.SetParallelism("cluster", 8)
-	s.SetParallelism("cluster", 2) // widest bound wins
-	s.AddAllocs("cluster", 10)
-	s.AddAllocs("cluster", 5)
-	stop := s.StartMem("embed")
-	buf := make([]float64, 1024)
-	_ = buf
-	stop()
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("got %d stages, want 2", len(snap))
-	}
-	cl, em := snap[0], snap[1]
-	if cl.Name != "cluster" || em.Name != "embed" {
-		t.Fatalf("unexpected order: %v", snap)
-	}
-	if cl.Parallelism != 8 {
-		t.Fatalf("cluster parallelism = %d, want widest bound 8", cl.Parallelism)
-	}
-	if cl.Allocs != 15 {
-		t.Fatalf("cluster allocs = %d, want 15", cl.Allocs)
-	}
-	if em.Count != 1 || em.Allocs < 1 {
-		t.Fatalf("StartMem stage %+v: want 1 invocation and >= 1 attributed alloc", em)
-	}
-	out := s.String()
-	if !strings.Contains(out, "[par 8]") || !strings.Contains(out, "allocs]") {
-		t.Fatalf("String() missing parallelism/alloc segments: %s", out)
 	}
 }

@@ -6,6 +6,7 @@ package ecg_test
 // observe the pipeline but never steer it.
 
 import (
+	"strings"
 	"testing"
 
 	ecg "edgecachegroups"
@@ -107,5 +108,46 @@ func TestObsOnOffSameRun(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Fatalf("obs-enabled runs disagree on report checksum: %016x vs %016x", r1, r2)
+	}
+}
+
+// TestStageSpansShareOneObs pins the stage-timing contract: each
+// FormGroups and Run stage records one sample per invocation into its
+// stage_<name>_ms histogram, and two coordinators and simulators sharing
+// one Obs add up instead of overwriting each other.
+func TestStageSpansShareOneObs(t *testing.T) {
+	o := ecg.NewObs()
+	stages := []string{"landmark_select", "probe_features", "cluster", "verify", "simulate", "verify_report"}
+	for run := int64(1); run <= 2; run++ {
+		runObsPipeline(t, 55, o, 1)
+		snap := o.Registry().Snapshot()
+		for _, stage := range stages {
+			if got := snap.Histograms["stage_"+stage+"_ms"].Count; got != run {
+				t.Errorf("after %d runs: stage_%s_ms count = %d, want %d", run, stage, got, run)
+			}
+		}
+		for name := range snap.Gauges {
+			if strings.HasPrefix(name, "stage_") {
+				t.Errorf("stage gauge %s still published", name)
+			}
+		}
+	}
+
+	nw, prober, src := buildStack(t, 40, 56)
+	cfg := ecg.EuclideanScheme(6, 2, 3)
+	cfg.Obs = o
+	gf, err := ecg.NewCoordinator(nw, prober, cfg, src.Split("gf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gf.FormGroups(4); err != nil {
+		t.Fatal(err)
+	}
+	snap := o.Registry().Snapshot()
+	if got := snap.Histograms["stage_embed_ms"].Count; got != 1 {
+		t.Errorf("stage_embed_ms count = %d, want 1", got)
+	}
+	if got := snap.Histograms["stage_cluster_ms"].Count; got != 3 {
+		t.Errorf("stage_cluster_ms count = %d, want 3", got)
 	}
 }
