@@ -1,6 +1,7 @@
 package landmark
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -308,5 +309,28 @@ func TestOracleDispersionAtLeastGreedy(t *testing.T) {
 	_ = nw
 	if trueMin(oracleSet) < trueMin(greedySet)*0.999 {
 		t.Fatalf("oracle dispersion %v below greedy %v", trueMin(oracleSet), trueMin(greedySet))
+	}
+}
+
+// TestSelectorGoldenLandmarks pins every selector's landmark set on one
+// fixed network and seed, so a refactor of the shared selection kernel
+// cannot silently change which landmarks are picked.
+func TestSelectorGoldenLandmarks(t *testing.T) {
+	_, p := testProber(t, 200, 7)
+	params := Params{L: 8, M: 3}
+	want := map[string]string{
+		"greedy":   "[Os Ec163 Ec45 Ec127 Ec187 Ec32 Ec109 Ec17]",
+		"min-dist": "[Os Ec49 Ec101 Ec160 Ec192 Ec64 Ec55 Ec23]",
+		"oracle":   "[Os Ec137 Ec136 Ec156 Ec4 Ec187 Ec188 Ec145]",
+		"random":   "[Os Ec101 Ec61 Ec66 Ec192 Ec49 Ec163 Ec45]",
+	}
+	for _, sel := range []Selector{Greedy{}, MinDist{}, Oracle{}, Random{}} {
+		set, err := sel.Select(p, 200, params, simrand.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(set); got != want[sel.Name()] {
+			t.Errorf("%s landmarks = %s, want %s", sel.Name(), got, want[sel.Name()])
+		}
 	}
 }
