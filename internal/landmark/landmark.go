@@ -82,18 +82,81 @@ func MinPairwiseDist(p *probe.Prober, set []probe.Endpoint) (float64, error) {
 	return minD, nil
 }
 
-// pickPLSet samples the potential landmark set.
-func pickPLSet(numCaches int, params Params, src *simrand.Source) ([]probe.Endpoint, error) {
-	size := params.M * (params.L - 1)
-	idx, err := src.SampleWithoutReplacement(numCaches, size)
+// SamplePLSet draws the potential landmark set: M·(L−1) distinct caches,
+// uniformly from numCaches.
+func SamplePLSet(numCaches int, params Params, src *simrand.Source) ([]topology.CacheIndex, error) {
+	idx, err := src.SampleWithoutReplacement(numCaches, params.M*(params.L-1))
 	if err != nil {
 		return nil, fmt.Errorf("sample PLSet: %w", err)
 	}
-	out := make([]probe.Endpoint, size)
+	out := make([]topology.CacheIndex, len(idx))
 	for i, c := range idx {
-		out[i] = probe.Cache(topology.CacheIndex(c))
+		out[i] = topology.CacheIndex(c)
 	}
 	return out, nil
+}
+
+// withOrigin returns the origin server followed by the given caches.
+func withOrigin(caches []topology.CacheIndex) []probe.Endpoint {
+	out := make([]probe.Endpoint, 0, len(caches)+1)
+	out = append(out, probe.Origin())
+	for _, c := range caches {
+		out = append(out, probe.Cache(c))
+	}
+	return out
+}
+
+// pick maps candidate indices back to their endpoints.
+func pick(all []probe.Endpoint, idx []int) []probe.Endpoint {
+	out := make([]probe.Endpoint, len(idx))
+	for i, j := range idx {
+		out[i] = all[j]
+	}
+	return out
+}
+
+// Disperse is the one greedy max–min selection kernel (paper §3.1, SL
+// step 1). Over candidates 0..n−1, of which 0 is the origin and always
+// chosen first, it grows the chosen set one candidate at a time: each step
+// adds the eligible candidate whose minimum distance to the chosen set is
+// largest (maximize) or smallest (!maximize), the lowest index winning
+// ties. It stops after l candidates (l >= 1), or earlier once no eligible
+// candidate is left, and returns the chosen indices in the order chosen.
+// dist must be symmetric. eligible is consulted for candidates 1..n−1
+// only; nil means every candidate is eligible.
+func Disperse(n, l int, dist func(i, j int) float64, eligible func(i int) bool, maximize bool) []int {
+	chosen := []int{0}
+	inSet := make([]bool, n)
+	inSet[0] = true
+	// minToSet[i] = min distance from candidate i to the chosen set.
+	minToSet := make([]float64, n)
+	for i := range minToSet {
+		minToSet[i] = dist(i, 0)
+	}
+	for len(chosen) < l {
+		best := -1
+		for i := 1; i < n; i++ {
+			if inSet[i] || (eligible != nil && !eligible(i)) {
+				continue
+			}
+			if best < 0 ||
+				(maximize && minToSet[i] > minToSet[best]) ||
+				(!maximize && minToSet[i] < minToSet[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		chosen = append(chosen, best)
+		inSet[best] = true
+		for i := range minToSet {
+			if d := dist(i, best); d < minToSet[i] {
+				minToSet[i] = d
+			}
+		}
+	}
+	return chosen
 }
 
 // Greedy is the SL scheme's landmark selector.
@@ -118,67 +181,26 @@ func (MinDist) Select(p *probe.Prober, numCaches int, params Params, src *simran
 	return selectByDispersion(p, numCaches, params, src, false)
 }
 
-// selectByDispersion grows the landmark set from {Os}. When maximize is
-// true each step adds the PLSet candidate with the largest minimum distance
-// to the chosen set (greedy max-min, SL scheme); when false, the smallest
-// (min-dist baseline).
+// selectByDispersion runs Disperse over a sampled PLSet's measured
+// distances: greedy max-min when maximize (SL scheme), min-dist otherwise.
 func selectByDispersion(p *probe.Prober, numCaches int, params Params, src *simrand.Source, maximize bool) ([]probe.Endpoint, error) {
 	if err := params.Validate(numCaches); err != nil {
 		return nil, err
 	}
-	plset, err := pickPLSet(numCaches, params, src)
+	plset, err := SamplePLSet(numCaches, params, src)
 	if err != nil {
 		return nil, err
 	}
 	// The potential landmark points measure their distances to each other
 	// and to the origin server (paper §3.1, phase 1).
-	all := append([]probe.Endpoint{probe.Origin()}, plset...)
+	all := withOrigin(plset)
 	dist, err := p.MeasureMatrix(all)
 	if err != nil {
 		return nil, fmt.Errorf("probe PLSet: %w", err)
 	}
-
-	chosen := []int{0} // index into all; 0 is the origin
-	inSet := make([]bool, len(all))
-	inSet[0] = true
-	// minToSet[i] = min distance from candidate i to the chosen set.
-	minToSet := make([]float64, len(all))
-	for i := range minToSet {
-		minToSet[i] = dist[i][0]
-	}
-	for len(chosen) < params.L {
-		best := -1
-		for i := 1; i < len(all); i++ {
-			if inSet[i] {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			if maximize && minToSet[i] > minToSet[best] {
-				best = i
-			} else if !maximize && minToSet[i] < minToSet[best] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("landmark: PLSet exhausted at %d of %d landmarks", len(chosen), params.L)
-		}
-		chosen = append(chosen, best)
-		inSet[best] = true
-		for i := range minToSet {
-			if d := dist[i][best]; d < minToSet[i] {
-				minToSet[i] = d
-			}
-		}
-	}
-
-	out := make([]probe.Endpoint, len(chosen))
-	for i, idx := range chosen {
-		out[i] = all[idx]
-	}
-	return out, nil
+	// Validate guarantees M·(L−1) >= L−1 candidates, so Disperse fills L.
+	chosen := Disperse(len(all), params.L, func(i, j int) float64 { return dist[i][j] }, nil, maximize)
+	return pick(all, chosen), nil
 }
 
 // Random selects L−1 cache landmarks uniformly (plus the origin).

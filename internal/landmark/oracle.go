@@ -27,43 +27,11 @@ func (Oracle) Select(p *probe.Prober, numCaches int, params Params, _ *simrand.S
 		return nil, err
 	}
 	// Candidate set: every cache.
-	all := make([]probe.Endpoint, 0, numCaches+1)
-	all = append(all, probe.Origin())
-	for i := 0; i < numCaches; i++ {
-		all = append(all, probe.Cache(topology.CacheIndex(i)))
+	caches := make([]topology.CacheIndex, numCaches)
+	for i := range caches {
+		caches[i] = topology.CacheIndex(i)
 	}
-
-	chosen := []int{0}
-	inSet := make([]bool, len(all))
-	inSet[0] = true
-	minToSet := make([]float64, len(all))
-	for i := range minToSet {
-		minToSet[i] = p.TrueRTT(all[i], all[0])
-	}
-	for len(chosen) < params.L {
-		best := -1
-		for i := 1; i < len(all); i++ {
-			if inSet[i] {
-				continue
-			}
-			if best < 0 || minToSet[i] > minToSet[best] {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen = append(chosen, best)
-		inSet[best] = true
-		for i := range minToSet {
-			if d := p.TrueRTT(all[i], all[best]); d < minToSet[i] {
-				minToSet[i] = d
-			}
-		}
-	}
-	out := make([]probe.Endpoint, len(chosen))
-	for i, idx := range chosen {
-		out[i] = all[idx]
-	}
-	return out, nil
+	all := withOrigin(caches)
+	chosen := Disperse(len(all), params.L, func(i, j int) float64 { return p.TrueRTT(all[i], all[j]) }, nil, true)
+	return pick(all, chosen), nil
 }

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"edgecachegroups/internal/cluster"
+	"edgecachegroups/internal/landmark"
 	"edgecachegroups/internal/obs"
 	"edgecachegroups/internal/probe"
 	"edgecachegroups/internal/simrand"
@@ -37,13 +38,11 @@ type Config struct {
 	// NoRetries (-1) for an explicit zero-retry run.
 	Retries int
 	// BackoffBase, when positive, inserts an exponential backoff sleep
-	// before each retry attempt: base·2^(attempt-1), capped at BackoffMax,
+	// before each retry attempt: base·2^(attempt-1), capped at 10× base,
 	// with deterministic jitter in [0.5,1.5) drawn from a child of the
 	// coordinator's random source. Zero disables backoff (retries fire
 	// immediately after the reply timeout, as before).
 	BackoffBase time.Duration
-	// BackoffMax caps the backoff sleep. Zero means 10× BackoffBase.
-	BackoffMax time.Duration
 	// RoundBudget, when positive, bounds the total wall time of each
 	// protocol round including all retries and backoff sleeps. A round
 	// that exhausts its budget stops retrying and degrades (or fails with
@@ -55,8 +54,6 @@ type Config struct {
 	// retry / duplicate / timeout totals land in its counters. Nil
 	// disables instrumentation; enabling it never changes the Result.
 	Obs *obs.Obs
-	// Cluster tunes the K-means iteration.
-	Cluster cluster.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -69,21 +66,15 @@ func (c Config) withDefaults() Config {
 	case NoRetries:
 		c.Retries = 0
 	}
-	if c.BackoffBase > 0 && c.BackoffMax <= 0 {
-		c.BackoffMax = 10 * c.BackoffBase
-	}
 	return c
 }
 
 // Validate reports whether the config is usable for numCaches caches.
 func (c Config) Validate(numCaches int) error {
+	if err := c.landmarks().Validate(numCaches); err != nil {
+		return err
+	}
 	switch {
-	case c.L < 2:
-		return fmt.Errorf("protocol: L must be >= 2, got %d", c.L)
-	case c.M < 1:
-		return fmt.Errorf("protocol: M must be >= 1, got %d", c.M)
-	case c.M*(c.L-1) > numCaches:
-		return fmt.Errorf("protocol: PLSet size M*(L-1)=%d exceeds %d caches", c.M*(c.L-1), numCaches)
 	case c.K < 1 || c.K > numCaches:
 		return fmt.Errorf("protocol: K=%d out of range [1,%d]", c.K, numCaches)
 	case c.Theta < 0 || math.IsNaN(c.Theta):
@@ -92,13 +83,14 @@ func (c Config) Validate(numCaches int) error {
 		return fmt.Errorf("protocol: Retries must be >= 0 (or NoRetries), got %d", c.Retries)
 	case c.BackoffBase < 0:
 		return fmt.Errorf("protocol: BackoffBase must be >= 0, got %v", c.BackoffBase)
-	case c.BackoffMax < 0:
-		return fmt.Errorf("protocol: BackoffMax must be >= 0, got %v", c.BackoffMax)
 	case c.RoundBudget < 0:
 		return fmt.Errorf("protocol: RoundBudget must be >= 0, got %v", c.RoundBudget)
 	}
-	return c.Cluster.Validate()
+	return nil
 }
+
+// landmarks returns the landmark-selection parameters.
+func (c Config) landmarks() landmark.Params { return landmark.Params{L: c.L, M: c.M} }
 
 // Typed protocol failures. Run never panics and never blocks forever: it
 // either returns a verified Result or an error wrapping one of these.
@@ -133,8 +125,9 @@ type Result struct {
 	Groups [][]topology.CacheIndex
 	// Centers are the final cluster centers in feature space.
 	Centers []cluster.Vector
-	// Unresponsive lists caches that never answered the feature round;
-	// they are not part of any group.
+	// Unresponsive lists caches that never answered the feature round or
+	// answered it with a failed measurement; they are not part of any
+	// group.
 	Unresponsive []topology.CacheIndex
 	// UnackedAssignments lists caches whose assignment was sent but never
 	// acknowledged (they may or may not have applied it), in ascending
@@ -205,13 +198,9 @@ func NewCoordinator(cfg Config, numCaches int, transport Transport, src *simrand
 // and every wait is bounded by ReplyTimeout, Retries, and RoundBudget.
 func (c *Coordinator) Run() (*Result, error) {
 	// Round 1: PLSet probing.
-	plIdx, err := c.src.SampleWithoutReplacement(c.n, c.cfg.M*(c.cfg.L-1))
+	plset, err := landmark.SamplePLSet(c.n, c.cfg.landmarks(), c.src)
 	if err != nil {
-		return nil, fmt.Errorf("sample PLSet: %w", err)
-	}
-	plset := make([]topology.CacheIndex, len(plIdx))
-	for i, v := range plIdx {
-		plset[i] = topology.CacheIndex(v)
+		return nil, err
 	}
 	plTargets := make([]probe.Endpoint, 0, len(plset)+1)
 	plTargets = append(plTargets, probe.Origin())
@@ -225,8 +214,19 @@ func (c *Coordinator) Run() (*Result, error) {
 			len(plReplies), len(plset), c.cfg.L-1))
 	}
 
-	// Round 2: landmark selection over the gathered matrix.
-	landmarks := c.selectLandmarks(plset, plTargets, plReplies)
+	// Round 2: landmark selection over the gathered matrix, restricted to
+	// the PLSet members that responded.
+	dist := symmetricPLSetMatrix(plset, plTargets, plReplies)
+	chosen := landmark.Disperse(len(plTargets), c.cfg.L,
+		func(i, j int) float64 { return dist[i][j] },
+		func(i int) bool {
+			_, ok := plReplies[plset[i-1]]
+			return ok
+		}, true)
+	landmarks := make([]probe.Endpoint, len(chosen))
+	for i, j := range chosen {
+		landmarks[i] = plTargets[j]
+	}
 
 	// Round 3: feature probing by every cache.
 	all := make([]topology.CacheIndex, c.n)
@@ -235,43 +235,29 @@ func (c *Coordinator) Run() (*Result, error) {
 	}
 	featReplies, featOut := c.requestRound("features", all, landmarks)
 	c.cfg.Obs.EmitNow(obs.KindProtocolRound, "features", int64(len(featReplies)))
-	if len(featReplies) < c.cfg.K {
-		return nil, c.roundFailure("features", featOut, fmt.Errorf("only %d caches responded, need >= K=%d",
-			len(featReplies), c.cfg.K))
-	}
 
-	// Round 4: clustering.
-	responsive := make([]topology.CacheIndex, 0, len(featReplies))
+	// Round 4: clustering. A cache whose reply holds a failed measurement
+	// has no usable feature vector, so it is left out like a silent one.
+	var responsive, unresponsive []topology.CacheIndex
 	for _, ci := range all {
-		if _, ok := featReplies[ci]; ok {
+		if rtts, ok := featReplies[ci]; ok && !slices.ContainsFunc(rtts, failed) {
 			responsive = append(responsive, ci)
+		} else {
+			unresponsive = append(unresponsive, ci)
 		}
+	}
+	if len(responsive) < c.cfg.K {
+		return nil, c.roundFailure("features", featOut, fmt.Errorf("only %d caches responded with complete features, need >= K=%d",
+			len(responsive), c.cfg.K))
 	}
 	points := cluster.NewMatrix(len(responsive), len(landmarks))
 	serverDist := make([]float64, len(responsive))
 	for i, ci := range responsive {
-		rtts := featReplies[ci]
-		if len(rtts) != len(landmarks) {
-			// A ragged reply previously surfaced as a cluster-validation
-			// error; with the fixed-width matrix it is rejected up front.
-			return nil, &RoundError{Round: "cluster", Err: fmt.Errorf(
-				"cache %d returned %d measurements for %d landmarks", ci, len(rtts), len(landmarks))}
-		}
-		fv := points.Row(i)
-		for j, v := range rtts {
-			if v < 0 {
-				v = 0 // failed single measurement: degrade, don't discard
-			}
-			fv[j] = v
-		}
-		serverDist[i] = fv[0] // landmark 0 is the origin
-	}
-	k := c.cfg.K
-	if k > points.Rows() {
-		k = points.Rows()
+		copy(points.Row(i), featReplies[ci])
+		serverDist[i] = featReplies[ci][0] // landmark 0 is the origin
 	}
 	seeder := cluster.SDSLSeeder(serverDist, c.cfg.Theta)
-	clustered, err := cluster.KMeansMatrix(points, k, seeder, c.cfg.Cluster, c.src.Split("kmeans"))
+	clustered, err := cluster.KMeansMatrix(points, c.cfg.K, seeder, cluster.DefaultOptions(), c.src.Split("kmeans"))
 	if err != nil {
 		return nil, &RoundError{Round: "cluster", Err: fmt.Errorf("cluster features: %w", err)}
 	}
@@ -279,8 +265,9 @@ func (c *Coordinator) Run() (*Result, error) {
 	res := &Result{
 		Landmarks:       landmarks,
 		Assignments:     make(map[topology.CacheIndex]int, len(responsive)),
-		Groups:          make([][]topology.CacheIndex, k),
+		Groups:          make([][]topology.CacheIndex, c.cfg.K),
 		Centers:         clustered.Centers,
+		Unresponsive:    unresponsive,
 		PLSetSize:       len(plset),
 		PLSetResponsive: len(plReplies),
 	}
@@ -289,14 +276,9 @@ func (c *Coordinator) Run() (*Result, error) {
 		res.Assignments[ci] = g
 		res.Groups[g] = append(res.Groups[g], ci)
 	}
-	for _, ci := range all {
-		if _, ok := featReplies[ci]; !ok {
-			res.Unresponsive = append(res.Unresponsive, ci)
-		}
-	}
 
 	// Round 5: assignment broadcast with acknowledgements.
-	res.UnackedAssignments = c.assignRound(res)
+	res.UnackedAssignments = c.assignRound(responsive, res)
 	c.cfg.Obs.EmitNow(obs.KindProtocolRound, "assign",
 		int64(len(res.Assignments)-len(res.UnackedAssignments)))
 	c.drainInbox()
@@ -399,15 +381,7 @@ func (c *Coordinator) backoff(attempt int, budgetEnd time.Time) bool {
 		//ecglint:allow detclock RoundBudget bounds a round by real elapsed time; wall clock is the point
 		return time.Now().Before(budgetEnd)
 	}
-	exp := attempt - 1
-	if exp > 16 {
-		exp = 16 // 2^16 × base is past any sane BackoffMax; avoid overflow
-	}
-	d := c.cfg.BackoffBase << uint(exp)
-	if d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
-	}
-	d = time.Duration(float64(d) * (0.5 + c.backoffSrc.Float64()))
+	d := c.backoffDelay(attempt)
 	if !budgetEnd.IsZero() {
 		//ecglint:allow detclock clamping the backoff to the RoundBudget's wall-clock remainder
 		remaining := time.Until(budgetEnd)
@@ -421,6 +395,16 @@ func (c *Coordinator) backoff(attempt int, budgetEnd time.Time) bool {
 	//ecglint:allow detclock retry backoff is a real delay against real transports; only the jitter draw feeds determinism and it comes from backoffSrc
 	time.Sleep(d)
 	return true
+}
+
+// backoffDelay draws the jittered delay before retry attempt `attempt`
+// (>= 1): BackoffBase·2^(attempt-1), capped at 10× BackoffBase, times a
+// jitter factor in [0.5,1.5).
+func (c *Coordinator) backoffDelay(attempt int) time.Duration {
+	// 2^4 already exceeds the 10× cap, so clamping the exponent there
+	// also rules out shift overflow.
+	d := min(c.cfg.BackoffBase<<uint(min(attempt-1, 4)), 10*c.cfg.BackoffBase)
+	return time.Duration(float64(d) * (0.5 + c.backoffSrc.Float64()))
 }
 
 // budgetEnd returns the wall-clock end of the current round's budget
@@ -451,13 +435,17 @@ func (c *Coordinator) waitWindow(budgetEnd time.Time) (time.Duration, bool) {
 	return wait, true
 }
 
-// requestRound sends probe requests for targets to every peer, retrying
-// unanswered peers (with backoff) inside the round budget, and returns
-// the RTT vectors keyed by cache index.
-func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, targets []probe.Endpoint) (map[topology.CacheIndex][]float64, roundOutcome) {
+// round sends msg(p) to every peer and collects one accepted reply per
+// peer, re-sending to unanswered peers (with backoff) up to Retries times
+// inside the round budget; a closed inbox ends the round at once. The
+// round stamps each message's addresses and a fresh sequence number, and
+// calls accept only for a reply to a peer's outstanding request. It
+// returns the peers left without an accepted reply, in peers order.
+func (c *Coordinator) round(name string, peers []topology.CacheIndex,
+	msg func(p topology.CacheIndex) Message, accept func(p topology.CacheIndex, reply Message) bool,
+) ([]topology.CacheIndex, roundOutcome) {
 	defer c.cfg.Obs.StartSpan("protocol-" + name)()
 	var out roundOutcome
-	replies := make(map[topology.CacheIndex][]float64, len(peers))
 	pending := make(map[topology.CacheIndex]bool, len(peers))
 	for _, p := range peers {
 		pending[p] = true
@@ -465,6 +453,7 @@ func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, tar
 	seqOf := make(map[uint64]topology.CacheIndex)
 	budgetEnd := c.budgetEnd()
 
+attempts:
 	for attempt := 0; attempt <= c.cfg.Retries && len(pending) > 0; attempt++ {
 		if attempt > 0 {
 			if !c.backoff(attempt, budgetEnd) {
@@ -482,14 +471,10 @@ func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, tar
 			c.seq++
 			seqOf[c.seq] = p
 			c.sent++
-			//ecglint:allow errdrop lost probe requests are re-sent by the retry loop and counted in c.retries
-			_ = c.transport.Send(Message{
-				Kind:    MsgProbeRequest,
-				From:    CoordinatorAddr(),
-				To:      CacheAddr(p),
-				Seq:     c.seq,
-				Targets: targets,
-			})
+			m := msg(p)
+			m.From, m.To, m.Seq = CoordinatorAddr(), CacheAddr(p), c.seq
+			//ecglint:allow errdrop lost requests are re-sent by the retry loop and counted in c.retries
+			_ = c.transport.Send(m)
 		}
 		wait, ok := c.waitWindow(budgetEnd)
 		if !ok {
@@ -501,23 +486,22 @@ func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, tar
 	wait:
 		for len(pending) > 0 {
 			select {
-			case msg, ok := <-c.inbox:
+			case reply, ok := <-c.inbox:
 				if !ok {
 					out.inboxClosed = true
-					return replies, out
+					break attempts
 				}
-				// Anything that is not a fresh answer to a pending request of
-				// this round — a duplicated delivery, a late reply to an
+				// Anything that is not an accepted answer to a pending request
+				// of this round — a duplicated delivery, a late reply to an
 				// answered or older request, a malformed reply — counts as
 				// redundant. Counting uniformly (rather than skipping stale
 				// kinds) keeps the counter equal to delivered-minus-accepted,
 				// which is schedule-independent.
-				p, known := seqOf[msg.Seq]
-				if !known || !pending[p] || msg.Kind != MsgProbeReply || len(msg.RTTs) != len(targets) {
+				p, known := seqOf[reply.Seq]
+				if !known || !pending[p] || !accept(p, reply) {
 					c.dups++
 					continue
 				}
-				replies[p] = msg.RTTs
 				delete(pending, p)
 			case <-deadline:
 				c.timeouts++
@@ -525,57 +509,34 @@ func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, tar
 			}
 		}
 	}
+	var left []topology.CacheIndex
+	for _, p := range peers {
+		if pending[p] {
+			left = append(left, p)
+		}
+	}
+	return left, out
+}
+
+// requestRound asks every peer to probe targets and returns the RTT
+// vectors keyed by cache index.
+func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, targets []probe.Endpoint) (map[topology.CacheIndex][]float64, roundOutcome) {
+	replies := make(map[topology.CacheIndex][]float64, len(peers))
+	_, out := c.round(name, peers,
+		func(topology.CacheIndex) Message { return Message{Kind: MsgProbeRequest, Targets: targets} },
+		func(p topology.CacheIndex, reply Message) bool {
+			if reply.Kind != MsgProbeReply || len(reply.RTTs) != len(targets) {
+				return false
+			}
+			replies[p] = reply.RTTs
+			return true
+		})
 	return replies, out
 }
 
-// selectLandmarks runs the greedy max-min selection over the PLSet's
-// measured matrix. plTargets[0] is the origin; plTargets[i+1] is plset[i].
-func (c *Coordinator) selectLandmarks(plset []topology.CacheIndex, plTargets []probe.Endpoint, replies map[topology.CacheIndex][]float64) []probe.Endpoint {
-	dist := symmetricPLSetMatrix(plset, plTargets, replies)
-	n := len(plTargets)
-
-	responsive := func(i int) bool {
-		if i == 0 {
-			return true
-		}
-		_, ok := replies[plset[i-1]]
-		return ok
-	}
-
-	chosen := []int{0}
-	inSet := make([]bool, n)
-	inSet[0] = true
-	minToSet := make([]float64, n)
-	for i := range minToSet {
-		minToSet[i] = dist[i][0]
-	}
-	for len(chosen) < c.cfg.L {
-		best := -1
-		for i := 1; i < n; i++ {
-			if inSet[i] || !responsive(i) {
-				continue
-			}
-			if best < 0 || minToSet[i] > minToSet[best] {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen = append(chosen, best)
-		inSet[best] = true
-		for i := range minToSet {
-			if d := dist[i][best]; d < minToSet[i] {
-				minToSet[i] = d
-			}
-		}
-	}
-	out := make([]probe.Endpoint, len(chosen))
-	for i, idx := range chosen {
-		out[i] = plTargets[idx]
-	}
-	return out
-}
+// failed reports whether an agent's measurement is the negative sentinel
+// of a failed probe.
+func failed(rtt float64) bool { return rtt < 0 }
 
 // symmetricPLSetMatrix builds the symmetric distance matrix over
 // plTargets from the gathered replies. Each direction of a pair may carry
@@ -628,81 +589,14 @@ func symmetricPLSetMatrix(plset []topology.CacheIndex, plTargets []probe.Endpoin
 	return dist
 }
 
-// assignRound broadcasts assignments and collects acknowledgements,
-// retrying unacked peers with the same backoff and budget discipline as
-// the request rounds. It returns the caches that never acked, ascending.
-func (c *Coordinator) assignRound(res *Result) []topology.CacheIndex {
-	defer c.cfg.Obs.StartSpan("protocol-assign")()
-	order := make([]topology.CacheIndex, 0, len(res.Assignments))
-	for ci := range res.Assignments {
-		order = append(order, ci)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	pending := make(map[topology.CacheIndex]bool, len(order))
-	for _, ci := range order {
-		pending[ci] = true
-	}
-	seqOf := make(map[uint64]topology.CacheIndex)
-	budgetEnd := c.budgetEnd()
-
-	for attempt := 0; attempt <= c.cfg.Retries && len(pending) > 0; attempt++ {
-		if attempt > 0 {
-			if !c.backoff(attempt, budgetEnd) {
-				break
-			}
-			c.retries += int64(len(pending))
-		}
-		for _, ci := range order {
-			if !pending[ci] {
-				continue
-			}
+// assignRound sends each member of peers (ascending) its group and
+// member list and returns the caches that never acknowledged, ascending.
+func (c *Coordinator) assignRound(peers []topology.CacheIndex, res *Result) []topology.CacheIndex {
+	unacked, _ := c.round("assign", peers,
+		func(ci topology.CacheIndex) Message {
 			g := res.Assignments[ci]
-			c.seq++
-			seqOf[c.seq] = ci
-			c.sent++
-			//ecglint:allow errdrop lost assigns are re-sent by the retry loop and counted in c.retries
-			_ = c.transport.Send(Message{
-				Kind:    MsgAssign,
-				From:    CoordinatorAddr(),
-				To:      CacheAddr(ci),
-				Seq:     c.seq,
-				Group:   g,
-				Members: res.Groups[g],
-			})
-		}
-		wait, ok := c.waitWindow(budgetEnd)
-		if !ok {
-			break
-		}
-		//ecglint:allow detclock assign-ack timeout against a real transport; bounded by RoundBudget
-		deadline := time.After(wait)
-	wait:
-		for len(pending) > 0 {
-			select {
-			case msg, ok := <-c.inbox:
-				if !ok {
-					break wait
-				}
-				ci, known := seqOf[msg.Seq]
-				if !known || !pending[ci] || msg.Kind != MsgAssignAck {
-					c.dups++ // see requestRound: uniform redundant-message counting
-					continue
-				}
-				delete(pending, ci)
-			case <-deadline:
-				c.timeouts++
-				break wait
-			}
-		}
-	}
-	unacked := make([]topology.CacheIndex, 0, len(pending))
-	for _, ci := range order {
-		if pending[ci] {
-			unacked = append(unacked, ci)
-		}
-	}
-	if len(unacked) == 0 {
-		return nil
-	}
+			return Message{Kind: MsgAssign, Group: g, Members: res.Groups[g]}
+		},
+		func(_ topology.CacheIndex, reply Message) bool { return reply.Kind == MsgAssignAck })
 	return unacked
 }
