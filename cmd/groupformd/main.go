@@ -88,7 +88,6 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 			SampleFraction:    *sample,
 			DriftThreshold:    *drift,
 			ReclusterFraction: *reclustr,
-			Verify:            true,
 		},
 		SnapshotPath: *snapshot,
 	}

@@ -153,6 +153,28 @@ func TestDaemonErrors(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsNonFiniteFlags: flag.Float64 parses "NaN" and "Inf",
+// and a NaN drift threshold would boot a daemon that never detects
+// drift, so every non-finite tuning flag must fail the boot.
+func TestDaemonRejectsNonFiniteFlags(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-drift", "NaN"},
+		{"-drift", "+Inf"},
+		{"-sample", "NaN"},
+		{"-recluster-frac", "NaN"},
+		{"-recluster-frac", "Inf"},
+		{"-theta", "NaN"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-caches", "40", "-k", "4", "-l", "5", "-m", "2"}, flags...)
+		var buf bytes.Buffer
+		ready := make(chan *ecg.ServeServer, 1)
+		if err := run(args, &buf, ready); err == nil {
+			(<-ready).Close()
+			t.Errorf("%v accepted", flags)
+		}
+	}
+}
+
 func TestClampLandmarks(t *testing.T) {
 	tests := []struct {
 		l, m, n      int

@@ -150,7 +150,8 @@ type (
 
 // Group maintenance.
 type (
-	// Maintainer keeps a Plan aligned with drifting network conditions.
+	// Maintainer keeps a Plan aligned with drifting network conditions,
+	// one synchronous RunOnce round at a time; the caller owns the clock.
 	Maintainer = core.Maintainer
 	// MaintainerConfig tunes maintenance rounds.
 	MaintainerConfig = core.MaintainerConfig

@@ -353,5 +353,4 @@ func TestMaintainerThroughFacade(t *testing.T) {
 	if len(ev.Drifted) != 0 {
 		t.Fatalf("deterministic prober produced drift: %+v", ev)
 	}
-	m.Stop()
 }

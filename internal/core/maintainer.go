@@ -25,12 +25,12 @@ type FeatureSource func(i topology.CacheIndex) (cluster.Vector, error)
 // and load change, so a deployed edge cache network must refresh its
 // groups; the paper fixes the group formation inputs ("caches repeatedly
 // measure their network distance to these landmark nodes"), and this
-// component supplies the missing operational loop: cheap incremental
+// component supplies the missing maintenance round: cheap incremental
 // reassignment for isolated drift, full re-clustering when drift is
-// widespread.
+// widespread. The caller owns the clock and calls RunOnce.
 type MaintainerConfig struct {
-	// Interval is the period between maintenance rounds (Start/Stop mode).
-	// Zero means the default (1 minute).
+	// Interval is the serving engine's tick period (serve.Engine.Start);
+	// RunOnce does not use it. Zero means the engine's default.
 	Interval time.Duration
 	// SampleFraction is the fraction of caches re-measured per round, in
 	// (0, 1]. Sampling keeps the monitoring probe bill bounded.
@@ -44,31 +44,37 @@ type MaintainerConfig struct {
 	// measure are excluded from the denominator, so failed probes never
 	// dilute the trigger.
 	ReclusterFraction float64
-	// Verify audits every candidate plan against the invariant-checking
-	// layer before it is published; a plan that fails verification is
-	// discarded and the round reports an error while the last good plan
-	// keeps serving.
-	Verify bool
-	// Obs is the optional observability sink: per-round counters
-	// (maintainer_rounds, maintainer_round_errors, maintainer_reclusters,
-	// maintainer_caches_{drifted,reassigned,skipped}) and a
-	// maintainer_last_error_round gauge. Nil disables instrumentation.
+	// Obs is the optional observability sink for the per-round counters
+	// maintainer_reclusters and maintainer_caches_{drifted,reassigned,
+	// skipped}. Nil disables instrumentation.
 	Obs *obs.Obs
 }
 
 // DefaultMaintainerConfig returns sensible maintenance defaults.
 func DefaultMaintainerConfig() MaintainerConfig {
 	return MaintainerConfig{
-		Interval:          time.Minute,
 		SampleFraction:    0.25,
 		DriftThreshold:    0.2,
 		ReclusterFraction: 0.5,
-		Verify:            true,
 	}
 }
 
 // Validate reports whether the config is usable.
 func (c MaintainerConfig) Validate() error {
+	// NaN slips through every ordered comparison below (a NaN threshold
+	// never detects drift), so non-finite values are rejected first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SampleFraction", c.SampleFraction},
+		{"DriftThreshold", c.DriftThreshold},
+		{"ReclusterFraction", c.ReclusterFraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Interval < 0:
 		return fmt.Errorf("core: Interval must be >= 0, got %v", c.Interval)
@@ -100,18 +106,21 @@ type MaintainerEvent struct {
 	Reassigned []topology.CacheIndex
 	// Reclustered reports whether a full re-clustering replaced the plan.
 	Reclustered bool
-	// Err carries a round-level failure (the maintainer keeps running and
-	// keeps serving the last good plan).
+	// Err carries a round-level failure (the last good plan stays
+	// installed).
 	Err error
 }
 
-// Maintainer keeps a Plan aligned with current network conditions.
+// Maintainer keeps a Plan aligned with current network conditions, one
+// synchronous RunOnce round at a time. It starts no goroutine and keeps
+// no error history: the caller (serve.Engine in the daemon) owns the
+// clock, the health state and the publication of epochs.
 //
-// The published plan is copy-on-write: every maintenance round builds a
-// fresh *Plan (or receives one from recluster) and installs it with one
-// atomic pointer store, so Plan() hands out immutable snapshots that a
-// concurrent query path can read without locks and without ever observing
-// a half-applied round.
+// The installed plan is copy-on-write: every maintenance round builds a
+// fresh *Plan (or receives one from recluster), verifies it, and installs
+// it with one atomic pointer store, so Plan() hands out immutable
+// snapshots that a concurrent query path can read without locks and
+// without ever observing a half-applied round.
 type Maintainer struct {
 	cfg       MaintainerConfig
 	source    FeatureSource
@@ -123,19 +132,7 @@ type Maintainer struct {
 	mu    sync.Mutex // serializes maintenance rounds
 	round int
 
-	errMu        sync.Mutex // guards lastErr; separate so LastError never blocks on a round
-	lastErr      error
-	lastErrRound int
-
-	rounds, roundErrors, reclusters   *obs.Counter
-	drifted, reassigned, skippedCount *obs.Counter
-	lastErrGauge                      *obs.Gauge
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
-	events    chan MaintainerEvent
+	reclusters, drifted, reassigned, skipped *obs.Counter
 }
 
 // NewMaintainer builds a maintainer over plan. source measures current
@@ -154,27 +151,18 @@ func NewMaintainer(plan *Plan, source FeatureSource, recluster func() (*Plan, er
 	if src == nil {
 		return nil, errors.New("core: nil random source")
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = time.Minute
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Maintainer{
-		cfg:          cfg,
-		source:       source,
-		recluster:    recluster,
-		src:          src,
-		rounds:       cfg.Obs.Counter("maintainer_rounds"),
-		roundErrors:  cfg.Obs.Counter("maintainer_round_errors"),
-		reclusters:   cfg.Obs.Counter("maintainer_reclusters"),
-		drifted:      cfg.Obs.Counter("maintainer_caches_drifted"),
-		reassigned:   cfg.Obs.Counter("maintainer_caches_reassigned"),
-		skippedCount: cfg.Obs.Counter("maintainer_caches_skipped"),
-		lastErrGauge: cfg.Obs.Gauge("maintainer_last_error_round"),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-		events:       make(chan MaintainerEvent, 1),
+		cfg:        cfg,
+		source:     source,
+		recluster:  recluster,
+		src:        src,
+		reclusters: cfg.Obs.Counter("maintainer_reclusters"),
+		drifted:    cfg.Obs.Counter("maintainer_caches_drifted"),
+		reassigned: cfg.Obs.Counter("maintainer_caches_reassigned"),
+		skipped:    cfg.Obs.Counter("maintainer_caches_skipped"),
 	}
 	m.plan.Store(plan)
 	return m, nil
@@ -186,24 +174,9 @@ func NewMaintainer(plan *Plan, source FeatureSource, recluster func() (*Plan, er
 // indefinitely (it just goes stale).
 func (m *Maintainer) Plan() *Plan { return m.plan.Load() }
 
-// LastError returns the most recent round-level failure and the round it
-// occurred in (0, nil when no round has failed yet). Unlike the Events
-// channel it is never dropped, so a daemon health endpoint can always
-// surface the latest failure.
-func (m *Maintainer) LastError() (round int, err error) {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.lastErrRound, m.lastErr
-}
-
-// Events returns the channel on which background rounds report. Successful
-// rounds are dropped if the consumer lags (capacity 1); a round that
-// failed evicts a queued stale event so the freshest error is observable,
-// and every failure is additionally recorded in LastError and the
-// maintainer_round_errors counter regardless of channel state.
-func (m *Maintainer) Events() <-chan MaintainerEvent { return m.events }
-
-// RunOnce executes one synchronous maintenance round.
+// RunOnce executes one synchronous maintenance round and counts its
+// per-cache outcome. A failed round returns its error (also in ev.Err)
+// and leaves the last good plan installed.
 func (m *Maintainer) RunOnce() (MaintainerEvent, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -211,28 +184,13 @@ func (m *Maintainer) RunOnce() (MaintainerEvent, error) {
 	ev := MaintainerEvent{Round: m.round}
 	err := m.runRound(&ev)
 	ev.Err = err
-	m.record(ev)
-	return ev, err
-}
-
-// record updates the observability counters and the sticky last-error
-// state for one completed round.
-func (m *Maintainer) record(ev MaintainerEvent) {
-	m.rounds.Inc()
 	m.drifted.Add(int64(len(ev.Drifted)))
 	m.reassigned.Add(int64(len(ev.Reassigned)))
-	m.skippedCount.Add(int64(ev.Skipped))
+	m.skipped.Add(int64(ev.Skipped))
 	if ev.Reclustered {
 		m.reclusters.Inc()
 	}
-	if ev.Err != nil {
-		m.roundErrors.Inc()
-		m.lastErrGauge.Set(float64(ev.Round))
-		m.errMu.Lock()
-		m.lastErr = ev.Err
-		m.lastErrRound = ev.Round
-		m.errMu.Unlock()
-	}
+	return ev, err
 }
 
 // runRound measures a sample of caches against the current plan and either
@@ -285,10 +243,8 @@ func (m *Maintainer) runRound(ev *MaintainerEvent) error {
 		if next == nil || next.NumCaches() == 0 {
 			return errors.New("recluster: returned an empty plan")
 		}
-		if m.cfg.Verify {
-			if err := next.Verify(nil); err != nil {
-				return fmt.Errorf("recluster produced invalid plan: %w", err)
-			}
+		if err := next.Verify(nil); err != nil {
+			return fmt.Errorf("recluster produced invalid plan: %w", err)
 		}
 		m.plan.Store(next)
 		ev.Reclustered = true
@@ -348,10 +304,8 @@ func (m *Maintainer) runRound(ev *MaintainerEvent) error {
 		ev.Reassigned = append(ev.Reassigned, ci)
 	}
 	refreshCenters(next, touched)
-	if m.cfg.Verify {
-		if err := next.Verify(nil); err != nil {
-			return fmt.Errorf("maintenance produced invalid plan: %w", err)
-		}
+	if err := next.Verify(nil); err != nil {
+		return fmt.Errorf("maintenance produced invalid plan: %w", err)
 	}
 	m.plan.Store(next)
 	return nil
@@ -432,61 +386,6 @@ func refreshMedoids(p *Plan, touched []bool) {
 		}
 		p.Centers[g] = p.Points[best].Clone()
 	}
-}
-
-// Start launches the background maintenance loop. Stop shuts it down.
-func (m *Maintainer) Start() {
-	m.startOnce.Do(func() {
-		go func() {
-			defer close(m.done)
-			//ecglint:allow detclock the live maintenance loop refreshes on a wall-clock interval; simulated runs call RunOnce directly
-			ticker := time.NewTicker(m.cfg.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-m.stop:
-					return
-				case <-ticker.C:
-					//ecglint:allow errdrop the round error rides in ev.Err and the round-error counters; publish delivers it
-					ev, _ := m.RunOnce()
-					m.publish(ev)
-				}
-			}
-		}()
-	})
-}
-
-// publish delivers one round event. Successful rounds keep the historical
-// drop-on-lag contract (capacity 1, consumer lagging drops the event). A
-// failed round must not vanish silently: it evicts a queued stale event
-// and takes its slot, so the freshest error is always observable on the
-// channel (and, independently of the channel, via LastError and the
-// maintainer_round_errors counter).
-func (m *Maintainer) publish(ev MaintainerEvent) {
-	select {
-	case m.events <- ev:
-		return
-	default:
-	}
-	if ev.Err == nil {
-		return // consumer lagging: drop the success
-	}
-	select {
-	case <-m.events:
-	default:
-	}
-	select {
-	case m.events <- ev:
-	default:
-	}
-}
-
-// Stop signals the background loop to exit and waits for it. Stop is safe
-// to call without Start and is idempotent.
-func (m *Maintainer) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.startOnce.Do(func() { close(m.done) }) // never started: mark done
-	<-m.done
 }
 
 func vectorNorm(v cluster.Vector) float64 {

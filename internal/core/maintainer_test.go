@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,6 +47,7 @@ func TestMaintainerConfigValidate(t *testing.T) {
 	if err := DefaultMaintainerConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []MaintainerConfig{
 		{Interval: -1, SampleFraction: 0.5, DriftThreshold: 0.1, ReclusterFraction: 0.5},
 		{Interval: 1, SampleFraction: 0, DriftThreshold: 0.1, ReclusterFraction: 0.5},
@@ -53,6 +55,14 @@ func TestMaintainerConfigValidate(t *testing.T) {
 		{Interval: 1, SampleFraction: 0.5, DriftThreshold: 0, ReclusterFraction: 0.5},
 		{Interval: 1, SampleFraction: 0.5, DriftThreshold: 0.1, ReclusterFraction: 0},
 		{Interval: 1, SampleFraction: 0.5, DriftThreshold: 0.1, ReclusterFraction: 2},
+		// Non-finite values: a NaN threshold never detects drift.
+		{SampleFraction: nan, DriftThreshold: 0.1, ReclusterFraction: 0.5},
+		{SampleFraction: inf, DriftThreshold: 0.1, ReclusterFraction: 0.5},
+		{SampleFraction: 0.5, DriftThreshold: nan, ReclusterFraction: 0.5},
+		{SampleFraction: 0.5, DriftThreshold: inf, ReclusterFraction: 0.5},
+		{SampleFraction: 0.5, DriftThreshold: -inf, ReclusterFraction: 0.5},
+		{SampleFraction: 0.5, DriftThreshold: 0.1, ReclusterFraction: nan},
+		{SampleFraction: 0.5, DriftThreshold: 0.1, ReclusterFraction: inf},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -185,7 +195,7 @@ func TestRunOnceReclusterErrorSurfaces(t *testing.T) {
 	}
 	reclusterErr := errors.New("network down")
 	m, err := NewMaintainer(plan, source, func() (*Plan, error) { return nil, reclusterErr },
-		MaintainerConfig{Interval: time.Second, SampleFraction: 1, DriftThreshold: 0.1, ReclusterFraction: 0.3},
+		MaintainerConfig{SampleFraction: 1, DriftThreshold: 0.1, ReclusterFraction: 0.3},
 		simrand.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -212,48 +222,6 @@ func TestRunOnceSkipsUnreachableCaches(t *testing.T) {
 	if _, err := m.RunOnce(); err != nil {
 		t.Fatalf("round failed on unreachable cache: %v", err)
 	}
-}
-
-func TestMaintainerBackgroundLoop(t *testing.T) {
-	plan := maintPlan(20)
-	drifting := map[int]cluster.Vector{2: {198, 203}}
-	source := func(i topology.CacheIndex) (cluster.Vector, error) {
-		if fv, ok := drifting[int(i)]; ok {
-			return fv.Clone(), nil
-		}
-		return plan.Points[int(i)].Clone(), nil
-	}
-	cfg := MaintainerConfig{
-		Interval:          5 * time.Millisecond,
-		SampleFraction:    1,
-		DriftThreshold:    0.2,
-		ReclusterFraction: 0.9,
-	}
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	defer m.Stop()
-	select {
-	case ev := <-m.Events():
-		if ev.Round < 1 {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no maintenance event within 2s")
-	}
-	m.Stop()
-	m.Stop() // idempotent
-}
-
-func TestMaintainerStopWithoutStart(t *testing.T) {
-	plan := maintPlan(5)
-	m, err := NewMaintainer(plan, stableSource(plan), nil, DefaultMaintainerConfig(), simrand.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Stop() // must not hang
 }
 
 // kmeansMaintPlan builds a 2-group K-means plan whose centers are the
@@ -516,78 +484,26 @@ func TestRunOnceMedoidCentersStayReal(t *testing.T) {
 	}
 }
 
-// TestMaintainerLastErrorSticky: round failures must stay observable via
-// LastError (and not only on the droppable events channel).
-func TestMaintainerLastErrorSticky(t *testing.T) {
-	plan := maintPlan(10)
-	source := func(i topology.CacheIndex) (cluster.Vector, error) {
-		return cluster.Vector{9999, 9999}, nil
-	}
-	boom := errors.New("quorum lost")
-	cfg := MaintainerConfig{Interval: time.Second, SampleFraction: 1, DriftThreshold: 0.1, ReclusterFraction: 0.3}
-	m, err := NewMaintainer(plan, source, func() (*Plan, error) { return nil, boom }, cfg, simrand.New(37))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round, lastErr := m.LastError(); round != 0 || lastErr != nil {
-		t.Fatalf("fresh maintainer reports error %d/%v", round, lastErr)
-	}
-	if _, err := m.RunOnce(); err == nil {
-		t.Fatal("failing recluster reported success")
-	}
-	round, lastErr := m.LastError()
-	if round != 1 || !errors.Is(lastErr, boom) {
-		t.Fatalf("LastError = %d/%v, want round 1 wrapping recluster error", round, lastErr)
-	}
-}
-
-// TestMaintainerErrorEventEvictsStaleSuccess pins the events-channel
-// contract: with the capacity-1 channel already holding a stale success,
-// an error round evicts it instead of being dropped silently.
-func TestMaintainerErrorEventEvictsStaleSuccess(t *testing.T) {
-	plan := maintPlan(10)
-	m, err := NewMaintainer(plan, stableSource(plan), nil, DefaultMaintainerConfig(), simrand.New(38))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.publish(MaintainerEvent{Round: 1})
-	m.publish(MaintainerEvent{Round: 2}) // lagging consumer: dropped
-	m.publish(MaintainerEvent{Round: 3, Err: errors.New("round failed")})
-	select {
-	case ev := <-m.Events():
-		if ev.Round != 3 || ev.Err == nil {
-			t.Fatalf("queued event = %+v, want the round-3 error", ev)
-		}
-	default:
-		t.Fatal("no event queued")
-	}
-}
-
-// TestMaintainerConcurrentHammer drives Start/Stop/Plan/RunOnce and reader
-// traversals concurrently; the -race run is the assertion (this is the
-// regression test for RunOnce mutating the published plan in place).
+// TestMaintainerConcurrentHammer runs concurrent RunOnce writers beside
+// Plan readers that traverse everything a query path would read; the
+// -race run is the assertion (this is the regression test for RunOnce
+// mutating the installed plan in place). The serving engine's clock is
+// covered by TestEngineConcurrentHammer in internal/serve.
 func TestMaintainerConcurrentHammer(t *testing.T) {
 	plan := kmeansMaintPlan(40)
-	var flip int32
+	var flip atomic.Int32
 	source := func(i topology.CacheIndex) (cluster.Vector, error) {
 		// Alternate rounds drift a handful of caches back and forth.
-		if int(i) < 4 && atomic.LoadInt32(&flip)%2 == 0 {
+		if int(i) < 4 && flip.Load()%2 == 0 {
 			return cluster.Vector{195 + float64(i), 205}, nil
 		}
 		return plan.Points[int(i)].Clone(), nil
 	}
-	cfg := MaintainerConfig{
-		Interval:          time.Millisecond,
-		SampleFraction:    1,
-		DriftThreshold:    0.2,
-		ReclusterFraction: 0.9,
-		Verify:            true,
-	}
+	cfg := MaintainerConfig{SampleFraction: 1, DriftThreshold: 0.2, ReclusterFraction: 0.9}
 	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(39))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Start()
 	deadline := time.Now().Add(150 * time.Millisecond)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -596,8 +512,6 @@ func TestMaintainerConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				p := m.Plan()
-				// Traverse everything a query path would read; the race
-				// detector flags any in-place round mutation.
 				var sum float64
 				for i, a := range p.Assignments {
 					sum += p.Points[i][0] + float64(a)
@@ -606,25 +520,56 @@ func TestMaintainerConcurrentHammer(t *testing.T) {
 					sum += c[0]
 				}
 				_ = sum
-				_, _ = m.LastError()
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for time.Now().Before(deadline) {
-			atomic.AddInt32(&flip, 1)
-			if _, err := m.RunOnce(); err != nil {
-				t.Errorf("RunOnce: %v", err)
-				return
+	var rounds atomic.Int64
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				flip.Add(1)
+				ev, err := m.RunOnce()
+				if err != nil {
+					t.Errorf("RunOnce round %d: %v", ev.Round, err)
+					return
+				}
+				rounds.Add(1)
 			}
-		}
-	}()
+		}()
+	}
 	wg.Wait()
-	m.Stop()
+	// RunOnce serializes rounds: the round numbers are exactly 1..n.
+	if ev, err := m.RunOnce(); err != nil || int64(ev.Round) != rounds.Load()+1 {
+		t.Fatalf("round %d (%v) after %d concurrent rounds", ev.Round, err, rounds.Load())
+	}
 	if err := m.Plan().Verify(nil); err != nil {
 		t.Fatalf("final plan invalid: %v", err)
+	}
+}
+
+// TestRunOnceRejectsInvalidRecluster: every candidate plan is verified
+// before it is installed, so a recluster that returns a broken plan fails
+// the round and the last good plan stays.
+func TestRunOnceRejectsInvalidRecluster(t *testing.T) {
+	plan := maintPlan(10)
+	source := func(i topology.CacheIndex) (cluster.Vector, error) {
+		return cluster.Vector{9999, 9999}, nil
+	}
+	broken := maintPlan(10)
+	broken.Assignments[0] = 7 // no such group
+	cfg := MaintainerConfig{SampleFraction: 1, DriftThreshold: 0.1, ReclusterFraction: 0.3}
+	m, err := NewMaintainer(plan, source, func() (*Plan, error) { return broken, nil }, cfg, simrand.New(37))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := m.RunOnce()
+	if err == nil || ev.Err != err || ev.Reclustered {
+		t.Fatalf("invalid recluster accepted: %+v, %v", ev, err)
+	}
+	if m.Plan() != plan {
+		t.Fatal("invalid recluster replaced the installed plan")
 	}
 }
 

@@ -51,7 +51,6 @@ func TestEngineReformMatchesBatchFormation(t *testing.T) {
 					SampleFraction:    1,
 					DriftThreshold:    0.2,
 					ReclusterFraction: 0.5,
-					Verify:            true,
 				},
 			})
 			if err != nil {

@@ -9,8 +9,8 @@ import (
 
 // CowMutate flags in-place mutation of values published through an
 // atomic.Pointer or atomic.Value — the copy-on-write discipline the
-// serving layer's hot-swap state (Engine.plan, StatsBuffer.active,
-// Maintainer.plan) depends on. Once a pointer has been handed to
+// serving layer's hot-swap state (Engine.epoch, StatsBuffer.active,
+// the maintainer's installed plan) depends on. Once a pointer has been handed to
 // Store/Swap, or read back out with Load/Swap, every reader may hold it
 // concurrently: writing through it races those readers and retroactively
 // edits plans snapshots have already exposed. The sanctioned shape is

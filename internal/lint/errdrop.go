@@ -13,8 +13,7 @@ import (
 //     bug: when the channel is full the error vanishes with no counter,
 //     log line, or eviction. A non-empty default (recording the drop)
 //     or a receive from the same channel in the same function (the
-//     evict-then-resend idiom the fixed Maintainer.publish uses) is the
-//     sanctioned shape.
+//     evict-then-resend idiom) is the sanctioned shape.
 //  2. `_ =` / `x, _ :=` discards of an error-typed result. Tests are
 //     naturally exempt because the loader never parses _test.go files.
 type ErrDrop struct{}

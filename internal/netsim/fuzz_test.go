@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"testing"
@@ -84,6 +85,46 @@ func FuzzRunSortInvariant(f *testing.F) {
 				if got, want := sorted.Checksum(), rep.Checksum(); got != want {
 					t.Fatalf("beacons=%d push=%v: sorted log checksum %016x, log checksum %016x", beacons, push, got, want)
 				}
+			}
+		}
+	})
+}
+
+// FuzzTraceReplay feeds JSONL trace files through the readers cmd/cachesim
+// uses on cmd/tracegen output (workload.ReadRequestsJSONL and
+// ReadUpdatesJSONL) into New and Run on the two-cache line network. Whatever the bytes, the
+// replay must end in an error or in a Report that passes Verify, never in
+// a panic. The committed corpus holds a valid mixed trace, unsorted times
+// with ties, out-of-range caches and documents, a negative time, a NaN
+// given as a string, a torn last line and empty logs.
+func FuzzTraceReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, reqData, upData []byte) {
+		reqs, err := workload.ReadRequestsJSONL(bytes.NewReader(reqData))
+		if err != nil {
+			return
+		}
+		ups, err := workload.ReadUpdatesJSONL(bytes.NewReader(upData))
+		if err != nil {
+			return
+		}
+		const numDocs = 4
+		nw := lineNetwork(t)
+		cat := fixedCatalog(t, numDocs)
+		for _, push := range []bool{false, true} {
+			cfg := exactConfig()
+			cfg.CacheCapacityKB = 25
+			cfg.PushInvalidation = push
+			cfg.Verify = true
+			sim, err := New(nw, oneGroup(), cat, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sim.Run(reqs, ups)
+			if err != nil {
+				continue
+			}
+			if err := rep.Verify(reqs, ups); err != nil {
+				t.Fatalf("push=%v: %v", push, err)
 			}
 		}
 	})

@@ -17,6 +17,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,8 +57,11 @@ type Config struct {
 	// which re-forms with the plan's own scheme (SL or SDSL with its θ),
 	// algorithm and group count, as batch formation does.
 	Recluster func() (*core.Plan, error)
-	// Maint tunes the maintenance loop (zero value: defaults with
-	// SampleFraction 1, since reading ingested stats is free).
+	// Maint tunes the maintenance rounds. With SampleFraction,
+	// DriftThreshold and ReclusterFraction all zero the daemon defaults
+	// apply (core's, with SampleFraction 1, since reading ingested stats
+	// is free); any other setting is validated as given. Interval is the
+	// Start tick period (zero: one minute).
 	Maint core.MaintainerConfig
 	// Rand seeds cache sampling and re-clustering (required).
 	Rand *simrand.Source
@@ -87,6 +91,8 @@ type Engine struct {
 	epoch atomic.Pointer[Epoch]
 	seq   atomic.Uint64
 
+	tickMu sync.Mutex // serializes Tick, so epochs publish in round order
+
 	healthMu       sync.Mutex
 	rounds         int
 	consecFailures int
@@ -115,11 +121,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := checkServable(cfg.Plan); err != nil {
 		return nil, err
 	}
-	if cfg.Maint.SampleFraction == 0 { // zero value: daemon defaults
-		m := core.DefaultMaintainerConfig()
-		m.SampleFraction = 1 // reading ingested stats costs no probes
-		m.Interval = cfg.Maint.Interval
-		cfg.Maint = m
+	if mc := cfg.Maint; mc.SampleFraction == 0 && mc.DriftThreshold == 0 && mc.ReclusterFraction == 0 {
+		// No tuning given: daemon defaults. A partly set config is
+		// validated as given.
+		cfg.Maint = core.DefaultMaintainerConfig()
+		cfg.Maint.SampleFraction = 1 // reading ingested stats costs no probes
+		cfg.Maint.Interval = mc.Interval
+	}
+	if cfg.Maint.Interval == 0 {
+		cfg.Maint.Interval = time.Minute
 	}
 	cfg.Maint.Obs = cfg.Obs
 	e := &Engine{
@@ -171,7 +181,7 @@ func checkServable(p *core.Plan) error {
 	default:
 		return fmt.Errorf("serve: plan has unknown clustering algorithm %v", p.Algorithm)
 	}
-	if p.Theta < 0 {
+	if p.Theta < 0 || math.IsNaN(p.Theta) {
 		return fmt.Errorf("serve: plan has theta %v, want >= 0", p.Theta)
 	}
 	return nil
@@ -272,6 +282,8 @@ func (e *Engine) reclusterFromStats() (*core.Plan, error) {
 // epoch keeps serving and the failure is surfaced through Health and the
 // serve_tick_errors counter.
 func (e *Engine) Tick() (core.MaintainerEvent, error) {
+	e.tickMu.Lock()
+	defer e.tickMu.Unlock()
 	e.ticks.Inc()
 	window, _ := e.stats.Swap()
 	if len(window) > 0 {
@@ -411,16 +423,13 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// Start launches the background tick loop at the maintenance interval.
+// Start launches the daemon's only maintenance clock: a background loop
+// that calls Tick every Maint.Interval.
 func (e *Engine) Start() {
 	e.startOnce.Do(func() {
-		interval := e.cfg.Maint.Interval
-		if interval <= 0 {
-			interval = time.Minute
-		}
 		go func() {
 			defer close(e.done)
-			ticker := time.NewTicker(interval)
+			ticker := time.NewTicker(e.cfg.Maint.Interval)
 			defer ticker.Stop()
 			for {
 				select {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +26,6 @@ func testConfig(plan *core.Plan) Config {
 			SampleFraction:    1,
 			DriftThreshold:    0.2,
 			ReclusterFraction: 0.9,
-			Verify:            true,
 		},
 	}
 }
@@ -59,11 +59,50 @@ func TestNewEngineValidation(t *testing.T) {
 		}), "origin"},
 		{"unknown algorithm", withPlan(func(p *core.Plan) { p.Algorithm = 9 }), "algorithm"},
 		{"negative theta", withPlan(func(p *core.Plan) { p.Theta = -1 }), "theta"},
+		{"NaN theta", withPlan(func(p *core.Plan) { p.Theta = math.NaN() }), "theta"},
 	}
 	for _, tc := range cases {
 		if _, err := NewEngine(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: NewEngine err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestNewEngineMaintConfig pins when the daemon defaults apply: only to a
+// config whose SampleFraction, DriftThreshold and ReclusterFraction are
+// all zero. A partly set config is validated as given, never silently
+// replaced by the defaults.
+func TestNewEngineMaintConfig(t *testing.T) {
+	boot := func(m core.MaintainerConfig) (*Engine, error) {
+		return NewEngine(Config{Plan: testPlan(8), Rand: simrand.New(1), Maint: m})
+	}
+	if _, err := boot(core.MaintainerConfig{DriftThreshold: 0.05, ReclusterFraction: 1}); err == nil || !strings.Contains(err.Error(), "SampleFraction") {
+		t.Fatalf("partial config without SampleFraction: err = %v, want a SampleFraction error", err)
+	}
+	e, err := boot(core.MaintainerConfig{})
+	if err != nil {
+		t.Fatalf("zero config: %v", err)
+	}
+	want := core.MaintainerConfig{Interval: time.Minute, SampleFraction: 1, DriftThreshold: 0.2, ReclusterFraction: 0.5}
+	if e.cfg.Maint != want {
+		t.Fatalf("zero config resolved to %+v, want %+v", e.cfg.Maint, want)
+	}
+	if e, err = boot(core.MaintainerConfig{Interval: time.Second}); err != nil {
+		t.Fatalf("interval-only config: %v", err)
+	}
+	if want.Interval = time.Second; e.cfg.Maint != want {
+		t.Fatalf("interval-only config resolved to %+v, want %+v", e.cfg.Maint, want)
+	}
+	if _, err := boot(core.MaintainerConfig{SampleFraction: 1, DriftThreshold: math.NaN(), ReclusterFraction: 1}); err == nil {
+		t.Fatal("NaN DriftThreshold accepted")
+	}
+	set := core.MaintainerConfig{SampleFraction: 0.5, DriftThreshold: 0.05, ReclusterFraction: 1}
+	if e, err = boot(set); err != nil {
+		t.Fatalf("full config: %v", err)
+	}
+	set.Interval = time.Minute
+	if e.cfg.Maint != set {
+		t.Fatalf("full config resolved to %+v, want %+v", e.cfg.Maint, set)
 	}
 }
 
@@ -492,10 +531,17 @@ func TestEngineSnapshotPersistReload(t *testing.T) {
 	}
 }
 
+// TestEngineStartStop: Start is the daemon's only maintenance clock, and
+// Stop is idempotent and safe without Start.
 func TestEngineStartStop(t *testing.T) {
 	plan := testPlan(8)
 	cfg := testConfig(plan)
 	cfg.Maint.Interval = 5 * time.Millisecond
+	idle, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	idle.Stop() // never started: must not hang
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -510,4 +556,88 @@ func TestEngineStartStop(t *testing.T) {
 	}
 	e.Stop()
 	e.Stop() // idempotent
+}
+
+// TestEngineConcurrentHammer runs the background Start loop at 1 ms beside
+// manual Ticks, drifting Ingest writers, Assign/Epoch readers that
+// traverse the whole plan, and Health readers; the -race run is the
+// assertion. Drift alternates between isolated (one cache crosses over)
+// and widespread (a full re-formation), so both publication paths run.
+func TestEngineConcurrentHammer(t *testing.T) {
+	plan := testPlan(16)
+	cfg := testConfig(plan)
+	cfg.Maint.Interval = time.Millisecond
+	cfg.Maint.ReclusterFraction = 0.5
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	e.Start()
+	deadline := time.Now().Add(200 * time.Millisecond)
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; time.Now().Before(deadline); i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(i int) { // drifting ingest
+		batch := statsFor(plan)
+		switch i % 3 {
+		case 1:
+			batch[0].RTTMS = []float64{201, 199}
+		case 2:
+			for c := range batch {
+				batch[c].RTTMS = []float64{float64(500 - 30*c), 100}
+			}
+		}
+		if err := e.Ingest(batch); err != nil {
+			t.Errorf("Ingest: %v", err)
+		}
+	})
+	run(func(int) { // manual ticks beside the background loop
+		if _, err := e.Tick(); err != nil {
+			t.Errorf("Tick: %v", err)
+		}
+	})
+	for w := 0; w < 2; w++ {
+		run(func(i int) { // query path
+			g, ep, err := e.Assign(i % 16)
+			if err != nil || g < 0 || g >= ep.Plan.NumGroups() {
+				t.Errorf("Assign(%d) = %d, %v", i%16, g, err)
+			}
+			var sum float64
+			for c, a := range ep.Plan.Assignments {
+				sum += ep.Plan.Points[c][0] + float64(a)
+			}
+			for _, c := range e.Epoch().Plan.Centers {
+				sum += c[0]
+			}
+			_ = sum
+		})
+	}
+	run(func(int) { // health readers
+		if h := e.Health(); h.Status != "ok" {
+			t.Errorf("health %+v, want ok", h)
+		}
+	})
+	wg.Wait()
+	e.Stop()
+	ep := e.Epoch()
+	if err := ep.Plan.Verify(nil); err != nil {
+		t.Fatalf("final epoch %d fails verification: %v", ep.Seq, err)
+	}
+	if ep.Checksum != ep.Plan.Checksum() {
+		t.Fatalf("final epoch %d checksum %016x, plan %016x", ep.Seq, ep.Checksum, ep.Plan.Checksum())
+	}
+	// Ticks publish in round order: the last epoch is the last round's plan.
+	if ep.Plan != e.maint.Plan() {
+		t.Fatalf("final epoch %d serves a plan older than the maintainer's", ep.Seq)
+	}
+	if h := e.Health(); h.Rounds < 2 || h.ConsecutiveFailures != 0 || ep.Seq < 2 {
+		t.Fatalf("after the hammer: epoch %d, health %+v", ep.Seq, h)
+	}
 }
