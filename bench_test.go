@@ -222,7 +222,7 @@ func benchBlobMatrix(n, dim, blobs int, src *simrand.Source) cluster.Matrix {
 }
 
 // benchKMeansFlat runs the large-N flat-matrix K-means (100k×16, k=64) at
-// the given prune mode. Results are bit-identical across all modes (pinned
+// the given prune mode. Results are bit-identical across both modes (pinned
 // by the cluster golden tests); only wall clock and the distance-evaluation
 // count change. The mean DistEvals per op is reported as "distevals/op" so
 // the pruning win is a committed, diffable number in BENCH_pipeline.json.
@@ -245,8 +245,7 @@ func benchKMeansFlat(b *testing.B, mode cluster.PruneMode) {
 }
 
 func BenchmarkKMeansFlatExhaustive(b *testing.B) { benchKMeansFlat(b, cluster.PruneNone) }
-func BenchmarkKMeansFlatPruned(b *testing.B)     { benchKMeansFlat(b, cluster.PruneHamerly) }
-func BenchmarkKMeansFlatElkan(b *testing.B)      { benchKMeansFlat(b, cluster.PruneElkan) }
+func BenchmarkKMeansFlatPruned(b *testing.B)     { benchKMeansFlat(b, cluster.PruneAuto) }
 
 // BenchmarkFeatureBuild measures the probe→flat-feature-matrix assembly —
 // core.MeasureFeatureMatrix, the exact path FormGroups runs — and guards

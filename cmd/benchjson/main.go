@@ -206,9 +206,7 @@ func speedups(benches []Bench) []Speedup {
 			}
 		}
 		if prefix, ok := strings.CutSuffix(baseline.Name, "Exhaustive"); ok {
-			for _, variant := range []string{"Pruned", "Elkan"} {
-				pair(baseline, prefix, variant)
-			}
+			pair(baseline, prefix, "Pruned")
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

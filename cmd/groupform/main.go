@@ -83,7 +83,7 @@ func run(args []string, w io.Writer) error {
 		suggestK = fs.Bool("suggest-k", false, "also report the elbow-suggested number of groups")
 		verified = fs.Bool("verify", true, "audit the plan against the invariant-checking layer")
 		parallel = fs.Int("parallelism", 0, "worker-pool bound for probing, clustering, and embedding (0 = per-layer defaults; results are identical for any value)")
-		prune    = fs.String("kmeans-prune", "auto", "K-means reassignment strategy: auto, none, hamerly, or elkan (results are identical for any value)")
+		prune    = fs.String("kmeans-prune", "auto", "K-means reassignment strategy: auto (grouped-bounds pruning) or none (exhaustive); results are identical for either")
 
 		distributed  = fs.Bool("distributed", false, "run the message-passing protocol (coordinator + per-cache agents) over a fault-injecting transport instead of the in-process pipeline")
 		loss         = fs.Float64("loss", 0, "distributed: per-message loss probability in [0,1)")
@@ -150,12 +150,8 @@ func run(args []string, w io.Writer) error {
 		cfg = ecg.WithKMeansPrune(cfg, ecg.PruneAuto)
 	case "none":
 		cfg = ecg.WithKMeansPrune(cfg, ecg.PruneNone)
-	case "hamerly":
-		cfg = ecg.WithKMeansPrune(cfg, ecg.PruneHamerly)
-	case "elkan":
-		cfg = ecg.WithKMeansPrune(cfg, ecg.PruneElkan)
 	default:
-		return fmt.Errorf("unknown -kmeans-prune %q (want auto, none, hamerly, or elkan)", *prune)
+		return fmt.Errorf("unknown -kmeans-prune %q (want auto or none)", *prune)
 	}
 
 	src := ecg.NewRand(*seed)

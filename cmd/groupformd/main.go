@@ -91,6 +91,11 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 		},
 		SnapshotPath: *snapshot,
 	}
+	// Reject bad maintenance tuning before the formation it would
+	// otherwise fail after.
+	if err := cfg.EffectiveMaint().Validate(); err != nil {
+		return err
+	}
 
 	// Boot plan: a persisted snapshot when available, otherwise an initial
 	// formation over a freshly simulated network.

@@ -138,18 +138,30 @@ func TestDaemonSnapshotRestart(t *testing.T) {
 }
 
 func TestDaemonErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-scheme", "euclidean"}, &buf, nil); err == nil {
-		t.Fatal("euclidean scheme accepted (embedded representation is not servable)")
+	for _, tc := range []struct {
+		args []string
+		why  string
+	}{
+		{[]string{"-scheme", "euclidean"}, "euclidean scheme accepted (embedded representation is not servable)"},
+		{[]string{"-scheme", "bogus"}, "unknown scheme accepted"},
+		{[]string{"-caches", "10", "-k", "50"}, "k > caches accepted"},
+		{[]string{"-sample", "2"}, "sample fraction > 1 accepted"},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.args, &buf, nil); err == nil {
+			t.Fatal(tc.why)
+		}
+		assertNoFormation(t, tc.args, buf.String())
 	}
-	if err := run([]string{"-scheme", "bogus"}, &buf, nil); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
-	if err := run([]string{"-caches", "10", "-k", "50"}, &buf, nil); err == nil {
-		t.Fatal("k > caches accepted")
-	}
-	if err := run([]string{"-sample", "2"}, &buf, nil); err == nil {
-		t.Fatal("sample fraction > 1 accepted")
+}
+
+// assertNoFormation fails when a rejected boot got as far as forming the
+// initial plan: bad flags must fail before the formation they would
+// otherwise wait for.
+func assertNoFormation(t *testing.T, args []string, out string) {
+	t.Helper()
+	if strings.Contains(out, "formed initial plan") {
+		t.Errorf("%v: rejected only after forming the initial plan:\n%s", args, out)
 	}
 }
 
@@ -172,6 +184,7 @@ func TestDaemonRejectsNonFiniteFlags(t *testing.T) {
 			(<-ready).Close()
 			t.Errorf("%v accepted", flags)
 		}
+		assertNoFormation(t, flags, buf.String())
 	}
 }
 

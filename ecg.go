@@ -152,19 +152,18 @@ type (
 	// the pipeline builds for million-cache inputs.
 	FeatureMatrix = cluster.Matrix
 	// KMeansPruneMode selects the K-means reassignment strategy
-	// (exhaustive, Hamerly bounds pruning, or Elkan bounds pruning). All
-	// modes return bit-identical plans; see WithKMeansPrune.
+	// (grouped-bounds pruning or the exhaustive sweep). Both modes return
+	// bit-identical plans; see WithKMeansPrune.
 	KMeansPruneMode = cluster.PruneMode
 )
 
-// K-means pruning modes. The default (PruneAuto) is Hamerly-style bounds
-// pruning, which skips the distance evaluations the exhaustive sweep
-// would waste on provably-unchanged points without altering any result.
+// K-means pruning modes. The default (PruneAuto) is Yinyang grouped-bounds
+// pruning, which skips the distance evaluations the exhaustive sweep would
+// waste on provably-unchanged points and provably-losing centers without
+// altering any result. PruneNone is the exhaustive reference.
 const (
-	PruneAuto    = cluster.PruneAuto
-	PruneNone    = cluster.PruneNone
-	PruneHamerly = cluster.PruneHamerly
-	PruneElkan   = cluster.PruneElkan
+	PruneAuto = cluster.PruneAuto
+	PruneNone = cluster.PruneNone
 )
 
 // Position representations.

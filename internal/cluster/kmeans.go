@@ -8,28 +8,23 @@ import (
 )
 
 // PruneMode selects the reassignment strategy of the K-means iterative
-// phase. All modes produce bit-identical results — assignments, centers,
+// phase. Both modes produce bit-identical results — assignments, centers,
 // iteration counts, and therefore Plan checksums — at every Parallelism
 // setting; pruning only skips distance evaluations it can prove would not
 // change the outcome (see prune.go for the exactness argument).
 type PruneMode int
 
 const (
-	// PruneAuto is the default: Hamerly-style bounds pruning.
+	// PruneAuto is the default: Yinyang grouped-bounds pruning. The
+	// centers are split into at most ⌈k/10⌉ groups; each point keeps one
+	// upper bound and one lower bound per group (O(n·k/10) extra memory),
+	// which let the sweep skip whole points and whole groups of centers
+	// that provably cannot win.
 	PruneAuto PruneMode = iota
 	// PruneNone disables pruning: every point scans every center each
 	// round (the paper's literal Lloyd's iteration). The reference the
-	// pruned paths are golden-tested against.
+	// pruned path is golden-tested against.
 	PruneNone
-	// PruneHamerly maintains one upper and one lower bound per point
-	// (O(n) extra memory) and skips points whose bounds prove their
-	// assignment cannot change.
-	PruneHamerly
-	// PruneElkan additionally maintains one lower bound per (point,
-	// center) pair (O(n·k) extra memory), pruning individual centers
-	// inside the scan. Worth it at large k; too memory-hungry for
-	// million-point runs at high k, hence opt-in.
-	PruneElkan
 )
 
 // String implements fmt.Stringer.
@@ -39,10 +34,6 @@ func (p PruneMode) String() string {
 		return "auto"
 	case PruneNone:
 		return "none"
-	case PruneHamerly:
-		return "hamerly"
-	case PruneElkan:
-		return "elkan"
 	default:
 		return fmt.Sprintf("PruneMode(%d)", int(p))
 	}
@@ -63,8 +54,8 @@ type Options struct {
 	// chunks whose partial sums are reduced in chunk order, so the floating
 	// point reduction tree never depends on the worker count.
 	Parallelism int
-	// Prune selects the reassignment strategy (default: Hamerly bounds
-	// pruning). Every mode returns the exact same clustering — including
+	// Prune selects the reassignment strategy (default: grouped-bounds
+	// pruning). Both modes return the exact same clustering — including
 	// the lowest-index winner on distance ties — so the knob trades
 	// distance evaluations for bound bookkeeping, never accuracy.
 	Prune PruneMode
@@ -94,19 +85,11 @@ func (o Options) Validate() error {
 		return fmt.Errorf("cluster: Parallelism must be >= 0, got %d", o.Parallelism)
 	}
 	switch o.Prune {
-	case PruneAuto, PruneNone, PruneHamerly, PruneElkan:
+	case PruneAuto, PruneNone:
 	default:
 		return fmt.Errorf("cluster: unknown PruneMode %d", int(o.Prune))
 	}
 	return nil
-}
-
-// resolvePrune maps the option to a concrete mode.
-func resolvePrune(p PruneMode) PruneMode {
-	if p == PruneAuto {
-		return PruneHamerly
-	}
-	return p
 }
 
 // Result describes a completed clustering.
@@ -200,7 +183,7 @@ const pointChunk = 64
 // allocation-free regardless of how many rounds run.
 type kmScratch struct {
 	k, dim      int
-	mode        PruneMode   // resolved mode (never PruneAuto)
+	pruned      bool        // grouped-bounds pruning (PruneAuto)
 	points      Matrix      // the flat feature store being clustered
 	centers     []float64   // flat k×dim center matrix (Result.Centers views it)
 	chunkSums   [][]float64 // per chunk: flattened k×dim partial sums
@@ -212,22 +195,26 @@ type kmScratch struct {
 
 	// Bounds-pruning state (see prune.go); nil in PruneNone mode.
 	upper      []float64 // per point: upper bound on dist to assigned center
-	lower      []float64 // per point: lower bound on dist to 2nd-closest center
+	lower      []float64 // flat n×groups: per (point, group) lower bound
 	oldCenters []float64 // flat center snapshot from before recomputation
 	drift      []float64 // per center: movement in the last recomputation
 	sep        []float64 // per center: half the distance to its nearest peer
-	halfCD     []float64 // Elkan only: flat k×k half inter-center distances
-	lbAll      []float64 // Elkan only: flat n×k per-(point,center) lower bounds
-	maxDrift   float64
+	groups     int       // number of center groups
+	groupOf    []int     // per center: its group
+	groupStart []int     // members[groupStart[g]:groupStart[g+1]] is group g
+	members    []int     // centers ordered by group, then by index
+	groupDrift []float64 // flat rounds×groups: largest drift of a group's centers
+	stamp      []int     // per point: the round its group bounds were last written
+	round      int       // the current iterative-phase round (0: initial assignment)
 }
 
-func newKMScratch(points Matrix, k int, mode PruneMode) *kmScratch {
+func newKMScratch(points Matrix, k int, pruned bool) *kmScratch {
 	n, dim := points.Rows(), points.Dim()
 	nc := par.Chunks(n, pointChunk)
 	sc := &kmScratch{
 		k:           k,
 		dim:         dim,
-		mode:        mode,
+		pruned:      pruned,
 		points:      points,
 		centers:     make([]float64, k*dim),
 		chunkSums:   make([][]float64, nc),
@@ -241,16 +228,11 @@ func newKMScratch(points Matrix, k int, mode PruneMode) *kmScratch {
 		sc.chunkSums[c] = make([]float64, k*dim)
 		sc.chunkCounts[c] = make([]int, k)
 	}
-	if mode != PruneNone {
+	if pruned {
 		sc.upper = make([]float64, n)
-		sc.lower = make([]float64, n)
 		sc.oldCenters = make([]float64, k*dim)
 		sc.drift = make([]float64, k)
 		sc.sep = make([]float64, k)
-	}
-	if mode == PruneElkan {
-		sc.halfCD = make([]float64, k*k)
-		sc.lbAll = make([]float64, n*k)
 	}
 	return sc
 }
@@ -308,20 +290,23 @@ func KMeansMatrix(points Matrix, k int, seeder Seeder, opts Options, src *simran
 	}
 	n := points.Rows()
 	opts = opts.withDefaults()
-	mode := resolvePrune(opts.Prune)
+	pruned := opts.Prune != PruneNone
 
 	// Initialization phase.
 	seedIdx, err := seedCenters(seeder, points, k, src)
 	if err != nil {
 		return nil, err
 	}
-	sc := newKMScratch(points, k, mode)
+	sc := newKMScratch(points, k, pruned)
 	centers := make([]Vector, k)
 	for c := range centers {
 		centers[c] = sc.centerRow(c)
 	}
 	for c, idx := range seedIdx {
 		copy(sc.centerRow(c), points.Row(idx))
+	}
+	if pruned {
+		formCenterGroups(sc, opts.MaxIterations)
 	}
 
 	// Parallelism 0 means serial here (not the pool default): clustering is
@@ -334,19 +319,20 @@ func KMeansMatrix(points Matrix, k int, seeder Seeder, opts Options, src *simran
 
 	assign := make([]int, n)
 	// Initial assignment: a full scan that doubles as bounds
-	// initialization in the pruned modes.
+	// initialization when pruning.
 	runSweep(sc, sweepAssign, assign, workers)
 
 	// Iterative phase.
 	res := &Result{Assignments: assign, Centers: centers}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if mode != PruneNone {
+		sc.round = iter + 1
+		if pruned {
 			copy(sc.oldCenters, sc.centers)
 		}
 		recomputeCenters(sc, assign, workers)
 		repaired := repairEmptyClusters(sc, assign)
 		var moved int
-		if mode == PruneNone || repaired {
+		if !pruned || repaired {
 			// A repair moved points and rewrote a center mid-round, so
 			// the maintained bounds no longer hold; re-initialize them
 			// with a full sweep (which is exactly what the exhaustive
@@ -424,10 +410,10 @@ func seedCenters(seeder Seeder, points Matrix, k int, src *simrand.Source) ([]in
 type sweepKind int
 
 const (
-	// sweepAssign fully scans every center per point; in pruned modes it
+	// sweepAssign visits every center for every point; when pruning it
 	// also (re)initializes the point bounds.
 	sweepAssign sweepKind = iota
-	// sweepPruned runs the mode-specific bounds-pruned reassignment.
+	// sweepPruned runs the grouped-bounds pruned reassignment.
 	sweepPruned
 	// sweepAccum accumulates per-chunk center sums and counts.
 	sweepAccum
@@ -437,13 +423,13 @@ const (
 func sweepChunk(sc *kmScratch, kind sweepKind, assign []int, chunk, lo, hi int) {
 	switch kind {
 	case sweepAssign:
-		fullScanChunk(sc, assign, chunk, lo, hi)
-	case sweepPruned:
-		if sc.mode == PruneElkan {
-			elkanChunk(sc, assign, chunk, lo, hi)
+		if sc.pruned {
+			groupedChunk(sc, assign, chunk, lo, hi, true)
 		} else {
-			hamerlyChunk(sc, assign, chunk, lo, hi)
+			fullScanChunk(sc, assign, chunk, lo, hi)
 		}
+	case sweepPruned:
+		groupedChunk(sc, assign, chunk, lo, hi, false)
 	case sweepAccum:
 		accumCenterChunk(sc, assign, chunk, lo, hi)
 	}
@@ -477,16 +463,16 @@ func movedTotal(sc *kmScratch) int {
 }
 
 // reassignFull moves every point to its nearest center with a full scan
-// (re-initializing the pruning bounds as a side effect in pruned modes)
-// and returns the number of reassignments.
+// (re-initializing the pruning bounds as a side effect when pruning) and
+// returns the number of reassignments.
 func reassignFull(sc *kmScratch, assign []int, workers int) int {
 	runSweep(sc, sweepAssign, assign, workers)
 	return movedTotal(sc)
 }
 
 // reassignPruned runs one bounds-pruned reassignment round: update the
-// center drifts and separations, then sweep the chunks with the
-// mode-specific pruning body.
+// center and group drifts and the separations, then sweep the chunks with
+// the grouped-bounds body.
 func reassignPruned(sc *kmScratch, assign []int, workers int) int {
 	updateDrift(sc)
 	updateSeparation(sc)
@@ -554,7 +540,7 @@ func accumCenterChunk(sc *kmScratch, assign []int, chunk, lo, hi int) {
 // than one member. This keeps all K groups non-degenerate, which the group
 // formation problem requires (K disjoint non-empty groups). It reports
 // whether any assignment changed, so callers can recompute the affected
-// means (and, in pruned modes, re-initialize the now-invalid bounds).
+// means (and, when pruning, re-initialize the now-invalid bounds).
 func repairEmptyClusters(sc *kmScratch, assign []int) bool {
 	k := sc.k
 	counts := sc.counts

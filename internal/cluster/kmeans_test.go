@@ -538,28 +538,31 @@ func TestKMeansParallelismInvariant(t *testing.T) {
 func TestKMeansIterationPhaseAllocationFree(t *testing.T) {
 	// The per-iteration scratch lives in one buffer struct allocated up
 	// front, so running many more iterations must not allocate more than
-	// running few: the iterative phase itself is allocation-free.
+	// running few: the iterative phase itself is allocation-free, pruned
+	// (k=16: two center groups) and exhaustive alike.
 	src := simrand.New(17)
 	points := threeBlobs(50, src)
-	run := func(iters int) (float64, int) {
-		rounds := 0
-		allocs := testing.AllocsPerRun(10, func() {
-			opts := Options{MaxIterations: iters}
-			res, err := KMeans(points, 6, UniformSeeder{}, opts, simrand.New(5).Split("s"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rounds = res.Iterations
-		})
-		return allocs, rounds
-	}
-	few, fewRounds := run(1)
-	many, manyRounds := run(64)
-	if manyRounds <= fewRounds {
-		t.Fatalf("test needs the long run to iterate more (%d vs %d rounds)", manyRounds, fewRounds)
-	}
-	if many > few {
-		t.Fatalf("allocations grew with iteration count: %v at %d rounds vs %v at %d", few, fewRounds, many, manyRounds)
+	for _, mode := range []PruneMode{PruneAuto, PruneNone} {
+		run := func(iters int) (float64, int) {
+			rounds := 0
+			allocs := testing.AllocsPerRun(10, func() {
+				opts := Options{MaxIterations: iters, Prune: mode}
+				res, err := KMeans(points, 16, UniformSeeder{}, opts, simrand.New(5).Split("s"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rounds = res.Iterations
+			})
+			return allocs, rounds
+		}
+		few, fewRounds := run(1)
+		many, manyRounds := run(64)
+		if manyRounds <= fewRounds {
+			t.Fatalf("%v: test needs the long run to iterate more (%d vs %d rounds)", mode, manyRounds, fewRounds)
+		}
+		if many > few {
+			t.Fatalf("%v: allocations grew with iteration count: %v at %d rounds vs %v at %d", mode, few, fewRounds, many, manyRounds)
+		}
 	}
 }
 

@@ -110,6 +110,26 @@ type Engine struct {
 	done      chan struct{}
 }
 
+// EffectiveMaint returns the maintainer config NewEngine runs with, Obs
+// aside: Maint as given, or the daemon defaults when SampleFraction,
+// DriftThreshold and ReclusterFraction are all zero, with a zero Interval
+// replaced by one minute. Callers validate it to reject bad tuning before
+// doing the work that precedes NewEngine.
+func (c Config) EffectiveMaint() core.MaintainerConfig {
+	mc := c.Maint
+	if mc.SampleFraction == 0 && mc.DriftThreshold == 0 && mc.ReclusterFraction == 0 {
+		// No tuning given: daemon defaults. A partly set config is
+		// validated as given.
+		mc = core.DefaultMaintainerConfig()
+		mc.SampleFraction = 1 // reading ingested stats costs no probes
+		mc.Interval = c.Maint.Interval
+	}
+	if mc.Interval == 0 {
+		mc.Interval = time.Minute
+	}
+	return mc
+}
+
 // NewEngine builds the engine and publishes the boot plan as epoch 1.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Plan == nil {
@@ -121,16 +141,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := checkServable(cfg.Plan); err != nil {
 		return nil, err
 	}
-	if mc := cfg.Maint; mc.SampleFraction == 0 && mc.DriftThreshold == 0 && mc.ReclusterFraction == 0 {
-		// No tuning given: daemon defaults. A partly set config is
-		// validated as given.
-		cfg.Maint = core.DefaultMaintainerConfig()
-		cfg.Maint.SampleFraction = 1 // reading ingested stats costs no probes
-		cfg.Maint.Interval = mc.Interval
-	}
-	if cfg.Maint.Interval == 0 {
-		cfg.Maint.Interval = time.Minute
-	}
+	cfg.Maint = cfg.EffectiveMaint()
 	cfg.Maint.Obs = cfg.Obs
 	e := &Engine{
 		cfg:           cfg,

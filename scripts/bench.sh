@@ -14,7 +14,7 @@
 # Prober.Measure; GreedyLandmarkSelection = the SL landmark-selection
 # probe matrix), the serial/parallel pairs (KMeansPar1/8,
 # GNPEmbedHosts1/8), the exhaustive-vs-pruned large-N
-# K-means trio (KMeansFlatExhaustive/Pruned/Elkan, whose distevals/op and
+# K-means pair (KMeansFlatExhaustive/Pruned, whose distevals/op and
 # wall-clock ratio pin the bounds-pruning win), the flat feature-build path
 # (FeatureBuild, with its O(workers)-allocation guards on the feature build
 # and on Prober.MeasureMatrix), the end-to-end Fig3 sweep, the simulator
