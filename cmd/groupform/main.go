@@ -171,6 +171,9 @@ func run(args []string, w io.Writer) error {
 		if strings.EqualFold(*scheme, "euclidean") {
 			return fmt.Errorf("the euclidean scheme is not available in -distributed mode (agents report raw landmark RTTs)")
 		}
+		if !strings.EqualFold(*selector, "greedy") {
+			return fmt.Errorf("-landmarks %s is not available in -distributed mode (the coordinator selects landmarks greedily)", *selector)
+		}
 		theta := *theta
 		if strings.EqualFold(*scheme, "sl") {
 			theta = 0
@@ -208,29 +211,46 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	out := output{
+	out := planOutput(nw, plan, plan.Groups(), plan.Assignments, *caches, *k)
+	out.SuggestedK = suggested
+	return writeOutput(w, out, *asJSON)
+}
+
+// planOutput is the report of a formed plan; groups and assignments are
+// its partition in cache indices (a distributed plan covers only the
+// caches that responded).
+func planOutput(nw *ecg.Network, plan *ecg.Plan, groups [][]ecg.CacheIndex, assignments []int, caches, k int) output {
+	return output{
 		Scheme:      plan.Scheme,
-		Caches:      *caches,
-		K:           *k,
-		GICostMS:    ecg.AvgGroupInteractionCost(nw, plan.Groups()),
+		Caches:      caches,
+		K:           k,
+		GICostMS:    ecg.AvgGroupInteractionCost(nw, groups),
 		Iterations:  plan.Iterations,
 		Converged:   plan.Converged,
 		GroupSizes:  plan.Sizes(),
-		Assignments: plan.Assignments,
+		Assignments: assignments,
 		Checksum:    fmt.Sprintf("%016x", plan.Checksum()),
-		SuggestedK:  suggested,
 	}
-	if *asJSON {
+}
+
+// writeOutput prints out as indented JSON or as text.
+func writeOutput(w io.Writer, out output, asJSON bool) error {
+	if asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
-
 	fmt.Fprintf(w, "scheme:     %s\n", out.Scheme)
 	fmt.Fprintf(w, "caches/K:   %d / %d\n", out.Caches, out.K)
 	fmt.Fprintf(w, "k-means:    %d iterations, converged=%v\n", out.Iterations, out.Converged)
 	fmt.Fprintf(w, "GICost:     %.1f ms (avg pairwise RTT within groups)\n", out.GICostMS)
 	fmt.Fprintf(w, "checksum:   %s\n", out.Checksum)
+	if out.Distributed {
+		fmt.Fprintf(w, "messages:   %d sent, %d retries, %d duplicate replies, %d timed-out waits\n",
+			out.MessagesSent, out.Retries, out.DuplicateReplies, out.TimedOutWaits)
+		fmt.Fprintf(w, "coverage:   %d assigned, %d unresponsive, %d unacked (degraded=%v)\n",
+			out.Caches-out.Unresponsive, out.Unresponsive, out.Unacked, out.Degraded)
+	}
 	fmt.Fprintf(w, "group sizes:")
 	for _, s := range out.GroupSizes {
 		fmt.Fprintf(w, " %d", s)
@@ -307,53 +327,25 @@ func runDistributed(w io.Writer, d distOptions, nw *ecg.Network, prober *ecg.Pro
 	}
 	tr.PublishObs(d.obs)
 
-	scheme := "sl-distributed"
-	if d.theta > 0 {
-		scheme = "sdsl-distributed"
-	}
 	assignments := make([]int, d.caches)
 	for i := range assignments {
 		assignments[i] = -1 // unresponsive caches end up in no group
 	}
-	for ci, g := range res.Assignments {
-		assignments[int(ci)] = g
+	for i, ci := range res.Members {
+		assignments[ci] = res.Plan.Assignments[i]
 	}
-	sizes := make([]int, len(res.Groups))
-	for g, members := range res.Groups {
-		sizes[g] = len(members)
+	out := planOutput(nw, res.Plan, res.Groups(), assignments, d.caches, d.k)
+	out.Scheme = "sl-distributed"
+	if d.theta > 0 {
+		out.Scheme = "sdsl-distributed"
 	}
-	out := output{
-		Scheme:           scheme,
-		Caches:           d.caches,
-		K:                d.k,
-		GICostMS:         ecg.AvgGroupInteractionCost(nw, res.Groups),
-		GroupSizes:       sizes,
-		Assignments:      assignments,
-		Distributed:      true,
-		Unresponsive:     len(res.Unresponsive),
-		Unacked:          len(res.UnackedAssignments),
-		MessagesSent:     res.MessagesSent,
-		Retries:          res.Retries,
-		DuplicateReplies: res.DuplicateReplies,
-		TimedOutWaits:    res.TimedOutWaits,
-		Degraded:         res.Degraded,
-	}
-	if d.asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}
-	fmt.Fprintf(w, "scheme:     %s\n", out.Scheme)
-	fmt.Fprintf(w, "caches/K:   %d / %d\n", out.Caches, out.K)
-	fmt.Fprintf(w, "GICost:     %.1f ms (avg pairwise RTT within groups)\n", out.GICostMS)
-	fmt.Fprintf(w, "messages:   %d sent, %d retries, %d duplicate replies, %d timed-out waits\n",
-		out.MessagesSent, out.Retries, out.DuplicateReplies, out.TimedOutWaits)
-	fmt.Fprintf(w, "coverage:   %d assigned, %d unresponsive, %d unacked (degraded=%v)\n",
-		d.caches-out.Unresponsive, out.Unresponsive, out.Unacked, out.Degraded)
-	fmt.Fprintf(w, "group sizes:")
-	for _, s := range out.GroupSizes {
-		fmt.Fprintf(w, " %d", s)
-	}
-	fmt.Fprintln(w)
-	return nil
+	out.Distributed = true
+	out.Unresponsive = len(res.Unresponsive)
+	out.Unacked = len(res.UnackedAssignments)
+	out.MessagesSent = res.MessagesSent
+	out.Retries = res.Retries
+	out.DuplicateReplies = res.DuplicateReplies
+	out.TimedOutWaits = res.TimedOutWaits
+	out.Degraded = res.Degraded
+	return writeOutput(w, out, d.asJSON)
 }

@@ -100,6 +100,9 @@ func TestRunDistributedJSON(t *testing.T) {
 	if total != assigned {
 		t.Fatalf("group sizes sum to %d, want %d", total, assigned)
 	}
+	if out.Checksum == "" || out.Iterations < 1 {
+		t.Fatalf("distributed output lacks the plan's checksum or k-means iterations: %+v", out)
+	}
 
 	// Same seed, same faults — bit-identical output.
 	var buf2 bytes.Buffer
@@ -118,7 +121,7 @@ func TestRunDistributedText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"sl-distributed", "messages:", "retries", "coverage:", "degraded"} {
+	for _, want := range []string{"sl-distributed", "k-means:", "checksum:", "messages:", "retries", "coverage:", "degraded"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
@@ -138,6 +141,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-caches", "20", "-k", "2", "-distributed", "-scheme", "euclidean"}, &buf); err == nil {
 		t.Fatal("euclidean distributed mode accepted")
+	}
+	for _, sel := range []string{"random", "min-dist"} {
+		if err := run([]string{"-caches", "20", "-k", "2", "-distributed", "-landmarks", sel}, &buf); err == nil {
+			t.Fatalf("-landmarks %s accepted in distributed mode, which always selects greedily", sel)
+		}
 	}
 	if err := run([]string{"-caches", "20", "-k", "2", "-distributed", "-crash", "20"}, &buf); err == nil {
 		t.Fatal("crash count >= caches accepted")

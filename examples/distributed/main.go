@@ -95,34 +95,31 @@ func run() error {
 	}
 	fmt.Printf("protocol completed in %.0fms, %d messages sent\n",
 		time.Since(start).Seconds()*1000, res.MessagesSent)
-	fmt.Printf("landmarks: %v\n", res.Landmarks)
-	fmt.Printf("assigned:  %d caches into %d groups\n", len(res.Assignments), len(res.Groups))
+	fmt.Printf("landmarks: %v\n", res.Plan.Landmarks)
+	fmt.Printf("assigned:  %d caches into %d groups (plan checksum %016x)\n",
+		len(res.Members), res.Plan.NumGroups(), res.Plan.Checksum())
 	fmt.Printf("unresponsive (crashed or unlucky): %v\n", res.Unresponsive)
 	if len(res.UnackedAssignments) > 0 {
 		fmt.Printf("assignments sent but never acked: %v\n", res.UnackedAssignments)
 	}
 
 	// Quality check against the true topology.
-	cost := ecg.AvgGroupInteractionCost(nw, res.Groups)
+	cost := ecg.AvgGroupInteractionCost(nw, res.Groups())
 	fmt.Printf("avg group interaction cost: %.1f ms (network-wide mean pair RTT %.1f ms)\n",
 		cost, nw.MeanPairwiseDist())
 
 	// Show a few groups.
-	sizes := make([]int, len(res.Groups))
-	for g, members := range res.Groups {
-		sizes[g] = len(members)
-	}
+	sizes := res.Plan.Sizes()
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	fmt.Printf("group sizes (desc): %v\n", sizes)
 
 	// Agents know their assignments.
 	applied := 0
-	for i, a := range agents {
-		g, _ := a.Group()
-		if want, ok := res.Assignments[ecg.CacheIndex(i)]; ok && g == want {
+	for i, ci := range res.Members {
+		if g, _ := agents[ci].Group(); g == res.Plan.Assignments[i] {
 			applied++
 		}
 	}
-	fmt.Printf("agents with applied assignment: %d/%d\n", applied, len(res.Assignments))
+	fmt.Printf("agents with applied assignment: %d/%d\n", applied, len(res.Members))
 	return nil
 }

@@ -196,12 +196,17 @@ func (p *Plan) cloneShallow() *Plan {
 // the point dimension) or when the landmarks omit the origin, since the
 // plan then cannot read server distances off fresh points.
 func (p *Plan) OriginColumn() (int, error) {
-	if len(p.LandmarkCoords) > 0 {
-		return 0, errors.New("core: plan points are embedded coordinates, not landmark RTTs")
-	}
 	dim := 0
 	if len(p.Points) > 0 {
 		dim = len(p.Points[0])
+	}
+	return p.originColumn(dim)
+}
+
+// originColumn is OriginColumn for dim-dimensional points.
+func (p *Plan) originColumn(dim int) (int, error) {
+	if len(p.LandmarkCoords) > 0 {
+		return 0, errors.New("core: plan points are embedded coordinates, not landmark RTTs")
 	}
 	if len(p.Landmarks) != dim {
 		return 0, fmt.Errorf("core: plan has %d landmarks for %d-dimensional points", len(p.Landmarks), dim)
@@ -213,19 +218,17 @@ func (p *Plan) OriginColumn() (int, error) {
 	return col, nil
 }
 
-// Reform re-forms the groups over points, one landmark RTT vector per
-// cache, through the same clustering step as Coordinator.FormGroups: at
-// the plan's own group count, scheme, θ and algorithm, with each cache's
-// server distance read from the origin landmark's column of points. The
-// returned plan's Features and Points are row views of points; p is left
-// unchanged.
-func (p *Plan) Reform(points cluster.Matrix, src *simrand.Source) (*Plan, error) {
-	col, err := p.OriginColumn()
+// Reform forms k groups over points, one landmark RTT vector per cache,
+// through the same clustering step as Coordinator.FormGroups: with the
+// plan's scheme, landmarks, θ and algorithm, and with each cache's server
+// distance read from the origin landmark's column of points. p serves only
+// as the template for those fields, so a plan with no points of its own
+// can form its first partition. The returned plan's Features and Points
+// are row views of points; p is left unchanged.
+func (p *Plan) Reform(points cluster.Matrix, k int, src *simrand.Source) (*Plan, error) {
+	col, err := p.originColumn(points.Dim())
 	if err != nil {
 		return nil, err
-	}
-	if points.Dim() != len(p.Landmarks) {
-		return nil, fmt.Errorf("core: reform points have dimension %d, want %d", points.Dim(), len(p.Landmarks))
 	}
 	serverDist := make([]float64, points.Rows())
 	for i := range serverDist {
@@ -238,7 +241,7 @@ func (p *Plan) Reform(points cluster.Matrix, src *simrand.Source) (*Plan, error)
 		Algorithm:  p.Algorithm,
 		Theta:      p.Theta,
 	}
-	return formPlan(base, p.NumGroups(), points, points, cluster.DefaultOptions(), src)
+	return formPlan(base, k, points, points, cluster.DefaultOptions(), src)
 }
 
 // Verify checks the plan's structural invariants: a well-formed partition

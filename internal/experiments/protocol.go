@@ -123,14 +123,14 @@ func ProtocolResilienceStudy(o Options) (*ProtocolResilienceResult, error) {
 			}
 			p := &res.Points[i]
 			inv := 1 / float64(o.Trials)
-			p.Assigned += float64(len(r.Assignments)) * inv
+			p.Assigned += float64(len(r.Members)) * inv
 			p.Unresponsive += float64(len(r.Unresponsive)) * inv
 			p.Unacked += float64(len(r.UnackedAssignments)) * inv
 			p.Messages += float64(r.MessagesSent) * inv
 			p.Retries += float64(r.Retries) * inv
 			p.DupReplies += float64(r.DuplicateReplies) * inv
 			p.Timeouts += float64(r.TimedOutWaits) * inv
-			p.GICostMS += metrics.AvgGroupInteractionCost(e.nw, r.Groups) * inv
+			p.GICostMS += metrics.AvgGroupInteractionCost(e.nw, r.Groups()) * inv
 			return nil
 		})
 		if err != nil {

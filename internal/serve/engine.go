@@ -283,7 +283,7 @@ func (e *Engine) reclusterFromStats() (*core.Plan, error) {
 		}
 	}
 	e.featMu.Unlock()
-	return cur.Reform(points, e.cfg.Rand.Split("recluster"))
+	return cur.Reform(points, cur.NumGroups(), e.cfg.Rand.Split("recluster"))
 }
 
 // Tick runs one aggregation + maintenance round: drain the ingest

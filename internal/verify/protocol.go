@@ -1,15 +1,12 @@
 package verify
 
 // ProtocolData is the flattened view of a distributed protocol run's
-// outcome, decoupled from the protocol package (protocol calls into
-// verify, not the other way around).
+// accounting, decoupled from the protocol package (protocol calls into
+// verify, not the other way around). The formed plan itself is checked
+// by Plan.
 type ProtocolData struct {
 	// NumCaches is the network size the run covered.
 	NumCaches int
-	// NumGroups is the number of groups formed; GroupSizes its per-group
-	// member counts.
-	NumGroups  int
-	GroupSizes []int
 	// Assigned counts caches given a group; Unresponsive those that never
 	// answered the feature round; Unacked those whose assignment was sent
 	// but never acknowledged.
@@ -25,10 +22,9 @@ type ProtocolData struct {
 }
 
 // Protocol checks the conservation invariants of a distributed run: every
-// cache is accounted for exactly once (assigned or unresponsive), group
-// sizes tile the assigned set with no empty groups, degradation counts
-// stay within their bounds, and the traffic counters are consistent. It
-// returns the first violated invariant as a *Error.
+// cache is accounted for exactly once (assigned or unresponsive),
+// degradation counts stay within their bounds, and the traffic counters
+// are consistent. It returns the first violated invariant as a *Error.
 func Protocol(d ProtocolData) error {
 	const stage = "protocol"
 	if d.NumCaches < 1 {
@@ -44,22 +40,6 @@ func Protocol(d ProtocolData) error {
 	}
 	if d.Unacked > d.Assigned {
 		return fail(stage, "unacked %d exceeds assigned %d", d.Unacked, d.Assigned)
-	}
-	if d.NumGroups != len(d.GroupSizes) {
-		return fail(stage, "NumGroups %d != len(GroupSizes) %d", d.NumGroups, len(d.GroupSizes))
-	}
-	if d.Assigned > 0 && d.NumGroups < 1 {
-		return fail(stage, "%d caches assigned but no groups", d.Assigned)
-	}
-	total := 0
-	for g, size := range d.GroupSizes {
-		if size < 1 {
-			return fail(stage, "group %d is empty", g)
-		}
-		total += size
-	}
-	if total != d.Assigned {
-		return fail(stage, "group sizes sum to %d, want assigned count %d", total, d.Assigned)
 	}
 	if d.MessagesSent < 0 || d.Retries < 0 || d.DuplicateReplies < 0 || d.TimedOutWaits < 0 {
 		return fail(stage, "negative traffic counters: sent=%d retries=%d dups=%d timeouts=%d",

@@ -9,8 +9,6 @@ import (
 func validProtocolData() ProtocolData {
 	return ProtocolData{
 		NumCaches:        10,
-		NumGroups:        3,
-		GroupSizes:       []int{3, 3, 2},
 		Assigned:         8,
 		Unresponsive:     2,
 		Unacked:          1,
@@ -35,10 +33,6 @@ func TestProtocolChecks(t *testing.T) {
 		{"negative accounting", func(d *ProtocolData) { d.Unacked = -1 }, "negative accounting"},
 		{"conservation", func(d *ProtocolData) { d.Unresponsive = 3 }, "conservation"},
 		{"unacked exceeds assigned", func(d *ProtocolData) { d.Unacked = 9; d.Assigned = 8 }, "unacked"},
-		{"group count mismatch", func(d *ProtocolData) { d.NumGroups = 2 }, "GroupSizes"},
-		{"assigned without groups", func(d *ProtocolData) { d.NumGroups = 0; d.GroupSizes = nil }, "no groups"},
-		{"empty group", func(d *ProtocolData) { d.GroupSizes = []int{4, 0, 4} }, "empty"},
-		{"sizes do not tile", func(d *ProtocolData) { d.GroupSizes = []int{3, 3, 3} }, "sum"},
 		{"negative counters", func(d *ProtocolData) { d.Retries = -1 }, "negative traffic"},
 		{"sent below floor", func(d *ProtocolData) { d.MessagesSent = 17 }, "floor"},
 		{"retries exceed sent", func(d *ProtocolData) { d.Retries = 41 }, "Retries"},
@@ -64,7 +58,7 @@ func TestProtocolChecks(t *testing.T) {
 
 func TestProtocolFullyUnresponsiveRun(t *testing.T) {
 	// A run where nobody answered still conserves: 0 assigned, n
-	// unresponsive, no groups — but the coordinator must have tried.
+	// unresponsive — but the coordinator must have tried.
 	d := ProtocolData{
 		NumCaches:     5,
 		Unresponsive:  5,
