@@ -172,32 +172,6 @@ func BenchmarkProbeMeasure(b *testing.B) {
 	}
 }
 
-// benchKMeansParallel runs the 500×25 K-means at a fixed worker-pool bound.
-// Compare Par1 vs Par8 for the parallel-pipeline speedup (results are
-// bit-identical across the pair; only wall-clock changes).
-func benchKMeansParallel(b *testing.B, workers int) {
-	src := simrand.New(4)
-	points := make([]cluster.Vector, 500)
-	for i := range points {
-		points[i] = make(cluster.Vector, 25)
-		for j := range points[i] {
-			points[i][j] = src.Uniform(0, 300)
-		}
-	}
-	opts := cluster.DefaultOptions()
-	opts.Parallelism = workers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(points, 50, cluster.UniformSeeder{}, opts, src.SplitN("km", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKMeansPar1(b *testing.B) { benchKMeansParallel(b, 1) }
-func BenchmarkKMeansPar8(b *testing.B) { benchKMeansParallel(b, 8) }
-
 // benchBlobMatrix builds an n×dim flat feature matrix of points scattered
 // around `blobs` well-separated centers — the clustered geometry real
 // landmark-RTT feature sets exhibit, and the regime where bounds pruning

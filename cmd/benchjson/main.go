@@ -178,7 +178,7 @@ func trimProcs(name string) string {
 
 // speedups pairs benchmarks whose names differ only in a trailing variant
 // marker: a worker count where the serial member ends in "1"
-// (KMeansPar1/KMeansPar8), and the algorithmic Exhaustive/Pruned pairs
+// (GNPEmbedHosts1/GNPEmbedHosts8), and the algorithmic Exhaustive/Pruned pairs
 // (KMeansFlatExhaustive/KMeansFlatPruned) where the win comes from bounds
 // pruning rather than goroutines — the speedup that survives a 1-CPU host.
 func speedups(benches []Bench) []Speedup {

@@ -12,8 +12,8 @@
 # O(1) reseed plus 10 normal draws against the stdlib source it
 # reproduces, in ./internal/simrand; ProbeMeasure = one one-shot
 # Prober.Measure; GreedyLandmarkSelection = the SL landmark-selection
-# probe matrix), the serial/parallel pairs (KMeansPar1/8,
-# GNPEmbedHosts1/8), the exhaustive-vs-pruned large-N
+# probe matrix), the serial/parallel pair (GNPEmbedHosts1/8), the
+# exhaustive-vs-pruned large-N
 # K-means pair (KMeansFlatExhaustive/Pruned, whose distevals/op and
 # wall-clock ratio pin the bounds-pruning win), the flat feature-build path
 # (FeatureBuild, with its O(workers)-allocation guards on the feature build
@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
 BENCHTIME="${2:-1x}"
-BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansPar|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkObs|BenchmarkEcglint'
+BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkObs|BenchmarkEcglint'
 OUT="BENCH_pipeline.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI entry point: build, vet, and test (race detector on) the whole module.
+# CI entry point: build (the root module and the perfbench module), vet,
+# and test (race detector on) the whole module.
 # Usage: scripts/ci.sh [extra go test args]
 set -eu
 
@@ -7,6 +8,12 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+# perfbench/ is a module of its own (replace edgecachegroups => ../), so
+# the root build above never compiles it; build it here so an internal
+# API change cannot break the benchmark harness unnoticed.
+echo "==> (cd perfbench && go build ./...)"
+(cd perfbench && go build -o /dev/null ./...)
 
 echo "==> go vet ./..."
 go vet ./...
