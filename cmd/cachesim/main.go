@@ -20,6 +20,7 @@ import (
 	"time"
 
 	ecg "edgecachegroups"
+	"edgecachegroups/internal/landmark"
 	"edgecachegroups/internal/topology"
 	"edgecachegroups/internal/workload"
 )
@@ -111,15 +112,15 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("build prober: %w", err)
 	}
 
-	lEff, mEff := clampLandmarks(*l, *m, numCaches)
+	lp := landmark.Fit(*l, *m, numCaches)
 	var cfg ecg.SchemeConfig
 	switch strings.ToLower(*scheme) {
 	case "sl":
-		cfg = ecg.SL(lEff, mEff)
+		cfg = ecg.SL(lp.L, lp.M)
 	case "sdsl":
-		cfg = ecg.SDSL(lEff, mEff, *theta)
+		cfg = ecg.SDSL(lp.L, lp.M, *theta)
 	case "euclidean":
-		cfg = ecg.EuclideanScheme(lEff, mEff, 5)
+		cfg = ecg.EuclideanScheme(lp.L, lp.M, 5)
 	default:
 		return fmt.Errorf("unknown scheme %q", *scheme)
 	}
@@ -170,21 +171,6 @@ func run(args []string, w io.Writer) error {
 			rep.MeanLatencyOf(near), rep.MeanLatencyOf(far))
 	}
 	return nil
-}
-
-// clampLandmarks shrinks (L, M) so the potential landmark set fits the
-// network: M*(L-1) <= n (same policy as the experiment harness).
-func clampLandmarks(l, m, n int) (int, int) {
-	if m < 1 {
-		m = 1
-	}
-	if m*(l-1) > n {
-		l = n/m + 1
-	}
-	if l < 2 {
-		l, m = 2, 1
-	}
-	return l, m
 }
 
 func loadTrace(dir string, alpha float64) (*workload.Catalog, []workload.Request, []workload.Update, error) {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	ecg "edgecachegroups"
+	"edgecachegroups/internal/landmark"
 )
 
 func main() {
@@ -52,21 +53,6 @@ type output struct {
 	Degraded         bool  `json:"degraded,omitempty"`
 }
 
-// clampLandmarks shrinks (L, M) so the potential landmark set fits the
-// network: M*(L-1) <= n (same policy as the experiment harness).
-func clampLandmarks(l, m, n int) (int, int) {
-	if m < 1 {
-		m = 1
-	}
-	if m*(l-1) > n {
-		l = n/m + 1
-	}
-	if l < 2 {
-		l, m = 2, 1
-	}
-	return l, m
-}
-
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("groupform", flag.ContinueOnError)
 	var (
@@ -81,7 +67,6 @@ func run(args []string, w io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text")
 		suggestK = fs.Bool("suggest-k", false, "also report the elbow-suggested number of groups")
-		verified = fs.Bool("verify", true, "audit the plan against the invariant-checking layer")
 		parallel = fs.Int("parallelism", 0, "worker-pool bound for probing, clustering, and embedding (0 = per-layer defaults; results are identical for any value)")
 		prune    = fs.String("kmeans-prune", "auto", "K-means reassignment strategy: auto (grouped-bounds pruning) or none (exhaustive); results are identical for either")
 
@@ -117,15 +102,15 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	lEff, mEff := clampLandmarks(*l, *m, *caches)
+	lp := landmark.Fit(*l, *m, *caches)
 	var cfg ecg.SchemeConfig
 	switch strings.ToLower(*scheme) {
 	case "sl":
-		cfg = ecg.SL(lEff, mEff)
+		cfg = ecg.SL(lp.L, lp.M)
 	case "sdsl":
-		cfg = ecg.SDSL(lEff, mEff, *theta)
+		cfg = ecg.SDSL(lp.L, lp.M, *theta)
 	case "euclidean":
-		cfg = ecg.EuclideanScheme(lEff, mEff, *dim)
+		cfg = ecg.EuclideanScheme(lp.L, lp.M, *dim)
 	default:
 		return fmt.Errorf("unknown scheme %q (want sl, sdsl, or euclidean)", *scheme)
 	}
@@ -139,7 +124,7 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown landmark selector %q", *selector)
 	}
-	cfg.Verify = *verified
+	cfg.Verify = true
 	cfg.Obs = o
 	if *parallel < 0 {
 		return fmt.Errorf("parallelism must be >= 0, got %d", *parallel)
@@ -179,7 +164,7 @@ func run(args []string, w io.Writer) error {
 			theta = 0
 		}
 		d := distOptions{
-			caches: *caches, k: *k, l: lEff, m: mEff, theta: theta,
+			caches: *caches, k: *k, l: lp.L, m: lp.M, theta: theta,
 			loss: *loss, dup: *dup, delay: *delay, maxDelay: *maxDelay, crash: *crash,
 			retries: *retries, replyTimeout: *replyTimeout,
 			backoffBase: *backoffBase, roundBudget: *roundBudget,

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	ecg "edgecachegroups"
+	"edgecachegroups/internal/landmark"
 )
 
 func main() {
@@ -37,21 +38,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "groupformd:", err)
 		os.Exit(1)
 	}
-}
-
-// clampLandmarks shrinks (L, M) so the potential landmark set fits the
-// network: M*(L-1) <= n (same policy as cmd/groupform).
-func clampLandmarks(l, m, n int) (int, int) {
-	if m < 1 {
-		m = 1
-	}
-	if m*(l-1) > n {
-		l = n/m + 1
-	}
-	if l < 2 {
-		l, m = 2, 1
-	}
-	return l, m
 }
 
 // run boots the daemon and blocks until the stop channel fires or a
@@ -144,13 +130,13 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 // formInitialPlan runs the paper's pipeline once over a simulated
 // transit-stub network to produce the boot plan.
 func formInitialPlan(caches, k int, scheme string, theta float64, l, m int, src *ecg.Rand, o *ecg.Obs) (*ecg.Plan, error) {
-	lEff, mEff := clampLandmarks(l, m, caches)
+	lp := landmark.Fit(l, m, caches)
 	var cfg ecg.SchemeConfig
 	switch strings.ToLower(scheme) {
 	case "sl":
-		cfg = ecg.SL(lEff, mEff)
+		cfg = ecg.SL(lp.L, lp.M)
 	case "sdsl":
-		cfg = ecg.SDSL(lEff, mEff, theta)
+		cfg = ecg.SDSL(lp.L, lp.M, theta)
 	default:
 		return nil, fmt.Errorf("unknown scheme %q (the daemon supports sl and sdsl; embedded-representation schemes cannot ingest raw landmark RTTs)", scheme)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/probe"
@@ -248,21 +249,131 @@ func (p *Plan) Reform(points cluster.Matrix, k int, src *simrand.Source) (*Plan,
 // (every cache in exactly one group, no empty groups), consistent
 // dimensions across points/features/centers, and — for unedited K-means
 // plans — that every center is exactly the mean of its members. A nil nw
-// skips the network-coverage check.
+// skips the network-coverage check. It returns the first violated
+// invariant as a *verify.Error.
 func (p *Plan) Verify(nw *topology.Network) error {
-	numCaches := 0
-	if nw != nil {
-		numCaches = nw.NumCaches()
+	if err := partition(p.Assignments, len(p.Centers)); err != nil {
+		return err
 	}
-	return verify.Plan(verify.PlanData{
-		NumCaches:       numCaches,
-		K:               len(p.Centers),
-		Assignments:     p.Assignments,
-		Points:          p.Points,
-		Centers:         p.Centers,
-		Features:        p.Features,
-		CentersAreMeans: p.Algorithm == AlgoKMeans && !p.edited,
-	})
+	if nw != nil && len(p.Assignments) != nw.NumCaches() {
+		return verify.Errorf("plan", "plan covers %d caches, network has %d", len(p.Assignments), nw.NumCaches())
+	}
+	if len(p.Points) != len(p.Assignments) {
+		return verify.Errorf("plan", "%d points for %d assignments", len(p.Points), len(p.Assignments))
+	}
+	if len(p.Features) != 0 && len(p.Features) != len(p.Assignments) {
+		return verify.Errorf("plan", "%d feature vectors for %d assignments", len(p.Features), len(p.Assignments))
+	}
+	if err := dimensions(p.Points, p.Centers); err != nil {
+		return err
+	}
+	if err := uniformDims("features", p.Features); err != nil {
+		return err
+	}
+	if p.Algorithm == AlgoKMeans && !p.edited {
+		return centersAreMeans(p.Points, p.Assignments, p.Centers)
+	}
+	return nil
+}
+
+// partition checks that assignments form a well-formed k-way partition:
+// every element lies in [0,k) and every group has at least one member
+// (empty-cluster repair guarantees non-degenerate groups).
+func partition(assignments []int, k int) error {
+	if k < 1 {
+		return verify.Errorf("partition", "k must be >= 1, got %d", k)
+	}
+	if len(assignments) < k {
+		return verify.Errorf("partition", "%d caches cannot fill %d non-empty groups", len(assignments), k)
+	}
+	sizes := make([]int, k)
+	for i, a := range assignments {
+		if a < 0 || a >= k {
+			return verify.Errorf("partition", "cache %d assigned to group %d, out of range [0,%d)", i, a, k)
+		}
+		sizes[a]++
+	}
+	for g, n := range sizes {
+		if n == 0 {
+			return verify.Errorf("partition", "group %d is empty after repair", g)
+		}
+	}
+	return nil
+}
+
+// dimensions checks that all points and centers share one non-zero
+// dimension and hold only finite values, so every distance computed during
+// clustering and incremental assignment was well-defined.
+func dimensions(points, centers []cluster.Vector) error {
+	if err := uniformDims("points", points); err != nil {
+		return err
+	}
+	if err := uniformDims("centers", centers); err != nil {
+		return err
+	}
+	if len(points) > 0 && len(centers) > 0 && len(points[0]) != len(centers[0]) {
+		return verify.Errorf("dimensions", "points have dimension %d, centers %d", len(points[0]), len(centers[0]))
+	}
+	return nil
+}
+
+func uniformDims(what string, vs []cluster.Vector) error {
+	if len(vs) == 0 {
+		return nil
+	}
+	dim := len(vs[0])
+	if dim == 0 {
+		return verify.Errorf("dimensions", "%s are zero-dimensional", what)
+	}
+	for i, v := range vs {
+		if len(v) != dim {
+			return verify.Errorf("dimensions", "%s[%d] has dimension %d, want %d", what, i, len(v), dim)
+		}
+		for j, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return verify.Errorf("dimensions", "%s[%d][%d] is %v", what, i, j, x)
+			}
+		}
+	}
+	return nil
+}
+
+// meanTolerance is the relative tolerance for the centers-are-means check;
+// recomputing a mean accumulates per-coordinate rounding of order n·eps.
+const meanTolerance = 1e-9
+
+// centersAreMeans checks that each center is the mean of its assigned
+// points, within floating-point tolerance. This is the invariant the
+// K-means iteration must restore after empty-cluster repair: a stale
+// donor-cluster center silently skews WithinClusterSS and every
+// center-distance decision downstream (balancing, incremental joins).
+// The caller has checked the partition and the dimensions.
+func centersAreMeans(points []cluster.Vector, assignments []int, centers []cluster.Vector) error {
+	dim := len(centers[0])
+	sums := make([][]float64, len(centers))
+	counts := make([]int, len(centers))
+	for c := range sums {
+		sums[c] = make([]float64, dim)
+	}
+	for i, a := range assignments {
+		counts[a]++
+		for j, x := range points[i] {
+			sums[a][j] += x
+		}
+	}
+	for c := range centers {
+		for j := 0; j < dim; j++ {
+			mean := sums[c][j] / float64(counts[c])
+			got := centers[c][j]
+			scale := math.Max(math.Abs(mean), math.Abs(got))
+			if diff := math.Abs(got - mean); diff > meanTolerance*math.Max(scale, 1) {
+				return verify.Errorf("centers",
+					"center %d component %d is %v, want member mean %v (diff %v): centers are stale relative to assignments",
+					c, j, got, mean, diff)
+			}
+		}
+	}
+	return nil
 }
 
 // Checksum returns a stable FNV-1a digest of the plan's outcome: the

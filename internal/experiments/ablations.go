@@ -227,7 +227,7 @@ func AblationProbeNoise(o Options) (*NoiseResult, error) {
 			if err != nil {
 				return err
 			}
-			e := &env{nw: base.nw, prober: prober, simCfg: base.simCfg, verify: base.verify}
+			e := &env{nw: base.nw, prober: prober, simCfg: base.simCfg}
 			res.Points[i].NoiseFrac = noises[i]
 			for s, sel := range selectors() {
 				cost, err := gicost(e, sel, l, m, k, src.SplitN(fmt.Sprintf("%s/%d", sel.Name(), i), s))

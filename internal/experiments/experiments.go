@@ -42,11 +42,6 @@ type Options struct {
 	// Trials averages stochastic experiments over this many seeds; 0 means
 	// the default (1 at full scale).
 	Trials int
-	// NoVerify disables the invariant-checking layer. The zero value keeps
-	// it ON: every figure run audits its plans (partition well-formedness,
-	// centers-are-means) and reports (conservation laws) so a silently
-	// inconsistent simulation cannot make it into a rendered table.
-	NoVerify bool
 	// Obs is the optional observability sink, threaded into every
 	// formation pipeline and simulation the experiments run. Like the
 	// parallelism knobs, it never affects results.
@@ -112,7 +107,6 @@ type env struct {
 	requests    []workload.Request
 	updates     []workload.Update
 	simCfg      netsim.Config
-	verify      bool
 	pipelinePar int
 	obs         *obs.Obs
 }
@@ -136,8 +130,8 @@ func newEnv(numCaches int, o Options, seed int64, withTraces bool) (*env, error)
 	if err != nil {
 		return nil, fmt.Errorf("build prober: %w", err)
 	}
-	e := &env{nw: nw, prober: prober, simCfg: netsim.DefaultConfig(), verify: !o.NoVerify, pipelinePar: o.PipelineParallelism, obs: o.Obs}
-	e.simCfg.Verify = e.verify
+	e := &env{nw: nw, prober: prober, simCfg: netsim.DefaultConfig(), pipelinePar: o.PipelineParallelism, obs: o.Obs}
+	e.simCfg.Verify = true
 	e.simCfg.Obs = o.Obs
 	if !withTraces {
 		return e, nil
@@ -171,11 +165,12 @@ func newEnv(numCaches int, o Options, seed int64, withTraces bool) (*env, error)
 	return e, nil
 }
 
-// formGroups runs a scheme on the environment. The env's verify setting
-// overrides the scheme config's, so every figure run is audited unless the
-// caller opted out.
+// formGroups runs a scheme on the environment. Every plan is verified
+// (partition well-formedness, centers-are-means), as every report is
+// (conservation laws), so a silently inconsistent run cannot make it into
+// a rendered table.
 func (e *env) formGroups(cfg core.Config, k int, src *simrand.Source) (*core.Plan, error) {
-	cfg.Verify = e.verify
+	cfg.Verify = true
 	cfg.Obs = e.obs
 	if e.pipelinePar > 0 {
 		cfg.ProbeParallelism = e.pipelinePar

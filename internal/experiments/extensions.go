@@ -305,7 +305,7 @@ func SubstrateStudy(o Options) (*SubstrateResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &env{nw: nw, prober: prober, catalog: base.catalog, requests: base.requests, updates: base.updates, simCfg: base.simCfg, verify: base.verify}, nil
+		return &env{nw: nw, prober: prober, catalog: base.catalog, requests: base.requests, updates: base.updates, simCfg: base.simCfg}, nil
 	}
 
 	substrates := []string{"transit-stub", "waxman"}

@@ -17,15 +17,8 @@ const DefaultTheta = 1.0
 // landmarksFor returns (L, M) honoring the paper's L=25, M=4 while keeping
 // the PLSet within the network: M·(L−1) ≤ n.
 func landmarksFor(n int) (l, m int) {
-	l, m = paperNumLandmarks, paperPLSetM
-	if m*(l-1) > n {
-		l = n/m + 1
-	}
-	if l < 2 {
-		l = 2
-		m = 1
-	}
-	return l, m
+	p := landmark.Fit(paperNumLandmarks, paperPLSetM, n)
+	return p.L, p.M
 }
 
 // trialSeed derives the seed of one trial.

@@ -80,7 +80,7 @@ func ProbeOverheadStudy(o Options) (*OverheadResult, error) {
 			if err != nil {
 				return err
 			}
-			e := &env{nw: base.nw, prober: prober, simCfg: base.simCfg, verify: base.verify}
+			e := &env{nw: base.nw, prober: prober, simCfg: base.simCfg}
 			plan, err := e.formGroups(core.SL(c.l, c.m), k, src.SplitN("cfg", i))
 			if err != nil {
 				return fmt.Errorf("L=%d M=%d: %w", c.l, c.m, err)

@@ -46,6 +46,22 @@ func (p Params) Validate(numCaches int) error {
 	return nil
 }
 
+// Fit returns the landmark parameters (l, m) shrunk to fit a network of n
+// caches: M is at least 1, and L shrinks until the PLSet fits,
+// M·(L−1) ≤ n. It never returns fewer than L = 2, M = 1.
+func Fit(l, m, n int) Params {
+	if m < 1 {
+		m = 1
+	}
+	if m*(l-1) > n {
+		l = n/m + 1
+	}
+	if l < 2 {
+		l, m = 2, 1
+	}
+	return Params{L: l, M: m}
+}
+
 // Selector chooses a landmark set.
 type Selector interface {
 	// Select returns exactly params.L endpoints, the first of which is the

@@ -51,6 +51,29 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+func TestFit(t *testing.T) {
+	tests := []struct {
+		l, m, n      int
+		wantL, wantM int
+	}{
+		{25, 4, 500, 25, 4},
+		{25, 4, 40, 11, 4},
+		{25, 0, 100, 25, 1},
+		{1, 1, 1, 2, 1},
+		{25, 4, 10, 3, 4},
+	}
+	for _, tt := range tests {
+		p := Fit(tt.l, tt.m, tt.n)
+		if p.L != tt.wantL || p.M != tt.wantM {
+			t.Errorf("Fit(%d,%d,%d) = (%d,%d), want (%d,%d)",
+				tt.l, tt.m, tt.n, p.L, p.M, tt.wantL, tt.wantM)
+		}
+		if err := p.Validate(tt.n); err != nil {
+			t.Errorf("Fit(%d,%d,%d) = %+v does not fit: %v", tt.l, tt.m, tt.n, p, err)
+		}
+	}
+}
+
 func TestSelectorNames(t *testing.T) {
 	if (Greedy{}).Name() != "greedy" || (Random{}).Name() != "random" || (MinDist{}).Name() != "min-dist" {
 		t.Fatal("selector name mismatch")

@@ -42,19 +42,25 @@ func TestChooseBeaconsPicksCentralMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := []topology.CacheIndex{0, 1, 2}
-	got := chooseBeacons(nw, members, make([]bool, 3), 1)
+	dm := make([]float64, len(members)*len(members))
+	for a, ca := range members {
+		for b, cb := range members {
+			dm[a*len(members)+b] = nw.Dist(ca, cb)
+		}
+	}
+	got := chooseBeaconsDist(members, make([]bool, 3), 1, dm)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("beacon = %v, want [1]", got)
 	}
 	// Failed central member: the next-best live member is chosen.
 	failed := make([]bool, 3)
 	failed[1] = true
-	got = chooseBeacons(nw, members, failed, 1)
+	got = chooseBeaconsDist(members, failed, 1, dm)
 	if len(got) != 1 || got[0] == 1 {
 		t.Fatalf("beacon with failed center = %v", got)
 	}
 	// Requesting more beacons than live members clamps.
-	got = chooseBeacons(nw, members, failed, 5)
+	got = chooseBeaconsDist(members, failed, 5, dm)
 	if len(got) != 2 {
 		t.Fatalf("clamped beacons = %v", got)
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"edgecachegroups/internal/metrics"
 	"edgecachegroups/internal/topology"
@@ -174,36 +175,89 @@ func (r *Report) Verify(requests []workload.Request, updates []workload.Update) 
 	return r.verifyWithBounds(int64(len(requests)), int64(len(updates)), 0, 0)
 }
 
+// kbTolerance absorbs float accumulation error in volume sums.
+const kbTolerance = 1e-6
+
+// verifyWithBounds is Verify with the logs' lengths and, when positive,
+// the catalog's smallest and largest document size, which bound the origin
+// volume the origin-served requests can produce. It returns the first
+// violated invariant as a *verify.Error.
 func (r *Report) verifyWithBounds(offeredRequests, offeredUpdates int64, minDocKB, maxDocKB float64) error {
-	perCache := make([]int64, len(r.PerCache))
-	for i := range r.PerCache {
-		perCache[i] = int64(r.PerCache[i].Count())
-	}
-	perGroup := make([]int64, len(r.PerGroup))
-	for g := range r.PerGroup {
-		perGroup[g] = r.PerGroup[g].Requests
-	}
+	fail := func(format string, args ...any) error { return verify.Errorf("report", format, args...) }
 	if c := int64(r.Overall.Count()); c != r.requests {
-		return fmt.Errorf("verify report: overall aggregate holds %d samples, recorded requests %d", c, r.requests)
+		return fail("overall aggregate holds %d samples, recorded requests %d", c, r.requests)
 	}
-	return verify.Report(verify.ReportData{
-		Requests:               r.requests,
-		LocalHits:              r.LocalHits,
-		GroupHits:              r.GroupHits,
-		OriginFetches:          r.OriginFetches,
-		FailoverFetches:        r.FailoverFetches,
-		Updates:                r.Updates,
-		OfferedRequests:        offeredRequests,
-		OfferedUpdates:         offeredUpdates,
-		OriginKB:               r.OriginKB,
-		MinDocKB:               minDocKB,
-		MaxDocKB:               maxDocKB,
-		InvalidationsOrigin:    r.InvalidationsOrigin,
-		InvalidationsForwarded: r.InvalidationsForwarded,
-		NumGroups:              len(r.PerGroup),
-		PerCacheCounts:         perCache,
-		PerGroupCounts:         perGroup,
-	})
+	counters := []struct {
+		name string
+		v    int64
+	}{
+		{"requests", r.requests},
+		{"local hits", r.LocalHits},
+		{"group hits", r.GroupHits},
+		{"origin fetches", r.OriginFetches},
+		{"failover fetches", r.FailoverFetches},
+		{"updates", r.Updates},
+		{"origin invalidations", r.InvalidationsOrigin},
+		{"forwarded invalidations", r.InvalidationsForwarded},
+	}
+	for _, c := range counters {
+		if c.v < 0 {
+			return fail("%s counter is negative: %d", c.name, c.v)
+		}
+	}
+	if sum := r.LocalHits + r.GroupHits + r.OriginFetches + r.FailoverFetches; sum != r.requests {
+		return fail("outcome counts sum to %d, recorded requests %d", sum, r.requests)
+	}
+	if r.requests > offeredRequests {
+		return fail("recorded %d requests, only %d offered", r.requests, offeredRequests)
+	}
+	if r.Updates > offeredUpdates {
+		return fail("recorded %d updates, only %d offered", r.Updates, offeredUpdates)
+	}
+	if r.OriginKB < 0 || math.IsNaN(r.OriginKB) || math.IsInf(r.OriginKB, 0) {
+		return fail("origin volume is %v KB", r.OriginKB)
+	}
+	originServed := r.OriginFetches + r.FailoverFetches
+	if originServed == 0 && r.OriginKB > kbTolerance {
+		return fail("origin volume %v KB with no origin-served requests", r.OriginKB)
+	}
+	if minDocKB > 0 && r.OriginKB < float64(originServed)*minDocKB-kbTolerance {
+		return fail("origin volume %v KB below %d origin-served requests x min document %v KB",
+			r.OriginKB, originServed, minDocKB)
+	}
+	if maxDocKB > 0 && r.OriginKB > float64(originServed)*maxDocKB+kbTolerance {
+		return fail("origin volume %v KB exceeds %d origin-served requests x max document %v KB",
+			r.OriginKB, originServed, maxDocKB)
+	}
+	if groups := int64(len(r.PerGroup)); groups > 0 && r.InvalidationsOrigin > r.Updates*groups {
+		return fail("%d origin invalidations exceed %d updates x %d groups",
+			r.InvalidationsOrigin, r.Updates, groups)
+	}
+	if r.InvalidationsOrigin == 0 && r.InvalidationsForwarded > 0 {
+		return fail("%d forwarded invalidations without origin invalidations", r.InvalidationsForwarded)
+	}
+	// The per-cache and per-group aggregates are updated at independent
+	// call sites, so their agreement with the overall count is a real
+	// cross-check.
+	var perCache int64
+	for i := range r.PerCache {
+		perCache += int64(r.PerCache[i].Count())
+	}
+	if perCache != r.requests {
+		return fail("per-cache counts sum to %d, recorded requests %d", perCache, r.requests)
+	}
+	var perGroup int64
+	for g := range r.PerGroup {
+		c := r.PerGroup[g].Requests
+		if c < 0 {
+			return fail("per-group count %d is negative: %d", g, c)
+		}
+		perGroup += c
+	}
+	if perGroup != r.requests {
+		return fail("per-group counts sum to %d, recorded requests %d", perGroup, r.requests)
+	}
+	return nil
 }
 
 // Checksum returns a stable FNV-1a digest of the report's aggregates:

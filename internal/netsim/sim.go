@@ -257,8 +257,7 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 	// Precompute live peers and cooperative lookup overheads. The O(g²)
 	// pairwise distances of each group feed both the lookup overheads and
 	// the beacon placement, so they are gathered once per group into a
-	// scratch matrix shared by both consumers (previously each recomputed
-	// every pair).
+	// scratch matrix shared by both consumers.
 	if cfg.BeaconsPerGroup > 0 {
 		s.beacons = make([][]topology.CacheIndex, len(groups))
 	}
@@ -329,25 +328,11 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 	return s, nil
 }
 
-// chooseBeacons picks the b most central live members of a group (lowest
-// total RTT to the other members) as its beacon points, mirroring Cache
-// Clouds' placement of per-group lookup machinery.
-func chooseBeacons(nw *topology.Network, members []topology.CacheIndex, failed []bool, b int) []topology.CacheIndex {
-	gl := len(members)
-	dm := make([]float64, gl*gl)
-	for a := 0; a < gl; a++ {
-		for bi := a + 1; bi < gl; bi++ {
-			d := nw.Dist(members[a], members[bi])
-			dm[a*gl+bi] = d
-			dm[bi*gl+a] = d
-		}
-	}
-	return chooseBeaconsDist(members, failed, b, dm)
-}
-
-// chooseBeaconsDist is chooseBeacons over a precomputed row-major pairwise
-// distance matrix dm (len(members)² entries), so New can reuse the distances
-// it already gathered for the lookup overheads.
+// chooseBeaconsDist picks the b most central live members of a group
+// (lowest total RTT to the other live members) as its beacon points,
+// mirroring Cache Clouds' placement of per-group lookup machinery. dm is
+// the group's row-major pairwise distance matrix (len(members)² entries),
+// which New already gathered for the lookup overheads.
 func chooseBeaconsDist(members []topology.CacheIndex, failed []bool, b int, dm []float64) []topology.CacheIndex {
 	type cand struct {
 		c    topology.CacheIndex

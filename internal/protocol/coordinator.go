@@ -193,7 +193,7 @@ func NewCoordinator(cfg Config, numCaches int, transport Transport, src *simrand
 
 // Run executes the five protocol rounds and returns the formed groups.
 // It returns either a Result whose plan and conservation accounting
-// passed the verify layer or a typed error (*RoundError / *verify.Error);
+// passed its invariant checks or a typed error (*RoundError / *verify.Error);
 // it never panics and every wait is bounded by ReplyTimeout, Retries, and
 // RoundBudget.
 func (c *Coordinator) Run() (*Result, error) {
@@ -307,21 +307,45 @@ func (c *Coordinator) Run() (*Result, error) {
 
 // verifyResult audits the plan (a well-formed partition whose centers are
 // the means of their members) and the run's conservation invariants
-// through the verify layer before the result is handed out.
+// before the result is handed out: every cache is accounted for exactly
+// once (assigned or unresponsive), degradation counts stay within their
+// bounds, and the traffic counters are consistent.
 func (c *Coordinator) verifyResult(res *Result) error {
 	if err := res.Plan.Verify(nil); err != nil {
 		return err
 	}
-	return verify.Protocol(verify.ProtocolData{
-		NumCaches:        c.n,
-		Assigned:         len(res.Members),
-		Unresponsive:     len(res.Unresponsive),
-		Unacked:          len(res.UnackedAssignments),
-		MessagesSent:     res.MessagesSent,
-		Retries:          res.Retries,
-		DuplicateReplies: res.DuplicateReplies,
-		TimedOutWaits:    res.TimedOutWaits,
-	})
+	return verifyAccounting(c.n, res)
+}
+
+// verifyAccounting checks the accounting of a run over n caches and
+// returns the first violated invariant as a *verify.Error.
+func verifyAccounting(n int, res *Result) error {
+	fail := func(format string, args ...any) error { return verify.Errorf("protocol", format, args...) }
+	assigned, unresponsive, unacked := len(res.Members), len(res.Unresponsive), len(res.UnackedAssignments)
+	if n < 1 {
+		return fail("NumCaches = %d, want >= 1", n)
+	}
+	if assigned+unresponsive != n {
+		return fail("cache conservation violated: assigned %d + unresponsive %d != %d caches",
+			assigned, unresponsive, n)
+	}
+	if unacked > assigned {
+		return fail("unacked %d exceeds assigned %d", unacked, assigned)
+	}
+	if res.MessagesSent < 0 || res.Retries < 0 || res.DuplicateReplies < 0 || res.TimedOutWaits < 0 {
+		return fail("negative traffic counters: sent=%d retries=%d dups=%d timeouts=%d",
+			res.MessagesSent, res.Retries, res.DuplicateReplies, res.TimedOutWaits)
+	}
+	// Every cache got at least one feature request and every assigned cache
+	// at least one assign message, so the send counter has a hard floor.
+	if min := int64(n + assigned); res.MessagesSent < min {
+		return fail("MessagesSent %d below the %d-message floor (n=%d + assigned=%d)",
+			res.MessagesSent, min, n, assigned)
+	}
+	if res.Retries > res.MessagesSent {
+		return fail("Retries %d exceeds MessagesSent %d", res.Retries, res.MessagesSent)
+	}
+	return nil
 }
 
 // Groups returns the members of each group as cache indices, ascending,

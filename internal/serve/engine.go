@@ -219,7 +219,7 @@ func (e *Engine) Ingest(batch []CacheStat) error {
 		if s.Cache < 0 || s.Cache >= n {
 			return fmt.Errorf("serve: cache index %d out of range [0,%d)", s.Cache, n)
 		}
-		if err := verify.StatVector(fmt.Sprintf("cache %d rttMS", s.Cache), s.RTTMS, e.dim); err != nil {
+		if err := e.checkRTT(s); err != nil {
 			return err
 		}
 		if s.Requests < 0 {
@@ -228,6 +228,30 @@ func (e *Engine) Ingest(batch []CacheStat) error {
 	}
 	for _, s := range batch {
 		e.stats.Record(s)
+	}
+	return nil
+}
+
+// checkRTT checks one ingested RTT vector before it enters the
+// maintenance pipeline: the plan's feature dimension, and every component
+// finite and non-negative, as RTTs are by construction. Malformed input is
+// rejected at the edge instead of corrupting feature vectors, drift
+// detection or plan checksums downstream. The cache is named only in the
+// error, so an accepted vector costs no formatting.
+func (e *Engine) checkRTT(s CacheStat) error {
+	switch {
+	case len(s.RTTMS) == 0:
+		return verify.Errorf("ingest", "cache %d rttMS is empty", s.Cache)
+	case len(s.RTTMS) != e.dim:
+		return verify.Errorf("ingest", "cache %d rttMS has dimension %d, want %d", s.Cache, len(s.RTTMS), e.dim)
+	}
+	for j, x := range s.RTTMS {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return verify.Errorf("ingest", "cache %d rttMS[%d] is %v", s.Cache, j, x)
+		}
+		if x < 0 {
+			return verify.Errorf("ingest", "cache %d rttMS[%d] is negative: %v", s.Cache, j, x)
+		}
 	}
 	return nil
 }

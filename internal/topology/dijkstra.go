@@ -30,6 +30,14 @@ func (h *distHeap) Pop() interface{} {
 // ShortestPaths computes single-source shortest-path distances from src to
 // every node using Dijkstra's algorithm. Unreachable nodes get +Inf.
 func (g *Graph) ShortestPaths(src NodeID) ([]float64, error) {
+	return g.dijkstra(src, nil)
+}
+
+// dijkstra is the one Dijkstra loop behind ShortestPaths and
+// ShortestPathTree. It returns the distances from src; a non-nil prev
+// (one entry per node) also receives each node's predecessor on its
+// shortest path, -1 for src and unreachable nodes.
+func (g *Graph) dijkstra(src NodeID, prev []NodeID) ([]float64, error) {
 	n := len(g.nodes)
 	if int(src) < 0 || int(src) >= n {
 		return nil, fmt.Errorf("topology: source node %d out of range [0,%d)", src, n)
@@ -37,6 +45,9 @@ func (g *Graph) ShortestPaths(src NodeID) ([]float64, error) {
 	dist := make([]float64, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
+	}
+	for i := range prev {
+		prev[i] = -1
 	}
 	dist[int(src)] = 0
 	done := make([]bool, n)
@@ -54,6 +65,9 @@ func (g *Graph) ShortestPaths(src NodeID) ([]float64, error) {
 			v := int(e.to)
 			if nd := it.dist + e.weight; nd < dist[v] {
 				dist[v] = nd
+				if prev != nil {
+					prev[v] = it.node
+				}
 				heap.Push(&h, pqItem{node: e.to, dist: nd})
 			}
 		}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -17,36 +16,10 @@ type ShortestPathTree struct {
 
 // ShortestPathTree computes the shortest-path tree rooted at src.
 func (g *Graph) ShortestPathTree(src NodeID) (*ShortestPathTree, error) {
-	n := len(g.nodes)
-	if int(src) < 0 || int(src) >= n {
-		return nil, fmt.Errorf("topology: source node %d out of range [0,%d)", src, n)
-	}
-	dist := make([]float64, n)
-	prev := make([]NodeID, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[int(src)] = 0
-	done := make([]bool, n)
-
-	h := make(distHeap, 0, n)
-	heap.Push(&h, pqItem{node: src, dist: 0})
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(pqItem)
-		u := int(it.node)
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, e := range g.adj[u] {
-			v := int(e.to)
-			if nd := it.dist + e.weight; nd < dist[v] {
-				dist[v] = nd
-				prev[v] = it.node
-				heap.Push(&h, pqItem{node: e.to, dist: nd})
-			}
-		}
+	prev := make([]NodeID, len(g.nodes))
+	dist, err := g.dijkstra(src, prev)
+	if err != nil {
+		return nil, err
 	}
 	return &ShortestPathTree{src: src, dist: dist, prev: prev}, nil
 }

@@ -109,3 +109,40 @@ func TestPathDistancesMatchDijkstra(t *testing.T) {
 		}
 	}
 }
+
+// TestShortestPathTreeMatchesShortestPaths: both entry points run one
+// Dijkstra loop, so the tree's distances must equal ShortestPaths' bit for
+// bit, from every tested source to every node.
+func TestShortestPathTreeMatchesShortestPaths(t *testing.T) {
+	ts, err := GenerateTransitStub(DefaultTransitStubParams(), simrand.New(51))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := DefaultWaxmanParams()
+	wp.Nodes = 150
+	wax, err := GenerateWaxman(wp, simrand.New(52))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{{"transit-stub", ts}, {"waxman", wax}} {
+		g, n := tc.g, tc.g.NumNodes()
+		for _, src := range []NodeID{0, NodeID(n / 3), NodeID(n / 2), NodeID(n - 1)} {
+			dist, err := g.ShortestPaths(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := g.ShortestPathTree(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < n; v++ {
+				if got := tree.Dist(NodeID(v)); got != dist[v] {
+					t.Fatalf("%s src %d: tree.Dist(%d) = %v, ShortestPaths = %v", tc.name, src, v, got, dist[v])
+				}
+			}
+		}
+	}
+}

@@ -1,35 +1,28 @@
-// Package verify is the pipeline-wide invariant-checking and
-// run-verification layer. The paper's headline claims (the U-shaped
-// latency-vs-K curve, SDSL beating SL) are only reproducible if the
-// clustering, probing, and simulation layers are internally consistent, so
-// every stage's output can be audited here:
+// Package verify holds what the pipeline's invariant checks share. The
+// paper's headline claims (the U-shaped latency-vs-K curve, SDSL beating
+// SL) are only reproducible if the clustering, probing and simulation
+// layers are internally consistent, so each layer audits its own output,
+// in the package that owns the type it checks:
 //
-//   - Plan checks partition well-formedness (every cache in exactly one
-//     group, no empty groups after repair), centers-are-means-of-
-//     assignments, and feature/point dimension consistency;
-//   - Report checks simulator conservation laws (per-outcome counts sum to
-//     recorded requests, origin bytes consistent with origin-served
-//     requests, invalidation counters non-negative and bounded);
-//   - Digest provides stable FNV-1a checksums so a (seed, config) pair
-//     replays bit-identically regardless of concurrency schedule;
-//   - Stages provides per-stage timing/counter instrumentation in the
-//     Prober overhead-counter style.
+//   - core.Plan.Verify: every cache in exactly one of K non-empty groups,
+//     consistent and finite dimensions, and centers that are the means of
+//     their members;
+//   - netsim.Report.Verify: the simulator's conservation laws;
+//   - the protocol coordinator: the distributed run's accounting;
+//   - serve.Engine.Ingest: every ingested RTT vector.
 //
-// The package is dependency-light (it imports only the cluster vector
-// type), so the core and netsim layers can call into it behind their debug
-// flags without import cycles; edgecachegroups re-exports the friendly
-// entry points ecg.VerifyPlan and ecg.VerifyReport.
+// Every check fails with an *Error naming its stage. Digest provides
+// stable FNV-1a checksums so a (seed, config) pair replays bit-identically
+// regardless of concurrency schedule.
+//
+// The package imports no other package of the module, so every layer can
+// use it; edgecachegroups re-exports Error as ecg.VerifyError.
 package verify
 
-import (
-	"fmt"
-	"math"
+import "fmt"
 
-	"edgecachegroups/internal/cluster"
-)
-
-// Error is returned by the checkers; Stage names the pipeline stage whose
-// invariant failed.
+// Error is returned by the invariant checks; Stage names the pipeline
+// stage whose invariant failed.
 type Error struct {
 	Stage string
 	Err   error
@@ -41,318 +34,8 @@ func (e *Error) Error() string { return fmt.Sprintf("verify %s: %v", e.Stage, e.
 // Unwrap supports errors.Is/As.
 func (e *Error) Unwrap() error { return e.Err }
 
-func fail(stage, format string, args ...any) error {
+// Errorf returns an *Error for stage whose message is formatted as by
+// fmt.Errorf.
+func Errorf(stage, format string, args ...any) error {
 	return &Error{Stage: stage, Err: fmt.Errorf(format, args...)}
-}
-
-// PlanData is the flattened view of a group-formation plan, decoupled from
-// the core package to avoid an import cycle (core calls into verify).
-type PlanData struct {
-	// NumCaches is the network size the plan must cover; 0 skips the check
-	// against Assignments' length.
-	NumCaches int
-	// K is the requested number of groups.
-	K int
-	// Assignments maps cache index -> group in [0,K).
-	Assignments []int
-	// Points are the clustered positions; Centers the final group centers.
-	Points  []cluster.Vector
-	Centers []cluster.Vector
-	// Features are the raw RTT feature vectors (may differ in dimension
-	// from Points under an embedding representation).
-	Features []cluster.Vector
-	// CentersAreMeans asserts that every center equals the mean of its
-	// members' Points — true for K-means output whose assignments have not
-	// been post-edited (balancing, incremental joins), false for K-medoids.
-	CentersAreMeans bool
-}
-
-// meanTolerance is the relative tolerance for the centers-are-means check;
-// recomputing a mean accumulates per-coordinate rounding of order n·eps.
-const meanTolerance = 1e-9
-
-// Plan checks the structural invariants of a formed plan. It returns the
-// first violated invariant as a *Error.
-func Plan(p PlanData) error {
-	if err := Partition(p.Assignments, p.K); err != nil {
-		return err
-	}
-	if p.NumCaches != 0 && len(p.Assignments) != p.NumCaches {
-		return fail("plan", "plan covers %d caches, network has %d", len(p.Assignments), p.NumCaches)
-	}
-	if len(p.Points) != len(p.Assignments) {
-		return fail("plan", "%d points for %d assignments", len(p.Points), len(p.Assignments))
-	}
-	if len(p.Features) != 0 && len(p.Features) != len(p.Assignments) {
-		return fail("plan", "%d feature vectors for %d assignments", len(p.Features), len(p.Assignments))
-	}
-	if len(p.Centers) != p.K {
-		return fail("plan", "%d centers for K=%d", len(p.Centers), p.K)
-	}
-	if err := Dimensions(p.Points, p.Centers); err != nil {
-		return err
-	}
-	if err := uniformDims("features", p.Features); err != nil {
-		return err
-	}
-	if p.CentersAreMeans {
-		if err := CentersAreMeans(p.Points, p.Assignments, p.Centers); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Partition checks that assignments form a well-formed K-way partition:
-// every element lies in [0,k) and every group has at least one member
-// (empty-cluster repair guarantees non-degenerate groups).
-func Partition(assignments []int, k int) error {
-	if k < 1 {
-		return fail("partition", "k must be >= 1, got %d", k)
-	}
-	if len(assignments) < k {
-		return fail("partition", "%d caches cannot fill %d non-empty groups", len(assignments), k)
-	}
-	sizes := make([]int, k)
-	for i, a := range assignments {
-		if a < 0 || a >= k {
-			return fail("partition", "cache %d assigned to group %d, out of range [0,%d)", i, a, k)
-		}
-		sizes[a]++
-	}
-	for g, n := range sizes {
-		if n == 0 {
-			return fail("partition", "group %d is empty after repair", g)
-		}
-	}
-	return nil
-}
-
-// Dimensions checks that all points and centers share one non-zero
-// dimension, so every distance computed during clustering and incremental
-// assignment was well-defined.
-func Dimensions(points, centers []cluster.Vector) error {
-	if err := uniformDims("points", points); err != nil {
-		return err
-	}
-	if err := uniformDims("centers", centers); err != nil {
-		return err
-	}
-	if len(points) > 0 && len(centers) > 0 && len(points[0]) != len(centers[0]) {
-		return fail("dimensions", "points have dimension %d, centers %d", len(points[0]), len(centers[0]))
-	}
-	return nil
-}
-
-func uniformDims(what string, vs []cluster.Vector) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	dim := len(vs[0])
-	if dim == 0 {
-		return fail("dimensions", "%s are zero-dimensional", what)
-	}
-	for i, v := range vs {
-		if len(v) != dim {
-			return fail("dimensions", "%s[%d] has dimension %d, want %d", what, i, len(v), dim)
-		}
-		for j, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fail("dimensions", "%s[%d][%d] is %v", what, i, j, x)
-			}
-		}
-	}
-	return nil
-}
-
-// CentersAreMeans checks that each center is the mean of its assigned
-// points, within floating-point tolerance. This is the invariant the
-// K-means iteration must restore after empty-cluster repair: a stale
-// donor-cluster center silently skews WithinClusterSS and every
-// center-distance decision downstream (balancing, incremental joins).
-func CentersAreMeans(points []cluster.Vector, assignments []int, centers []cluster.Vector) error {
-	if len(points) != len(assignments) {
-		return fail("centers", "%d points for %d assignments", len(points), len(assignments))
-	}
-	k := len(centers)
-	if k == 0 {
-		return fail("centers", "no centers")
-	}
-	dim := len(centers[0])
-	sums := make([][]float64, k)
-	counts := make([]int, k)
-	for c := range sums {
-		sums[c] = make([]float64, dim)
-	}
-	for i, a := range assignments {
-		if a < 0 || a >= k {
-			return fail("centers", "point %d assigned to group %d, out of range [0,%d)", i, a, k)
-		}
-		if len(points[i]) != dim {
-			return fail("centers", "point %d has dimension %d, want %d", i, len(points[i]), dim)
-		}
-		counts[a]++
-		for j, x := range points[i] {
-			sums[a][j] += x
-		}
-	}
-	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			continue // empty groups are Partition's complaint, not ours
-		}
-		for j := 0; j < dim; j++ {
-			mean := sums[c][j] / float64(counts[c])
-			got := centers[c][j]
-			scale := math.Max(math.Abs(mean), math.Abs(got))
-			if diff := math.Abs(got - mean); diff > meanTolerance*math.Max(scale, 1) {
-				return fail("centers",
-					"center %d component %d is %v, want member mean %v (diff %v): centers are stale relative to assignments",
-					c, j, got, mean, diff)
-			}
-		}
-	}
-	return nil
-}
-
-// StatVector checks one ingested measurement vector before it enters the
-// maintenance pipeline: the expected dimension (wantDim 0 skips the
-// check), every component finite, and every component non-negative (RTTs
-// are non-negative by construction). The serving daemon audits every
-// POSTed per-cache stat report through this check so malformed input is
-// rejected at the edge instead of corrupting feature vectors, drift
-// detection, or plan checksums downstream.
-func StatVector(name string, v []float64, wantDim int) error {
-	if len(v) == 0 {
-		return fail("ingest", "%s is empty", name)
-	}
-	if wantDim > 0 && len(v) != wantDim {
-		return fail("ingest", "%s has dimension %d, want %d", name, len(v), wantDim)
-	}
-	for j, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fail("ingest", "%s[%d] is %v", name, j, x)
-		}
-		if x < 0 {
-			return fail("ingest", "%s[%d] is negative: %v", name, j, x)
-		}
-	}
-	return nil
-}
-
-// ReportData is the flattened view of a simulation report, decoupled from
-// the netsim package to avoid an import cycle (netsim calls into verify).
-type ReportData struct {
-	// Requests is the number of recorded (post-warmup) requests; the
-	// outcome counters below must sum to it.
-	Requests int64
-	// LocalHits/GroupHits/OriginFetches/FailoverFetches classify every
-	// recorded request.
-	LocalHits       int64
-	GroupHits       int64
-	OriginFetches   int64
-	FailoverFetches int64
-	// Updates is the number of recorded origin updates.
-	Updates int64
-	// OfferedRequests/OfferedUpdates are the log lengths fed to the run;
-	// recorded counts can never exceed them. Negative values skip the
-	// check.
-	OfferedRequests int64
-	OfferedUpdates  int64
-	// OriginKB is the recorded origin-served volume. With positive
-	// MinDocKB/MaxDocKB it must lie within the bounds implied by the
-	// origin-served request count; zero bounds skip the check.
-	OriginKB float64
-	MinDocKB float64
-	MaxDocKB float64
-	// InvalidationsOrigin/InvalidationsForwarded are the push-invalidation
-	// counters. NumGroups bounds the per-update origin fan-out; 0 skips
-	// that bound.
-	InvalidationsOrigin    int64
-	InvalidationsForwarded int64
-	NumGroups              int
-	// PerCacheCounts/PerGroupCounts are recorded request counts from the
-	// per-cache and per-group aggregates; when non-nil each must sum to
-	// Requests (they are updated at independent call sites, so agreement
-	// is a real cross-check).
-	PerCacheCounts []int64
-	PerGroupCounts []int64
-}
-
-// kbTolerance absorbs float accumulation error in volume sums.
-const kbTolerance = 1e-6
-
-// Report checks the conservation invariants of a simulation report. It
-// returns the first violated invariant as a *Error.
-func Report(r ReportData) error {
-	counters := []struct {
-		name string
-		v    int64
-	}{
-		{"requests", r.Requests},
-		{"local hits", r.LocalHits},
-		{"group hits", r.GroupHits},
-		{"origin fetches", r.OriginFetches},
-		{"failover fetches", r.FailoverFetches},
-		{"updates", r.Updates},
-		{"origin invalidations", r.InvalidationsOrigin},
-		{"forwarded invalidations", r.InvalidationsForwarded},
-	}
-	for _, c := range counters {
-		if c.v < 0 {
-			return fail("report", "%s counter is negative: %d", c.name, c.v)
-		}
-	}
-	if sum := r.LocalHits + r.GroupHits + r.OriginFetches + r.FailoverFetches; sum != r.Requests {
-		return fail("report", "outcome counts sum to %d, recorded requests %d", sum, r.Requests)
-	}
-	if r.OfferedRequests >= 0 && r.Requests > r.OfferedRequests {
-		return fail("report", "recorded %d requests, only %d offered", r.Requests, r.OfferedRequests)
-	}
-	if r.OfferedUpdates >= 0 && r.Updates > r.OfferedUpdates {
-		return fail("report", "recorded %d updates, only %d offered", r.Updates, r.OfferedUpdates)
-	}
-	if r.OriginKB < 0 || math.IsNaN(r.OriginKB) || math.IsInf(r.OriginKB, 0) {
-		return fail("report", "origin volume is %v KB", r.OriginKB)
-	}
-	originServed := r.OriginFetches + r.FailoverFetches
-	if originServed == 0 && r.OriginKB > kbTolerance {
-		return fail("report", "origin volume %v KB with no origin-served requests", r.OriginKB)
-	}
-	if r.MinDocKB > 0 && r.OriginKB < float64(originServed)*r.MinDocKB-kbTolerance {
-		return fail("report", "origin volume %v KB below %d origin-served requests x min document %v KB",
-			r.OriginKB, originServed, r.MinDocKB)
-	}
-	if r.MaxDocKB > 0 && r.OriginKB > float64(originServed)*r.MaxDocKB+kbTolerance {
-		return fail("report", "origin volume %v KB exceeds %d origin-served requests x max document %v KB",
-			r.OriginKB, originServed, r.MaxDocKB)
-	}
-	if r.NumGroups > 0 && r.InvalidationsOrigin > r.Updates*int64(r.NumGroups) {
-		return fail("report", "%d origin invalidations exceed %d updates x %d groups",
-			r.InvalidationsOrigin, r.Updates, r.NumGroups)
-	}
-	if r.InvalidationsOrigin == 0 && r.InvalidationsForwarded > 0 {
-		return fail("report", "%d forwarded invalidations without origin invalidations", r.InvalidationsForwarded)
-	}
-	for _, agg := range []struct {
-		name   string
-		counts []int64
-	}{
-		{"per-cache", r.PerCacheCounts},
-		{"per-group", r.PerGroupCounts},
-	} {
-		if agg.counts == nil {
-			continue
-		}
-		var sum int64
-		for i, c := range agg.counts {
-			if c < 0 {
-				return fail("report", "%s count %d is negative: %d", agg.name, i, c)
-			}
-			sum += c
-		}
-		if sum != r.Requests {
-			return fail("report", "%s counts sum to %d, recorded requests %d", agg.name, sum, r.Requests)
-		}
-	}
-	return nil
 }
