@@ -21,7 +21,6 @@ import (
 
 	ecg "edgecachegroups"
 	"edgecachegroups/internal/landmark"
-	"edgecachegroups/internal/topology"
 	"edgecachegroups/internal/workload"
 )
 
@@ -92,7 +91,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("open topology: %w", err)
 		}
-		graph, err = topology.ReadGraphJSON(f)
+		graph, err = ecg.ReadGraphJSON(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("load topology: %w", err)
@@ -124,6 +123,10 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown scheme %q", *scheme)
 	}
+	// The plan and the report come from outside input (a trace file and
+	// optionally a topology file), so both are checked, as every other
+	// command checks its plans.
+	cfg.Verify = true
 	cfg.Obs = o
 	gf, err := ecg.NewCoordinator(nw, prober, cfg, src.Split("gf"))
 	if err != nil {
@@ -137,6 +140,7 @@ func run(args []string, w io.Writer) error {
 	simCfg := ecg.DefaultSimConfig()
 	simCfg.WarmupSec = *warmup
 	simCfg.BeaconsPerGroup = *beacons
+	simCfg.Verify = true
 	simCfg.Obs = o
 	switch strings.ToLower(*policy) {
 	case "utility":

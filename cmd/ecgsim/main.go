@@ -42,7 +42,6 @@ func run(args []string, w io.Writer) error {
 		scale    = fs.Float64("scale", 1.0, "experiment scale in (0,1]; 1.0 is the paper's 500-cache scale")
 		trials   = fs.Int("trials", 1, "number of seeds to average over")
 		parallel = fs.Int("parallel", 4, "sweep-point parallelism")
-		pipePar  = fs.Int("pipeline-parallelism", 0, "worker-pool bound inside each formation pipeline (0 = per-layer defaults; results are identical for any value)")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 		outPath  = fs.String("out", "", "also append rendered tables to this file")
 		obsAddr  = fs.String("obs-addr", "", "serve live /metrics, /debug/vars, /debug/pprof, and /trace on this host:port (\":0\" for ephemeral; results are identical with or without)")
@@ -52,7 +51,7 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, PipelineParallelism: *pipePar, Trials: *trials}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, Trials: *trials}
 	if *obsAddr != "" {
 		opts.Obs = obs.New()
 		srv, err := obs.Serve(*obsAddr, opts.Obs)

@@ -45,46 +45,36 @@ func AblationTheta(o Options) (*ThetaResult, error) {
 	thetas := []float64{0, 0.5, 1, 2, 4}
 	res := &ThetaResult{NumCaches: n, K: k, Points: make([]ThetaPoint, len(thetas))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, true)
-		if err != nil {
-			return nil, err
+	subset := maxInt(n/10, 5)
+	err := sweep(o, n, true, 43, len(thetas), func(e *env, _ int64, src *simrand.Source, i int) error {
+		cfg := core.SDSL(l, m, thetas[i])
+		if thetas[i] == 0 {
+			cfg = core.SL(l, m)
 		}
-		subset := maxInt(n/10, 5)
-		near := e.nw.NearestCaches(subset)
-		far := e.nw.FarthestCaches(subset)
-		src := simrand.New(seed + 43)
-		err = forEach(len(thetas), o.Parallelism, func(i int) error {
-			cfg := core.SDSL(l, m, thetas[i])
-			if thetas[i] == 0 {
-				cfg = core.SL(l, m)
-			}
-			rep, plan, err := e.simulate(cfg, k, src.SplitN("theta", i))
-			if err != nil {
-				return err
-			}
-			sizes := plan.Sizes()
-			meanSize := func(set []topology.CacheIndex) float64 {
-				var sum float64
-				for _, c := range set {
-					g, err := plan.GroupOf(c)
-					if err != nil {
-						continue
-					}
-					sum += float64(sizes[g])
+		rep, plan, err := e.simulate(cfg, k, src.SplitN("theta", i))
+		if err != nil {
+			return err
+		}
+		sizes := plan.Sizes()
+		meanSize := func(set []topology.CacheIndex) float64 {
+			var sum float64
+			for _, c := range set {
+				g, err := plan.GroupOf(c)
+				if err != nil {
+					continue
 				}
-				return sum / float64(len(set))
+				sum += float64(sizes[g])
 			}
-			res.Points[i].Theta = thetas[i]
-			res.Points[i].LatencyMS += rep.MeanLatency() / float64(o.Trials)
-			res.Points[i].NearMeanSize += meanSize(near) / float64(o.Trials)
-			res.Points[i].FarMeanSize += meanSize(far) / float64(o.Trials)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			return sum / float64(len(set))
 		}
+		res.Points[i].Theta = thetas[i]
+		res.Points[i].LatencyMS += rep.MeanLatency() / float64(o.Trials)
+		res.Points[i].NearMeanSize += meanSize(e.nw.NearestCaches(subset)) / float64(o.Trials)
+		res.Points[i].FarMeanSize += meanSize(e.nw.FarthestCaches(subset)) / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -138,32 +128,20 @@ func AblationPLSetM(o Options) (*MResult, error) {
 	ms := []int{1, 2, 4, 8}
 	l, _ := landmarksFor(n)
 	res := &MResult{NumCaches: n, K: k, L: l, Points: make([]MPoint, len(ms))}
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, false)
+	err := sweep(o, n, false, 47, len(ms), func(e *env, _ int64, src *simrand.Source, i int) error {
+		lm := landmark.Fit(l, ms[i], n)
+		cost, err := gicost(e, landmark.Greedy{}, lm.L, lm.M, k, src.SplitN("m", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 47)
-		err = forEach(len(ms), o.Parallelism, func(i int) error {
-			m := ms[i]
-			lEff := l
-			if m*(lEff-1) > n {
-				lEff = n/m + 1
-			}
-			cost, err := gicost(e, landmark.Greedy{}, lEff, m, k, src.SplitN("m", i))
-			if err != nil {
-				return err
-			}
-			plPoints := m*(lEff-1) + 1
-			res.Points[i].M = m
-			res.Points[i].GICostMS += cost / float64(o.Trials)
-			res.Points[i].ProbePairs = plPoints * (plPoints - 1) / 2
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		plPoints := lm.M*(lm.L-1) + 1
+		res.Points[i].M = ms[i]
+		res.Points[i].GICostMS += cost / float64(o.Trials)
+		res.Points[i].ProbePairs = plPoints * (plPoints - 1) / 2
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -213,41 +191,22 @@ func AblationProbeNoise(o Options) (*NoiseResult, error) {
 	noises := []float64{0, 0.05, 0.1, 0.2, 0.4}
 	res := &NoiseResult{NumCaches: n, K: k, Points: make([]NoisePoint, len(noises))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		base, err := newEnv(n, o, seed, false)
+	err := sweep(o, n, false, 53, len(noises), func(base *env, seed int64, src *simrand.Source, i int) error {
+		cfg := probe.DefaultConfig()
+		cfg.NoiseFrac = noises[i]
+		prober, err := probe.NewProber(base.nw, cfg, simrand.New(seed+int64(i)*257))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 53)
-		err = forEach(len(noises), o.Parallelism, func(i int) error {
-			cfg := probe.DefaultConfig()
-			cfg.NoiseFrac = noises[i]
-			prober, err := probe.NewProber(base.nw, cfg, simrand.New(seed+int64(i)*257))
-			if err != nil {
-				return err
-			}
-			e := &env{nw: base.nw, prober: prober, simCfg: base.simCfg}
-			res.Points[i].NoiseFrac = noises[i]
-			for s, sel := range selectors() {
-				cost, err := gicost(e, sel, l, m, k, src.SplitN(fmt.Sprintf("%s/%d", sel.Name(), i), s))
-				if err != nil {
-					return fmt.Errorf("%s: %w", sel.Name(), err)
-				}
-				switch sel.(type) {
-				case landmark.Greedy:
-					res.Points[i].GreedyMS += cost / float64(o.Trials)
-				case landmark.Random:
-					res.Points[i].RandomMS += cost / float64(o.Trials)
-				case landmark.MinDist:
-					res.Points[i].MinDistMS += cost / float64(o.Trials)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		e := *base
+		e.prober = prober
+		p := &res.Points[i]
+		p.NoiseFrac = noises[i]
+		return e.addSelectorCosts(l, m, k, o.Trials, pointSplit(src, i),
+			[3]*float64{&p.GreedyMS, &p.RandomMS, &p.MinDistMS})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -298,41 +257,26 @@ func AblationFailures(o Options) (*FailureResult, error) {
 	fracs := []float64{0, 0.05, 0.1, 0.2}
 	res := &FailureResult{NumCaches: n, K: k, Points: make([]FailurePoint, len(fracs))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, true)
+	err := sweep(o, n, true, 59, len(fracs), func(e *env, seed int64, src *simrand.Source, i int) error {
+		failedIdx, err := simrand.New(seed+61+int64(i)).SampleWithoutReplacement(n, int(fracs[i]*float64(n)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 59)
-		err = forEach(len(fracs), o.Parallelism, func(i int) error {
-			numFailed := int(fracs[i] * float64(n))
-			failSrc := simrand.New(seed + 61 + int64(i))
-			failedIdx, err := failSrc.SampleWithoutReplacement(n, numFailed)
-			if err != nil {
-				return err
-			}
-			simCfg := e.simCfg
-			for _, f := range failedIdx {
-				simCfg.FailedCaches = append(simCfg.FailedCaches, topology.CacheIndex(f))
-			}
-			e2 := &env{nw: e.nw, prober: e.prober, catalog: e.catalog, requests: e.requests, updates: e.updates, simCfg: simCfg}
-			res.Points[i].FailedFrac = fracs[i]
-			repSL, _, err := e2.simulate(core.SL(l, m), k, src.SplitN("sl", i))
-			if err != nil {
-				return err
-			}
-			repSD, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), k, src.SplitN("sdsl", i))
-			if err != nil {
-				return err
-			}
-			res.Points[i].SLMS += repSL.MeanLatency() / float64(o.Trials)
-			res.Points[i].SDSLMS += repSD.MeanLatency() / float64(o.Trials)
-			return nil
-		})
+		e2 := *e
+		for _, f := range failedIdx {
+			e2.simCfg.FailedCaches = append(e2.simCfg.FailedCaches, topology.CacheIndex(f))
+		}
+		sl, sdsl, err := e2.slVsSDSL(l, m, k, src.SplitN("sl", i), src.SplitN("sdsl", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
+		res.Points[i].FailedFrac = fracs[i]
+		res.Points[i].SLMS += sl / float64(o.Trials)
+		res.Points[i].SDSLMS += sdsl / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -34,17 +34,12 @@ type Options struct {
 	// a sensible default. Each simulation is one serial event loop, so
 	// sweeps use several cores by running simulations side by side.
 	Parallelism int
-	// PipelineParallelism bounds the worker pools inside each formation
-	// pipeline (feature probing, embedding, clustering); 0 keeps the
-	// per-layer defaults. Results are invariant to this knob — it only
-	// changes wall-clock time.
-	PipelineParallelism int
 	// Trials averages stochastic experiments over this many seeds; 0 means
 	// the default (1 at full scale).
 	Trials int
-	// Obs is the optional observability sink, threaded into every
-	// formation pipeline and simulation the experiments run. Like the
-	// parallelism knobs, it never affects results.
+	// Obs is the optional observability sink: every study's formations,
+	// simulations and protocol rounds report to it. Like Parallelism, it
+	// never affects results.
 	Obs *obs.Obs
 }
 
@@ -60,9 +55,6 @@ func (o Options) Validate() error {
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("experiments: Parallelism must be >= 0, got %d", o.Parallelism)
-	}
-	if o.PipelineParallelism < 0 {
-		return fmt.Errorf("experiments: PipelineParallelism must be >= 0, got %d", o.PipelineParallelism)
 	}
 	if o.Trials < 0 {
 		return fmt.Errorf("experiments: Trials must be >= 0, got %d", o.Trials)
@@ -99,16 +91,18 @@ const (
 	paperSimilarity   = 0.8
 )
 
-// env bundles the shared per-network-size experimental setup.
+// env bundles the shared per-network-size experimental setup. newEnv
+// builds the only one from scratch; a study that varies one part copies
+// its base env and replaces that field, so every derived env keeps the
+// base's traces, verification and observability sink.
 type env struct {
-	nw          *topology.Network
-	prober      *probe.Prober
-	catalog     *workload.Catalog
-	requests    []workload.Request
-	updates     []workload.Update
-	simCfg      netsim.Config
-	pipelinePar int
-	obs         *obs.Obs
+	nw       *topology.Network
+	prober   *probe.Prober
+	catalog  *workload.Catalog
+	requests []workload.Request
+	updates  []workload.Update
+	simCfg   netsim.Config
+	obs      *obs.Obs
 }
 
 // newEnv builds the simulation environment for a network of numCaches
@@ -130,7 +124,7 @@ func newEnv(numCaches int, o Options, seed int64, withTraces bool) (*env, error)
 	if err != nil {
 		return nil, fmt.Errorf("build prober: %w", err)
 	}
-	e := &env{nw: nw, prober: prober, simCfg: netsim.DefaultConfig(), pipelinePar: o.PipelineParallelism, obs: o.Obs}
+	e := &env{nw: nw, prober: prober, simCfg: netsim.DefaultConfig(), obs: o.Obs}
 	e.simCfg.Verify = true
 	e.simCfg.Obs = o.Obs
 	if !withTraces {
@@ -172,11 +166,6 @@ func newEnv(numCaches int, o Options, seed int64, withTraces bool) (*env, error)
 func (e *env) formGroups(cfg core.Config, k int, src *simrand.Source) (*core.Plan, error) {
 	cfg.Verify = true
 	cfg.Obs = e.obs
-	if e.pipelinePar > 0 {
-		cfg.ProbeParallelism = e.pipelinePar
-		cfg.Cluster.Parallelism = e.pipelinePar
-		cfg.GNP.Parallelism = e.pipelinePar
-	}
 	gf, err := core.NewCoordinator(e.nw, e.prober, cfg, src)
 	if err != nil {
 		return nil, err
@@ -200,6 +189,42 @@ func (e *env) simulate(cfg core.Config, k int, src *simrand.Source) (*netsim.Rep
 		return nil, nil, fmt.Errorf("run simulation: %w", err)
 	}
 	return rep, plan, nil
+}
+
+// slVsSDSL simulates an SL and then an SDSL (θ = DefaultTheta) plan of k
+// groups and returns their mean latencies.
+func (e *env) slVsSDSL(l, m, k int, slSrc, sdslSrc *simrand.Source) (sl, sdsl float64, err error) {
+	repSL, _, err := e.simulate(core.SL(l, m), k, slSrc)
+	if err != nil {
+		return 0, 0, fmt.Errorf("SL: %w", err)
+	}
+	repSD, _, err := e.simulate(core.SDSL(l, m, DefaultTheta), k, sdslSrc)
+	if err != nil {
+		return 0, 0, fmt.Errorf("SDSL: %w", err)
+	}
+	return repSL.MeanLatency(), repSD.MeanLatency(), nil
+}
+
+// sweep runs one study's trial × sweep-point grid. Each trial builds the
+// env of n caches at its trial seed and a source seeded at that seed plus
+// the study's offset, then runs fn once per sweep point on the worker
+// pool. Trials run in order, so per-point accumulation across trials is
+// deterministic.
+func sweep(o Options, n int, withTraces bool, offset int64, points int,
+	fn func(e *env, seed int64, src *simrand.Source, i int) error) error {
+	for trial := 0; trial < o.Trials; trial++ {
+		seed := trialSeed(o, trial)
+		e, err := newEnv(n, o, seed, withTraces)
+		if err != nil {
+			return err
+		}
+		src := simrand.New(seed + offset)
+		err = forEach(points, o.Parallelism, func(i int) error { return fn(e, seed, src, i) })
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forEach runs fn over [0,n) on the shared worker pool, reporting the

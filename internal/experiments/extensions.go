@@ -6,7 +6,6 @@ import (
 
 	"edgecachegroups/internal/cache"
 	"edgecachegroups/internal/core"
-	"edgecachegroups/internal/landmark"
 	"edgecachegroups/internal/metrics"
 	"edgecachegroups/internal/probe"
 	"edgecachegroups/internal/simrand"
@@ -49,34 +48,26 @@ func RepresentationStudy(o Options) (*RepresentationResult, error) {
 	ks := kSweep(n)
 	res := &RepresentationResult{NumCaches: n, Points: make([]RepresentationPoint, len(ks))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, false)
-		if err != nil {
-			return nil, err
-		}
-		src := simrand.New(seed + 67)
-		err = forEach(len(ks), o.Parallelism, func(i int) error {
-			res.Points[i].K = ks[i]
-			for _, rep := range []struct {
-				cfg core.Config
-				dst *float64
-			}{
-				{core.SL(l, m), &res.Points[i].FeatureVecMS},
-				{core.EuclideanScheme(l, m, 5), &res.Points[i].GNPMS},
-				{core.VivaldiScheme(l, m, 5), &res.Points[i].VivaldiMS},
-			} {
-				plan, err := e.formGroups(rep.cfg, ks[i], src.SplitN(rep.cfg.Name(), i))
-				if err != nil {
-					return fmt.Errorf("%s: %w", rep.cfg.Name(), err)
-				}
-				*rep.dst += metrics.AvgGroupInteractionCost(e.nw, plan.Groups()) / float64(o.Trials)
+	err := sweep(o, n, false, 67, len(ks), func(e *env, _ int64, src *simrand.Source, i int) error {
+		res.Points[i].K = ks[i]
+		for _, rep := range []struct {
+			cfg core.Config
+			dst *float64
+		}{
+			{core.SL(l, m), &res.Points[i].FeatureVecMS},
+			{core.EuclideanScheme(l, m, 5), &res.Points[i].GNPMS},
+			{core.VivaldiScheme(l, m, 5), &res.Points[i].VivaldiMS},
+		} {
+			plan, err := e.formGroups(rep.cfg, ks[i], src.SplitN(rep.cfg.Name(), i))
+			if err != nil {
+				return fmt.Errorf("%s: %w", rep.cfg.Name(), err)
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			*rep.dst += metrics.AvgGroupInteractionCost(e.nw, plan.Groups()) / float64(o.Trials)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -126,30 +117,21 @@ func AblationBeacons(o Options) (*BeaconResult, error) {
 	counts := []int{0, 1, 2, 4}
 	res := &BeaconResult{NumCaches: n, K: k, Points: make([]BeaconPoint, len(counts))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, true)
+	err := sweep(o, n, true, 71, len(counts), func(e *env, _ int64, src *simrand.Source, i int) error {
+		e2 := *e
+		e2.simCfg.BeaconsPerGroup = counts[i]
+		rep, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), k, src.SplitN("b", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 71)
-		err = forEach(len(counts), o.Parallelism, func(i int) error {
-			simCfg := e.simCfg
-			simCfg.BeaconsPerGroup = counts[i]
-			e2 := &env{nw: e.nw, prober: e.prober, catalog: e.catalog, requests: e.requests, updates: e.updates, simCfg: simCfg}
-			rep, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), k, src.SplitN("b", i))
-			if err != nil {
-				return err
-			}
-			_, groupRate, _ := rep.HitRates()
-			res.Points[i].Beacons = counts[i]
-			res.Points[i].LatencyMS += rep.MeanLatency() / float64(o.Trials)
-			res.Points[i].GroupRate += groupRate / float64(o.Trials)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		_, groupRate, _ := rep.HitRates()
+		res.Points[i].Beacons = counts[i]
+		res.Points[i].LatencyMS += rep.MeanLatency() / float64(o.Trials)
+		res.Points[i].GroupRate += groupRate / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -202,31 +184,22 @@ func AblationCachePolicy(o Options) (*PolicyResult, error) {
 	policies := []cache.Policy{cache.PolicyUtility, cache.PolicyLRU}
 	res := &PolicyResult{NumCaches: n, K: k, Points: make([]PolicyPoint, len(policies))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, true)
+	err := sweep(o, n, true, 73, len(policies), func(e *env, _ int64, src *simrand.Source, i int) error {
+		e2 := *e
+		e2.simCfg.CachePolicy = policies[i]
+		rep, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), k, src.SplitN("p", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 73)
-		err = forEach(len(policies), o.Parallelism, func(i int) error {
-			simCfg := e.simCfg
-			simCfg.CachePolicy = policies[i]
-			e2 := &env{nw: e.nw, prober: e.prober, catalog: e.catalog, requests: e.requests, updates: e.updates, simCfg: simCfg}
-			rep, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), k, src.SplitN("p", i))
-			if err != nil {
-				return err
-			}
-			local, _, _ := rep.HitRates()
-			res.Points[i].Policy = policies[i].String()
-			res.Points[i].LatencyMS += rep.MeanLatency() / float64(o.Trials)
-			res.Points[i].LocalRate += local / float64(o.Trials)
-			res.Points[i].OriginKB += rep.OriginKB / float64(o.Trials)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		local, _, _ := rep.HitRates()
+		res.Points[i].Policy = policies[i].String()
+		res.Points[i].LatencyMS += rep.MeanLatency() / float64(o.Trials)
+		res.Points[i].LocalRate += local / float64(o.Trials)
+		res.Points[i].OriginKB += rep.OriginKB / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -277,74 +250,65 @@ func SubstrateStudy(o Options) (*SubstrateResult, error) {
 	k := maxInt(n/10, 2)
 	res := &SubstrateResult{NumCaches: n, K: k, Points: make([]SubstratePoint, 2)}
 	l, m := landmarksFor(n)
-
-	build := func(kind string, seed int64) (*env, error) {
-		if kind == "transit-stub" {
-			return newEnv(n, o, seed, true)
-		}
-		// Waxman substrate with the rest of the environment identical.
-		root := simrand.New(seed)
-		params := topology.DefaultWaxmanParams()
-		if params.Nodes < n+1 {
-			params.Nodes = n + 50
-		}
-		g, err := topology.GenerateWaxman(params, root.Split("topology"))
-		if err != nil {
-			return nil, err
-		}
-		nw, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: n}, root.Split("placement"))
-		if err != nil {
-			return nil, err
-		}
-		prober, err := probe.NewProber(nw, probe.DefaultConfig(), root.Split("probe"))
-		if err != nil {
-			return nil, err
-		}
-		// Reuse the trace machinery from the transit-stub env builder.
-		base, err := newEnv(n, o, seed, true)
-		if err != nil {
-			return nil, err
-		}
-		return &env{nw: nw, prober: prober, catalog: base.catalog, requests: base.requests, updates: base.updates, simCfg: base.simCfg}, nil
-	}
-
-	substrates := []string{"transit-stub", "waxman"}
 	for trial := 0; trial < o.Trials; trial++ {
 		seed := trialSeed(o, trial)
-		for i, kind := range substrates {
-			e, err := build(kind, seed)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", kind, err)
-			}
+		ts, err := newEnv(n, o, seed, true)
+		if err != nil {
+			return nil, err
+		}
+		wax, err := ts.onWaxman(seed)
+		if err != nil {
+			return nil, fmt.Errorf("waxman: %w", err)
+		}
+		for i, sub := range []struct {
+			name string
+			e    *env
+		}{{"transit-stub", ts}, {"waxman", wax}} {
 			src := simrand.New(seed + int64(i)*97)
-			res.Points[i].Substrate = kind
-			for _, sel := range selectors() {
-				cost, err := gicost(e, sel, l, m, k, src.Split("sel/"+sel.Name()))
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", kind, sel.Name(), err)
-				}
-				switch sel.(type) {
-				case landmark.Greedy:
-					res.Points[i].GreedyMS += cost / float64(o.Trials)
-				case landmark.Random:
-					res.Points[i].RandomMS += cost / float64(o.Trials)
-				case landmark.MinDist:
-					res.Points[i].MinDistMS += cost / float64(o.Trials)
-				}
-			}
-			repSL, _, err := e.simulate(core.SL(l, m), k, src.Split("sl"))
+			p := &res.Points[i]
+			p.Substrate = sub.name
+			err := sub.e.addSelectorCosts(l, m, k, o.Trials,
+				func(name string, _ int) *simrand.Source { return src.Split("sel/" + name) },
+				[3]*float64{&p.GreedyMS, &p.RandomMS, &p.MinDistMS})
 			if err != nil {
-				return nil, fmt.Errorf("%s SL: %w", kind, err)
+				return nil, fmt.Errorf("%s: %w", p.Substrate, err)
 			}
-			repSD, _, err := e.simulate(core.SDSL(l, m, DefaultTheta), k, src.Split("sdsl"))
+			sl, sdsl, err := sub.e.slVsSDSL(l, m, k, src.Split("sl"), src.Split("sdsl"))
 			if err != nil {
-				return nil, fmt.Errorf("%s SDSL: %w", kind, err)
+				return nil, fmt.Errorf("%s: %w", p.Substrate, err)
 			}
-			res.Points[i].SLLatMS += repSL.MeanLatency() / float64(o.Trials)
-			res.Points[i].SDSLLatMS += repSD.MeanLatency() / float64(o.Trials)
+			p.SLLatMS += sl / float64(o.Trials)
+			p.SDSLLatMS += sdsl / float64(o.Trials)
 		}
 	}
 	return res, nil
+}
+
+// onWaxman derives the env of a flat Waxman substrate from e: a new graph,
+// network and prober drawn from seed as newEnv draws them, and e's traces,
+// which depend only on the seed, the cache count and the scale.
+func (e *env) onWaxman(seed int64) (*env, error) {
+	n := e.nw.NumCaches()
+	root := simrand.New(seed)
+	params := topology.DefaultWaxmanParams()
+	if params.Nodes < n+1 {
+		params.Nodes = n + 50
+	}
+	g, err := topology.GenerateWaxman(params, root.Split("topology"))
+	if err != nil {
+		return nil, err
+	}
+	nw, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: n}, root.Split("placement"))
+	if err != nil {
+		return nil, err
+	}
+	prober, err := probe.NewProber(nw, probe.DefaultConfig(), root.Split("probe"))
+	if err != nil {
+		return nil, err
+	}
+	wax := *e
+	wax.nw, wax.prober = nw, prober
+	return &wax, nil
 }
 
 // Table renders the substrate study.
@@ -398,29 +362,20 @@ func FreshnessStudy(o Options) (*FreshnessResult, error) {
 	ks := kSweep(n)
 	res := &FreshnessResult{NumCaches: n, Points: make([]FreshnessPoint, len(ks))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, true)
+	err := sweep(o, n, true, 83, len(ks), func(e *env, _ int64, src *simrand.Source, i int) error {
+		e2 := *e
+		e2.simCfg.PushInvalidation = true
+		rep, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), ks[i], src.SplitN("k", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 83)
-		err = forEach(len(ks), o.Parallelism, func(i int) error {
-			simCfg := e.simCfg
-			simCfg.PushInvalidation = true
-			e2 := &env{nw: e.nw, prober: e.prober, catalog: e.catalog, requests: e.requests, updates: e.updates, simCfg: simCfg}
-			rep, _, err := e2.simulate(core.SDSL(l, m, DefaultTheta), ks[i], src.SplitN("k", i))
-			if err != nil {
-				return err
-			}
-			res.Points[i].K = ks[i]
-			res.Points[i].OriginMsgs += rep.InvalidationsOrigin / int64(o.Trials)
-			res.Points[i].TotalHolders += (rep.InvalidationsOrigin + rep.InvalidationsForwarded) / int64(o.Trials)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		res.Points[i].K = ks[i]
+		res.Points[i].OriginMsgs += rep.InvalidationsOrigin / int64(o.Trials)
+		res.Points[i].TotalHolders += (rep.InvalidationsOrigin + rep.InvalidationsForwarded) / int64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range res.Points {
 		if res.Points[i].TotalHolders > 0 {

@@ -71,31 +71,21 @@ func Fig3(o Options) (*Fig3Result, error) {
 
 	res := &Fig3Result{NumCaches: n, SubsetSize: subset, Points: make([]Fig3Point, len(sizes))}
 	l, m := landmarksFor(n)
-
-	for trial := 0; trial < o.Trials; trial++ {
-		e, err := newEnv(n, o, trialSeed(o, trial), true)
+	err := sweep(o, n, true, 17, len(sizes), func(e *env, _ int64, src *simrand.Source, i int) error {
+		k := (n + sizes[i] - 1) / sizes[i]
+		rep, _, err := e.simulate(core.SL(l, m), k, src.SplitN("size", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		near := e.nw.NearestCaches(subset)
-		far := e.nw.FarthestCaches(subset)
-		src := simrand.New(trialSeed(o, trial) + 17)
-		err = forEach(len(sizes), o.Parallelism, func(i int) error {
-			k := (n + sizes[i] - 1) / sizes[i]
-			rep, _, err := e.simulate(core.SL(l, m), k, src.SplitN("size", i))
-			if err != nil {
-				return err
-			}
-			res.Points[i].GroupSize = sizes[i]
-			res.Points[i].K = k
-			res.Points[i].AllMS += rep.MeanLatency() / float64(o.Trials)
-			res.Points[i].NearMS += rep.MeanLatencyOf(near) / float64(o.Trials)
-			res.Points[i].FarMS += rep.MeanLatencyOf(far) / float64(o.Trials)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		res.Points[i].GroupSize = sizes[i]
+		res.Points[i].K = k
+		res.Points[i].AllMS += rep.MeanLatency() / float64(o.Trials)
+		res.Points[i].NearMS += rep.MeanLatencyOf(e.nw.NearestCaches(subset)) / float64(o.Trials)
+		res.Points[i].FarMS += rep.MeanLatencyOf(e.nw.FarthestCaches(subset)) / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -124,6 +114,21 @@ func (r *Fig3Result) Table() *Table {
 // selectors returns the three landmark selection strategies of §5.1.
 func selectors() []landmark.Selector {
 	return []landmark.Selector{landmark.Greedy{}, landmark.Random{}, landmark.MinDist{}}
+}
+
+// addSelectorCosts forms a plan of k groups with each of selectors() and
+// adds each plan's average group interaction cost, divided by trials, to
+// the matching entry of dst (greedy, random, min-dist). split supplies the
+// source of each selector, named and numbered as in selectors().
+func (e *env) addSelectorCosts(l, m, k, trials int, split func(name string, s int) *simrand.Source, dst [3]*float64) error {
+	for s, sel := range selectors() {
+		cost, err := gicost(e, sel, l, m, k, split(sel.Name(), s))
+		if err != nil {
+			return fmt.Errorf("%s: %w", sel.Name(), err)
+		}
+		*dst[s] += cost / float64(trials)
+	}
+	return nil
 }
 
 // gicost forms groups with the given selector and returns the average group
@@ -175,24 +180,11 @@ func Fig4(o Options) (*Fig4Result, error) {
 			}
 			l, m := landmarksFor(n)
 			k := maxInt(n/10, 1)
-			src := simrand.New(seed + int64(i))
-			res.Points[i].NumCaches = n
-			res.Points[i].K = k
-			for s, sel := range selectors() {
-				cost, err := gicost(e, sel, l, m, k, src.SplitN(sel.Name(), s))
-				if err != nil {
-					return fmt.Errorf("%s: %w", sel.Name(), err)
-				}
-				switch sel.(type) {
-				case landmark.Greedy:
-					res.Points[i].GreedyMS += cost / float64(o.Trials)
-				case landmark.Random:
-					res.Points[i].RandomMS += cost / float64(o.Trials)
-				case landmark.MinDist:
-					res.Points[i].MinDistMS += cost / float64(o.Trials)
-				}
-			}
-			return nil
+			p := &res.Points[i]
+			p.NumCaches = n
+			p.K = k
+			return e.addSelectorCosts(l, m, k, o.Trials, simrand.New(seed+int64(i)).SplitN,
+				[3]*float64{&p.GreedyMS, &p.RandomMS, &p.MinDistMS})
 		})
 		if err != nil {
 			return nil, err
@@ -242,36 +234,23 @@ func Fig5(o Options) (*Fig5Result, error) {
 	ks := kSweep(n)
 	res := &Fig5Result{NumCaches: n, Points: make([]Fig5Point, len(ks))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, false)
-		if err != nil {
-			return nil, err
-		}
-		src := simrand.New(seed + 29)
-		err = forEach(len(ks), o.Parallelism, func(i int) error {
-			res.Points[i].K = ks[i]
-			for s, sel := range selectors() {
-				cost, err := gicost(e, sel, l, m, ks[i], src.SplitN(fmt.Sprintf("%s/%d", sel.Name(), i), s))
-				if err != nil {
-					return fmt.Errorf("%s: %w", sel.Name(), err)
-				}
-				switch sel.(type) {
-				case landmark.Greedy:
-					res.Points[i].GreedyMS += cost / float64(o.Trials)
-				case landmark.Random:
-					res.Points[i].RandomMS += cost / float64(o.Trials)
-				case landmark.MinDist:
-					res.Points[i].MinDistMS += cost / float64(o.Trials)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	err := sweep(o, n, false, 29, len(ks), func(e *env, _ int64, src *simrand.Source, i int) error {
+		p := &res.Points[i]
+		p.K = ks[i]
+		return e.addSelectorCosts(l, m, ks[i], o.Trials, pointSplit(src, i),
+			[3]*float64{&p.GreedyMS, &p.RandomMS, &p.MinDistMS})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// pointSplit names each selector's source by selector and sweep point i.
+func pointSplit(src *simrand.Source, i int) func(name string, s int) *simrand.Source {
+	return func(name string, s int) *simrand.Source {
+		return src.SplitN(fmt.Sprintf("%s/%d", name, i), s)
+	}
 }
 
 // kSweep returns the paper's K grid {10,25,50,75,100} scaled to n (the
@@ -333,42 +312,21 @@ func Fig6(o Options) (*Fig6Result, error) {
 	k := maxInt(n/50, 6)
 	ls := []int{10, 20, 25}
 	res := &Fig6Result{NumCaches: n, K: k, Points: make([]Fig6Point, len(ls))}
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, false)
-		if err != nil {
-			return nil, err
+	err := sweep(o, n, false, 31, len(ls), func(e *env, _ int64, src *simrand.Source, i int) error {
+		// L is the swept variable, so shrink M first; Fit then shrinks L
+		// only if even M = 1 does not fit.
+		m := paperPLSetM
+		if m*(ls[i]-1) > n {
+			m = maxInt(n/(ls[i]-1), 1)
 		}
-		src := simrand.New(seed + 31)
-		err = forEach(len(ls), o.Parallelism, func(i int) error {
-			l := ls[i]
-			m := paperPLSetM
-			if m*(l-1) > n {
-				m = maxInt(n/(l-1), 1)
-			}
-			if m*(l-1) > n {
-				l = n/m + 1
-			}
-			res.Points[i].L = ls[i]
-			for s, sel := range selectors() {
-				cost, err := gicost(e, sel, l, m, k, src.SplitN(fmt.Sprintf("%s/%d", sel.Name(), i), s))
-				if err != nil {
-					return fmt.Errorf("%s: %w", sel.Name(), err)
-				}
-				switch sel.(type) {
-				case landmark.Greedy:
-					res.Points[i].GreedyMS += cost / float64(o.Trials)
-				case landmark.Random:
-					res.Points[i].RandomMS += cost / float64(o.Trials)
-				case landmark.MinDist:
-					res.Points[i].MinDistMS += cost / float64(o.Trials)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		lm := landmark.Fit(ls[i], m, n)
+		p := &res.Points[i]
+		p.L = ls[i]
+		return e.addSelectorCosts(lm.L, lm.M, k, o.Trials, pointSplit(src, i),
+			[3]*float64{&p.GreedyMS, &p.RandomMS, &p.MinDistMS})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -416,32 +374,24 @@ func Fig7(o Options) (*Fig7Result, error) {
 	ks := kSweep(n)
 	res := &Fig7Result{NumCaches: n, Points: make([]Fig7Point, len(ks))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, false)
+	err := sweep(o, n, false, 37, len(ks), func(e *env, _ int64, src *simrand.Source, i int) error {
+		res.Points[i].K = ks[i]
+		planFV, err := e.formGroups(core.SL(l, m), ks[i], src.SplitN("fv", i))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("feature vector: %w", err)
 		}
-		src := simrand.New(seed + 37)
-		err = forEach(len(ks), o.Parallelism, func(i int) error {
-			res.Points[i].K = ks[i]
-			planFV, err := e.formGroups(core.SL(l, m), ks[i], src.SplitN("fv", i))
-			if err != nil {
-				return fmt.Errorf("feature vector: %w", err)
-			}
-			planEU, err := e.formGroups(core.EuclideanScheme(l, m, 5), ks[i], src.SplitN("eu", i))
-			if err != nil {
-				return fmt.Errorf("euclidean: %w", err)
-			}
-			fv := metrics.AvgGroupInteractionCost(e.nw, planFV.Groups())
-			eu := metrics.AvgGroupInteractionCost(e.nw, planEU.Groups())
-			res.Points[i].FeatureVecMS += fv / float64(o.Trials)
-			res.Points[i].EuclideanMS += eu / float64(o.Trials)
-			return nil
-		})
+		planEU, err := e.formGroups(core.EuclideanScheme(l, m, 5), ks[i], src.SplitN("eu", i))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("euclidean: %w", err)
 		}
+		fv := metrics.AvgGroupInteractionCost(e.nw, planFV.Groups())
+		eu := metrics.AvgGroupInteractionCost(e.nw, planEU.Groups())
+		res.Points[i].FeatureVecMS += fv / float64(o.Trials)
+		res.Points[i].EuclideanMS += eu / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range res.Points {
 		if res.Points[i].FeatureVecMS > 0 {
@@ -507,24 +457,22 @@ func Fig8(o Options) (*Fig8Result, error) {
 			}
 			l, m := landmarksFor(n)
 			src := simrand.New(seed + int64(i))
-			res.Points[i].NumCaches = n
+			p := &res.Points[i]
+			p.NumCaches = n
 			for _, frac := range []struct {
-				pct int
-				dst func(p *Fig8Point, slMS, sdslMS float64)
+				pct      int
+				sl, sdsl *float64
 			}{
-				{10, func(p *Fig8Point, sl, sdsl float64) { p.SL10MS += sl; p.SDSL10MS += sdsl }},
-				{20, func(p *Fig8Point, sl, sdsl float64) { p.SL20MS += sl; p.SDSL20MS += sdsl }},
+				{10, &p.SL10MS, &p.SDSL10MS},
+				{20, &p.SL20MS, &p.SDSL20MS},
 			} {
 				k := maxInt(n*frac.pct/100, 2)
-				repSL, _, err := e.simulate(core.SL(l, m), k, src.SplitN("sl", frac.pct))
+				sl, sdsl, err := e.slVsSDSL(l, m, k, src.SplitN("sl", frac.pct), src.SplitN("sdsl", frac.pct))
 				if err != nil {
-					return fmt.Errorf("SL k=%d: %w", k, err)
+					return fmt.Errorf("k=%d: %w", k, err)
 				}
-				repSD, _, err := e.simulate(core.SDSL(l, m, DefaultTheta), k, src.SplitN("sdsl", frac.pct))
-				if err != nil {
-					return fmt.Errorf("SDSL k=%d: %w", k, err)
-				}
-				frac.dst(&res.Points[i], repSL.MeanLatency()/float64(o.Trials), repSD.MeanLatency()/float64(o.Trials))
+				*frac.sl += sl / float64(o.Trials)
+				*frac.sdsl += sdsl / float64(o.Trials)
 			}
 			return nil
 		})
@@ -575,30 +523,18 @@ func Fig9(o Options) (*Fig9Result, error) {
 	ks := kSweep(n)
 	res := &Fig9Result{NumCaches: n, Theta: DefaultTheta, Points: make([]Fig9Point, len(ks))}
 	l, m := landmarksFor(n)
-	for trial := 0; trial < o.Trials; trial++ {
-		seed := trialSeed(o, trial)
-		e, err := newEnv(n, o, seed, true)
+	err := sweep(o, n, true, 41, len(ks), func(e *env, _ int64, src *simrand.Source, i int) error {
+		sl, sdsl, err := e.slVsSDSL(l, m, ks[i], src.SplitN("sl", i), src.SplitN("sdsl", i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		src := simrand.New(seed + 41)
-		err = forEach(len(ks), o.Parallelism, func(i int) error {
-			res.Points[i].K = ks[i]
-			repSL, _, err := e.simulate(core.SL(l, m), ks[i], src.SplitN("sl", i))
-			if err != nil {
-				return fmt.Errorf("SL: %w", err)
-			}
-			repSD, _, err := e.simulate(core.SDSL(l, m, DefaultTheta), ks[i], src.SplitN("sdsl", i))
-			if err != nil {
-				return fmt.Errorf("SDSL: %w", err)
-			}
-			res.Points[i].SLMS += repSL.MeanLatency() / float64(o.Trials)
-			res.Points[i].SDSLMS += repSD.MeanLatency() / float64(o.Trials)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		res.Points[i].K = ks[i]
+		res.Points[i].SLMS += sl / float64(o.Trials)
+		res.Points[i].SDSLMS += sdsl / float64(o.Trials)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -71,22 +71,20 @@ func ProbeOverheadStudy(o Options) (*OverheadResult, error) {
 		res.OracleMS += metrics.AvgGroupInteractionCost(base.nw, oraclePlan.Groups()) / float64(o.Trials)
 
 		err = forEach(len(configs), o.Parallelism, func(i int) error {
-			c := configs[i]
-			if c.m*(c.l-1) > n {
-				c.l = n/c.m + 1
-			}
+			c := landmark.Fit(configs[i].l, configs[i].m, n)
 			// A fresh prober per configuration isolates its probe counters.
 			prober, err := probe.NewProber(base.nw, probe.DefaultConfig(), simrand.New(seed+int64(i)*389))
 			if err != nil {
 				return err
 			}
-			e := &env{nw: base.nw, prober: prober, simCfg: base.simCfg}
-			plan, err := e.formGroups(core.SL(c.l, c.m), k, src.SplitN("cfg", i))
+			e := *base
+			e.prober = prober
+			plan, err := e.formGroups(core.SL(c.L, c.M), k, src.SplitN("cfg", i))
 			if err != nil {
-				return fmt.Errorf("L=%d M=%d: %w", c.l, c.m, err)
+				return fmt.Errorf("L=%d M=%d: %w", c.L, c.M, err)
 			}
-			res.Points[i].L = c.l
-			res.Points[i].M = c.m
+			res.Points[i].L = c.L
+			res.Points[i].M = c.M
 			res.Points[i].GICostMS += metrics.AvgGroupInteractionCost(e.nw, plan.Groups()) / float64(o.Trials)
 			res.Points[i].ProbesSent += prober.ProbesSent() / int64(o.Trials)
 			res.Points[i].ProbesPerCache += float64(prober.ProbesSent()) / float64(n) / float64(o.Trials)

@@ -112,6 +112,7 @@ func ProtocolResilienceStudy(o Options) (*ProtocolResilienceResult, error) {
 				ReplyTimeout: 150 * time.Millisecond,
 				Retries:      retries,
 				RoundBudget:  time.Minute,
+				Obs:          e.obs,
 			}
 			out, err := protocol.NewCoordinator(cfg, n, tr, src.Split("coordinator"))
 			if err != nil {

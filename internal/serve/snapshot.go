@@ -30,19 +30,19 @@ type landmarkJSON struct {
 
 // planJSON is the serialized core.Plan.
 type planJSON struct {
-	Scheme         string         `json:"scheme"`
-	Landmarks      []landmarkJSON `json:"landmarks,omitempty"`
-	Features       [][]float64    `json:"features,omitempty"`
-	Points         [][]float64    `json:"points"`
-	LandmarkCoords [][]float64    `json:"landmarkCoords,omitempty"`
-	ServerDist     []float64      `json:"serverDist,omitempty"`
-	Assignments    []int          `json:"assignments"`
-	Centers        [][]float64    `json:"centers"`
-	Algorithm      int            `json:"algorithm,omitempty"`
-	Theta          float64        `json:"theta,omitempty"`
-	Iterations     int            `json:"iterations,omitempty"`
-	Converged      bool           `json:"converged,omitempty"`
-	Edited         bool           `json:"edited,omitempty"`
+	Scheme         string           `json:"scheme"`
+	Landmarks      []landmarkJSON   `json:"landmarks,omitempty"`
+	Features       []cluster.Vector `json:"features,omitempty"`
+	Points         []cluster.Vector `json:"points"`
+	LandmarkCoords [][]float64      `json:"landmarkCoords,omitempty"`
+	ServerDist     []float64        `json:"serverDist,omitempty"`
+	Assignments    []int            `json:"assignments"`
+	Centers        []cluster.Vector `json:"centers"`
+	Algorithm      int              `json:"algorithm,omitempty"`
+	Theta          float64          `json:"theta,omitempty"`
+	Iterations     int              `json:"iterations,omitempty"`
+	Converged      bool             `json:"converged,omitempty"`
+	Edited         bool             `json:"edited,omitempty"`
 }
 
 // snapshotFile is the on-disk envelope. Checksum is the plan's FNV-1a
@@ -55,28 +55,6 @@ type snapshotFile struct {
 	Epoch     uint64   `json:"epoch"`
 	Checksum  string   `json:"planChecksum"`
 	Plan      planJSON `json:"plan"`
-}
-
-func vectorsToFloats(vs []cluster.Vector) [][]float64 {
-	if vs == nil {
-		return nil
-	}
-	out := make([][]float64, len(vs))
-	for i, v := range vs {
-		out[i] = v
-	}
-	return out
-}
-
-func floatsToVectors(fs [][]float64) []cluster.Vector {
-	if fs == nil {
-		return nil
-	}
-	out := make([]cluster.Vector, len(fs))
-	for i, f := range fs {
-		out[i] = f
-	}
-	return out
 }
 
 // SaveSnapshot writes the epoch's plan crash-safely: marshal to a
@@ -104,12 +82,12 @@ func SaveSnapshot(path string, ep *Epoch) error {
 		Plan: planJSON{
 			Scheme:         p.Scheme,
 			Landmarks:      lms,
-			Features:       vectorsToFloats(p.Features),
-			Points:         vectorsToFloats(p.Points),
+			Features:       p.Features,
+			Points:         p.Points,
 			LandmarkCoords: p.LandmarkCoords,
 			ServerDist:     p.ServerDist,
 			Assignments:    p.Assignments,
-			Centers:        vectorsToFloats(p.Centers),
+			Centers:        p.Centers,
 			Algorithm:      int(p.Algorithm),
 			Theta:          p.Theta,
 			Iterations:     p.Iterations,
@@ -181,12 +159,12 @@ func LoadSnapshot(path string) (*Epoch, error) {
 	plan := &core.Plan{
 		Scheme:         pj.Scheme,
 		Landmarks:      lms,
-		Features:       floatsToVectors(pj.Features),
-		Points:         floatsToVectors(pj.Points),
+		Features:       pj.Features,
+		Points:         pj.Points,
 		LandmarkCoords: pj.LandmarkCoords,
 		ServerDist:     pj.ServerDist,
 		Assignments:    pj.Assignments,
-		Centers:        floatsToVectors(pj.Centers),
+		Centers:        pj.Centers,
 		Algorithm:      core.Algorithm(pj.Algorithm),
 		Theta:          pj.Theta,
 		Iterations:     pj.Iterations,
