@@ -140,7 +140,8 @@ type EdgeCache struct {
 	stats   Stats
 
 	// onEvict, when set, is invoked for every entry leaving the cache
-	// (eviction or stale drop) so a group directory can stay consistent.
+	// (eviction, stale drop or invalidation) so a holder directory can
+	// stay consistent.
 	onEvict func(workload.DocID)
 }
 
@@ -177,7 +178,10 @@ func (ec *EdgeCache) find(doc workload.DocID) int {
 // SetEvictionHook registers fn to be called whenever a document leaves the
 // cache — a capacity eviction, a stale copy dropped during Lookup, or an
 // Invalidate. Re-Inserting a document the cache already holds replaces the
-// old copy silently, without firing the hook.
+// old copy silently, without firing the hook, and a re-Insert that fails
+// has dropped the old copy all the same. An owner that indexes what the
+// cache holds, like the simulator's holder directory, therefore follows
+// Insert's result as well as this hook.
 func (ec *EdgeCache) SetEvictionHook(fn func(workload.DocID)) { ec.onEvict = fn }
 
 // Stats returns a copy of the counters.
@@ -190,8 +194,9 @@ func (ec *EdgeCache) UsedKB() float64 { return ec.usedKB }
 func (ec *EdgeCache) Len() int { return len(ec.entries) }
 
 // Contains reports whether doc is cached at exactly version (fresh), with
-// no side effects on statistics or entry state. Used for cooperative
-// lookups by group peers.
+// no side effects on statistics or entry state. The simulator answers
+// cooperative lookups from its holder directory; its tests check that
+// directory against Contains.
 func (ec *EdgeCache) Contains(doc workload.DocID, version int64) bool {
 	i := ec.find(doc)
 	return i >= 0 && ec.entries[i].version == version

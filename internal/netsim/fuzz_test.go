@@ -10,12 +10,13 @@ import (
 	"edgecachegroups/internal/workload"
 )
 
-// decodeLogs turns fuzz bytes into a request log and an update log on the
-// two-cache line network. Each 3-byte record is (kind|time, cache, doc):
-// the top bit of the first byte marks an update, and its low five bits give
-// a time on a quarter-second grid, so equal times are common. Byte values
-// 0xff and 0xfe map to out-of-range caches and documents.
-func decodeLogs(data []byte, numDocs int) ([]workload.Request, []workload.Update) {
+// decodeLogs turns fuzz bytes into a request log and an update log over
+// numCaches caches and numDocs documents. Each 3-byte record is
+// (kind|time, cache, doc): the top bit of the first byte marks an update,
+// and its low five bits give a time on a quarter-second grid, so equal
+// times are common. Byte values 0xff and 0xfe map to out-of-range caches
+// and documents.
+func decodeLogs(data []byte, numCaches, numDocs int) ([]workload.Request, []workload.Update) {
 	index := func(b byte, n int) int {
 		switch b {
 		case 0xff:
@@ -34,7 +35,7 @@ func decodeLogs(data []byte, numDocs int) ([]workload.Request, []workload.Update
 			ups = append(ups, workload.Update{TimeSec: t, Doc: doc})
 			continue
 		}
-		reqs = append(reqs, workload.Request{TimeSec: t, Cache: topology.CacheIndex(index(data[1], 2)), Doc: doc})
+		reqs = append(reqs, workload.Request{TimeSec: t, Cache: topology.CacheIndex(index(data[1], numCaches)), Doc: doc})
 	}
 	return reqs, ups
 }
@@ -52,7 +53,7 @@ func FuzzRunSortInvariant(f *testing.F) {
 		const numDocs = 4
 		nw := lineNetwork(t)
 		cat := fixedCatalog(t, numDocs)
-		reqs, ups := decodeLogs(data, numDocs)
+		reqs, ups := decodeLogs(data, 2, numDocs)
 		sortedReqs := slices.Clone(reqs)
 		slices.SortStableFunc(sortedReqs, func(a, b workload.Request) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
 		sortedUps := slices.Clone(ups)

@@ -107,9 +107,11 @@ func (s *Simulator) loop(requests []workload.Request, updates []workload.Update)
 }
 
 // applyUpdate bumps the document's version and, under PushInvalidation,
-// drops its cached copies. Update-side counters honor the same warmup
-// window as the request-side stats, so overhead-vs-latency comparisons are
-// measured over one window; the update itself always executes.
+// drops its cached copies. Every copy held at that moment is now stale, so
+// the document's holder-directory row is cleared. Update-side counters
+// honor the same warmup window as the request-side stats, so
+// overhead-vs-latency comparisons are measured over one window; the update
+// itself always executes.
 func (s *Simulator) applyUpdate(u workload.Update) {
 	s.version[int(u.Doc)]++
 	record := u.TimeSec >= s.cfg.WarmupSec
@@ -119,4 +121,5 @@ func (s *Simulator) applyUpdate(u workload.Update) {
 	if s.cfg.PushInvalidation {
 		s.pushInvalidate(u.Doc, s.rep, record)
 	}
+	clear(s.dir.row(u.Doc))
 }

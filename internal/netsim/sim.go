@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"edgecachegroups/internal/cache"
@@ -157,9 +158,8 @@ type Simulator struct {
 	numGroups int
 	beacons   [][]topology.CacheIndex // per-group beacon members (beacon mode)
 
-	ran               bool
-	groupHolderCounts []int // reused per-update per-group holder tally
-	touchedGroups     []int // reused per-update list of groups with holders
+	ran bool
+	dir holderDir // which caches hold a fresh copy of each document
 
 	// Run state of the event loop (see loop.go). Requests are read in
 	// place through order and the cursor next; only pending fetch
@@ -236,8 +236,7 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 		version:   make([]int64, catalog.NumDocuments()),
 		groupOf:   groupOf,
 		numGroups: len(groups),
-
-		groupHolderCounts: make([]int, len(groups)),
+		dir:       newHolderDir(groups, n, catalog.NumDocuments()),
 	}
 
 	for i := 0; i < n; i++ {
@@ -309,21 +308,27 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 		s.obsOrigin = cfg.Obs.Counter("sim_requests_origin_total")
 		s.obsFailover = cfg.Obs.Counter("sim_requests_failover_total")
 		s.obsEvictions = cfg.Obs.Counter("cache_drops_total")
-		// The eviction hook fires on Run's goroutine inside the event
-		// loop. It carries no clock, so eviction events use TimeSec -1
-		// ("unknown"); the Value is the document ID.
-		for i, ec := range s.caches {
-			ci := i
-			ec.SetEvictionHook(func(doc workload.DocID) {
-				s.obsEvictions.Inc()
-				cfg.Obs.Emit(obs.Event{
-					Kind:    obs.KindCacheEvict,
-					TimeSec: -1,
-					Value:   int64(doc),
-					Cache:   ci,
-				})
+	}
+	// The eviction hook fires on Run's goroutine inside the event loop for
+	// every copy leaving a cache, so the holder directory drops it too. It
+	// carries no clock, so eviction events use TimeSec -1 ("unknown"); the
+	// Value is the document ID. Each hook captures only s and its cache
+	// index, which keeps the per-cache closure small.
+	for i, ec := range s.caches {
+		ci := topology.CacheIndex(i)
+		ec.SetEvictionHook(func(doc workload.DocID) {
+			s.dir.clear(doc, ci)
+			if s.cfg.Obs == nil {
+				return
+			}
+			s.obsEvictions.Inc()
+			s.cfg.Obs.Emit(obs.Event{
+				Kind:    obs.KindCacheEvict,
+				TimeSec: -1,
+				Value:   int64(doc),
+				Cache:   int(ci),
 			})
-		}
+		})
 	}
 	return s, nil
 }
@@ -530,7 +535,7 @@ func (s *Simulator) handleRequest(ev event) {
 	}
 
 	// 2. Cooperative lookup within the group. On a hit, the group's
-	// lookup machinery (beacon/directory in Cache Clouds terms) returns
+	// lookup machinery (the holder directory, see directory.go) returns
 	// one fresh holder — not necessarily the nearest — so the expected
 	// transfer distance tracks the group's average pairwise RTT, which is
 	// exactly the paper's group interaction cost. The holder choice is a
@@ -540,12 +545,7 @@ func (s *Simulator) handleRequest(ev event) {
 	// the origin.
 	lat := s.cfg.LocalHitMS
 	if len(s.peers[i]) > 0 {
-		holders := s.holders[:0]
-		for _, p := range s.peers[i] {
-			if s.caches[int(p)].Contains(ev.doc, cur) {
-				holders = append(holders, p)
-			}
-		}
+		holders := s.groupHolders(ev.cache, ev.doc)
 		holder := topology.CacheIndex(-1)
 		if len(holders) > 0 {
 			h := (uint64(ev.doc)*2654435761 + uint64(ev.cache)*40503) % uint64(len(holders))
@@ -592,14 +592,13 @@ func (s *Simulator) handleRequestBeacon(ev event, d workload.Document, cur int64
 			}
 			best := -1
 			var bestRTT float64
-			for _, p := range s.peers[i] {
-				if !s.caches[int(p)].Contains(ev.doc, cur) {
-					continue
-				}
+			holders := s.groupHolders(ev.cache, ev.doc)
+			for _, p := range holders {
 				if rtt := s.nw.Dist(ev.cache, p); best < 0 || rtt < bestRTT {
 					best, bestRTT = int(p), rtt
 				}
 			}
+			s.holders = holders[:0]
 			if best >= 0 {
 				lat += s.transferCost(bestRTT, d.SizeKB)
 				s.recordOutcome(ev, outcomeGroup, lat, 0, topology.CacheIndex(best))
@@ -661,7 +660,15 @@ func (s *Simulator) scheduleInsert(c topology.CacheIndex, doc workload.DocID, ve
 	s.queue.push(ev)
 }
 
-// handleFetchComplete admits a fetched document if it is still current.
+// groupHolders returns the live group peers of cache i that hold a fresh
+// copy of doc, in s.peers[i] order, in the reused s.holders scratch. A
+// failed cache never inserts, so it is never a holder.
+func (s *Simulator) groupHolders(i topology.CacheIndex, doc workload.DocID) []topology.CacheIndex {
+	return s.dir.appendGroupHolders(s.holders[:0], doc, s.groupOf[int(i)], i)
+}
+
+// handleFetchComplete admits a fetched document if it is still current and
+// records the new holder in the directory.
 func (s *Simulator) handleFetchComplete(ev event) {
 	if s.version[int(ev.doc)] != ev.version {
 		return // updated while in flight; don't cache a stale copy
@@ -669,9 +676,14 @@ func (s *Simulator) handleFetchComplete(ev event) {
 	//ecglint:allow errdrop every DocID is validated during Run setup; Doc cannot fail here
 	d, _ := s.catalog.Doc(ev.doc)
 	// Insert errors (document larger than the whole cache) deliberately
-	// degrade to "not cached": the request was already served.
-	//ecglint:allow errdrop oversized-document insert degrades to not-cached by design; the request was already served
-	_ = s.caches[int(ev.cache)].Insert(d, ev.version, ev.timeSec)
+	// degrade to "not cached": the request was already served. A failed
+	// re-insert has already dropped the old copy without the eviction
+	// hook, so the bit is cleared here.
+	if err := s.caches[int(ev.cache)].Insert(d, ev.version, ev.timeSec); err != nil {
+		s.dir.clear(ev.doc, ev.cache)
+		return
+	}
+	s.dir.set(ev.doc, ev.cache)
 }
 
 // pushInvalidate actively drops every cached copy of doc and accounts for
@@ -680,29 +692,30 @@ func (s *Simulator) handleFetchComplete(ev event) {
 // groups the origin would message every holder directly. The counters are
 // recorded only when record is true (post-warmup); the invalidation itself
 // always happens.
+//
+// Under push invalidation every cached copy is fresh (each update drops
+// them all, and a stale completion is never admitted), so the holders are
+// exactly the set bits of doc's directory row. The bits are numbered group
+// by group, so an ascending walk visits each group's holders in one run:
+// the first costs an origin message, the rest are forwards.
 func (s *Simulator) pushInvalidate(doc workload.DocID, rep *Report, record bool) {
-	// Per-group tallies live in reused scratch (counts indexed by group,
-	// plus the list of touched groups to zero afterwards) instead of a
-	// freshly allocated map per update.
-	counts := s.groupHolderCounts
-	touched := s.touchedGroups[:0]
-	for i, ec := range s.caches {
-		if ec.Invalidate(doc) {
-			g := s.groupOf[i]
-			if counts[g] == 0 {
-				touched = append(touched, g)
+	lastGroup := -1
+	for w, x := range s.dir.row(doc) {
+		// x is a copy: the eviction hook clears each bit as its copy goes.
+		for ; x != 0; x &= x - 1 {
+			c := s.dir.cache[w<<6|bits.TrailingZeros64(x)]
+			s.caches[int(c)].Invalidate(doc)
+			if !record {
+				continue
 			}
-			counts[g]++
+			if g := s.groupOf[int(c)]; g != lastGroup {
+				lastGroup = g
+				rep.InvalidationsOrigin++
+			} else {
+				rep.InvalidationsForwarded++
+			}
 		}
 	}
-	for _, g := range touched {
-		if record {
-			rep.InvalidationsOrigin++
-			rep.InvalidationsForwarded += int64(counts[g] - 1)
-		}
-		counts[g] = 0
-	}
-	s.touchedGroups = touched[:0]
 }
 
 // CacheStats exposes the per-cache counters after a run, for diagnostics

@@ -937,14 +937,10 @@ func TestRequestPathAllocationLean(t *testing.T) {
 	}
 	s.ran = true // drive handleRequest directly; Run must not be reused
 	// Cache 1 holds doc 0, so cache 0's requests exercise the longest path:
-	// local miss, holder scan, group hit, recording, fetch scheduling.
-	d, err := cat.Doc(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.caches[1].Insert(d, 0, 0); err != nil {
-		t.Fatal(err)
-	}
+	// local miss, holder lookup, group hit, recording, fetch scheduling.
+	// The copy arrives through the simulator's own insert path, so the
+	// holder directory records it.
+	s.handleFetchComplete(event{cache: 1, doc: 0, version: 0})
 	s.requests = []workload.Request{req(1, 0, 0)}
 	s.order = timeOrder(s.requests, requestTime)
 	s.rep = newReport(2, 1, s.groupOf)
@@ -1008,27 +1004,31 @@ func TestPushInvalidateAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One priming round with a real holder exercises the touched-group
-	// bookkeeping and leaves the scratch buffers at their working size.
-	d, err := cat.Doc(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.caches[0].Insert(d, 0, 0); err != nil {
-		t.Fatal(err)
-	}
+	// One priming round with a real holder, admitted through the
+	// simulator's own insert path so the holder directory records it,
+	// exercises the per-group accounting.
+	s.handleFetchComplete(event{cache: 0, doc: 1, version: 0})
 	rep := newReport(2, 1, s.groupOf)
 	s.pushInvalidate(1, rep, true)
 	if rep.InvalidationsOrigin != 1 {
 		t.Fatalf("priming round recorded %d origin invalidations, want 1", rep.InvalidationsOrigin)
 	}
 	// The sweep itself must not allocate (the old implementation built a
-	// fresh map per update even when nothing was held).
+	// fresh map per update even when nothing was held). Each round
+	// re-admits a copy at both caches, so every sweep drops two holders.
 	avg := testing.AllocsPerRun(200, func() {
+		s.handleFetchComplete(event{cache: 0, doc: 1, version: 0})
+		s.handleFetchComplete(event{cache: 1, doc: 1, version: 0})
 		s.pushInvalidate(1, rep, true)
 	})
 	if avg != 0 {
 		t.Fatalf("pushInvalidate averaged %v allocs/update, want 0", avg)
+	}
+	// The priming round plus 201 sweeps (AllocsPerRun adds a warm-up
+	// call), each of the later ones one origin message and one forward.
+	if rep.InvalidationsOrigin != 202 || rep.InvalidationsForwarded != 201 {
+		t.Fatalf("invalidation msgs = %d origin / %d forwarded, want 202/201",
+			rep.InvalidationsOrigin, rep.InvalidationsForwarded)
 	}
 }
 
