@@ -70,16 +70,13 @@ func run(args []string, w io.Writer) error {
 		parallel = fs.Int("parallelism", 0, "worker-pool bound for probing, clustering, and embedding (0 = per-layer defaults; results are identical for any value)")
 		prune    = fs.String("kmeans-prune", "auto", "K-means reassignment strategy: auto (grouped-bounds pruning) or none (exhaustive); results are identical for either")
 
-		distributed  = fs.Bool("distributed", false, "run the message-passing protocol (coordinator + per-cache agents) over a fault-injecting transport instead of the in-process pipeline")
-		loss         = fs.Float64("loss", 0, "distributed: per-message loss probability in [0,1)")
-		dup          = fs.Float64("dup", 0, "distributed: message duplication probability in [0,1)")
-		delay        = fs.Float64("delay", 0, "distributed: message delay/reorder probability in [0,1)")
-		maxDelay     = fs.Int("max-delay", 0, "distributed: reordering window in subsequent link messages (0 = default)")
-		crash        = fs.Int("crash", 0, "distributed: crash the N highest-index caches before the run")
-		retries      = fs.Int("retries", 3, "distributed: request retries per peer (0 = exactly one attempt)")
-		replyTimeout = fs.Duration("reply-timeout", 200*time.Millisecond, "distributed: per-attempt reply wait")
-		backoffBase  = fs.Duration("backoff", 0, "distributed: exponential backoff base between retries (0 = retry immediately)")
-		roundBudget  = fs.Duration("round-budget", 0, "distributed: wall-clock budget per protocol round (0 = unlimited)")
+		distributed = fs.Bool("distributed", false, "run the message-passing protocol (coordinator + per-cache agents) over a fault-injecting transport instead of the in-process pipeline")
+		loss        = fs.Float64("loss", 0, "distributed: per-message loss probability in [0,1)")
+		dup         = fs.Float64("dup", 0, "distributed: message duplication probability in [0,1)")
+		delay       = fs.Float64("delay", 0, "distributed: message delay/reorder probability in [0,1)")
+		maxDelay    = fs.Int("max-delay", 0, "distributed: reordering window in subsequent link messages (0 = default)")
+		crash       = fs.Int("crash", 0, "distributed: crash the N highest-index caches before the run")
+		retries     = fs.Int("retries", 3, "distributed: request retries per peer (0 = exactly one attempt)")
 
 		obsAddr = fs.String("obs-addr", "", "serve live /metrics, /debug/vars, /debug/pprof, and /trace on this host:port (\":0\" for ephemeral; results are identical with or without)")
 		obsWait = fs.Duration("obs-linger", 0, "keep the -obs-addr endpoint up this long after the run finishes, for scraping")
@@ -166,9 +163,7 @@ func run(args []string, w io.Writer) error {
 		d := distOptions{
 			caches: *caches, k: *k, l: lp.L, m: lp.M, theta: theta,
 			loss: *loss, dup: *dup, delay: *delay, maxDelay: *maxDelay, crash: *crash,
-			retries: *retries, replyTimeout: *replyTimeout,
-			backoffBase: *backoffBase, roundBudget: *roundBudget,
-			asJSON: *asJSON, obs: o,
+			retries: *retries, asJSON: *asJSON, obs: o,
 		}
 		return runDistributed(w, d, nw, prober, src)
 	}
@@ -253,8 +248,6 @@ type distOptions struct {
 	theta                    float64
 	loss, dup, delay         float64
 	maxDelay, crash, retries int
-	replyTimeout             time.Duration
-	backoffBase, roundBudget time.Duration
 	asJSON                   bool
 	obs                      *ecg.Obs
 }
@@ -273,35 +266,16 @@ func runDistributed(w io.Writer, d distOptions, nw *ecg.Network, prober *ecg.Pro
 		return err
 	}
 	defer tr.Close()
-	agents := make([]*ecg.ProtocolAgent, d.caches)
-	for i := range agents {
-		a, err := ecg.NewProtocolAgent(ecg.CacheIndex(i), prober, tr)
-		if err != nil {
+	for i := 0; i < d.caches; i++ {
+		if _, err := ecg.NewProtocolAgent(ecg.CacheIndex(i), prober, tr); err != nil {
 			return fmt.Errorf("start agent %d: %w", i, err)
 		}
-		agents[i] = a
 	}
-	defer func() {
-		for _, a := range agents {
-			a.Stop()
-		}
-	}()
 	for i := 0; i < d.crash; i++ {
 		tr.Kill(ecg.ProtocolCacheAddr(ecg.CacheIndex(d.caches - 1 - i)))
 	}
 
-	retries := d.retries
-	if retries == 0 {
-		retries = ecg.ProtocolNoRetries
-	}
-	pcfg := ecg.ProtocolConfig{
-		L: d.l, M: d.m, K: d.k, Theta: d.theta,
-		ReplyTimeout: d.replyTimeout,
-		Retries:      retries,
-		BackoffBase:  d.backoffBase,
-		RoundBudget:  d.roundBudget,
-		Obs:          d.obs,
-	}
+	pcfg := ecg.ProtocolConfig{L: d.l, M: d.m, K: d.k, Theta: d.theta, Retries: d.retries, Obs: d.obs}
 	coord, err := ecg.NewProtocolCoordinator(pcfg, d.caches, tr, src.Split("coordinator"))
 	if err != nil {
 		return err

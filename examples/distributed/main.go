@@ -2,10 +2,12 @@
 //
 // Instead of calling the library's in-process pipeline, this program runs
 // the paper's coordination as an actual message-passing protocol: every
-// cache is a goroutine agent with a mailbox; the coordinator drives the
-// PLSet probing round, the feature round, and the assignment broadcast
-// over a lossy transport, with retries and timeouts. A handful of agents
-// are crashed up front to show the protocol degrading gracefully.
+// cache is an agent that handles the messages delivered to it; the
+// coordinator drives the PLSet probing round, the feature round, and the
+// assignment broadcast over a lossy transport, with retries. The transport
+// runs in virtual time, so the run and its output are the same every time.
+// A handful of agents are crashed up front to show the protocol degrading
+// gracefully.
 //
 //	go run ./examples/distributed
 package main
@@ -14,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"sort"
-	"time"
 
 	ecg "edgecachegroups"
 )
@@ -48,7 +49,7 @@ func run() error {
 	}
 
 	// Lossy transport + agents.
-	transport, err := ecg.NewChanTransport(msgLoss, src.Split("loss"))
+	transport, err := ecg.NewFaultTransport(ecg.FaultConfig{Loss: msgLoss}, src.Split("loss"))
 	if err != nil {
 		return fmt.Errorf("build transport: %w", err)
 	}
@@ -61,11 +62,6 @@ func run() error {
 		}
 		agents[i] = a
 	}
-	defer func() {
-		for _, a := range agents {
-			a.Stop()
-		}
-	}()
 
 	// Crash a few caches before the protocol starts.
 	crashed := []ecg.CacheIndex{7, 42, 99}
@@ -75,26 +71,17 @@ func run() error {
 	fmt.Printf("network: %d caches (%d crashed), %.0f%% message loss\n",
 		numCaches, len(crashed), msgLoss*100)
 
-	cfg := ecg.ProtocolConfig{
-		L:            10,
-		M:            4,
-		K:            numGroups,
-		Theta:        1,
-		ReplyTimeout: 150 * time.Millisecond,
-		Retries:      5,
-	}
+	cfg := ecg.ProtocolConfig{L: 10, M: 4, K: numGroups, Theta: 1, Retries: 5}
 	coord, err := ecg.NewProtocolCoordinator(cfg, numCaches, transport, src.Split("coordinator"))
 	if err != nil {
 		return fmt.Errorf("build coordinator: %w", err)
 	}
 
-	start := time.Now()
 	res, err := coord.Run()
 	if err != nil {
 		return fmt.Errorf("protocol run: %w", err)
 	}
-	fmt.Printf("protocol completed in %.0fms, %d messages sent\n",
-		time.Since(start).Seconds()*1000, res.MessagesSent)
+	fmt.Printf("protocol completed: %d messages sent, %d retries\n", res.MessagesSent, res.Retries)
 	fmt.Printf("landmarks: %v\n", res.Plan.Landmarks)
 	fmt.Printf("assigned:  %d caches into %d groups (plan checksum %016x)\n",
 		len(res.Members), res.Plan.NumGroups(), res.Plan.Checksum())

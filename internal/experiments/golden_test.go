@@ -8,10 +8,8 @@ import (
 	"edgecachegroups/internal/obs"
 )
 
-// goldenStudies lists every study whose result is a pure function of its
-// Options, with the FNV-64a of its "%+v" rendering at goldenOptions. The
-// protocol-resilience study is absent: its reply timers are wall-clock, so
-// its retry and timeout counters are not reproducible.
+// goldenStudies lists every study, each a pure function of its Options,
+// with the FNV-64a of its "%+v" rendering at goldenOptions.
 var goldenStudies = []struct {
 	name string
 	run  func(Options) (any, error)
@@ -34,6 +32,7 @@ var goldenStudies = []struct {
 	{"Substrate", func(o Options) (any, error) { return SubstrateStudy(o) }, 0x2e09184ba4e24c09},
 	{"Overhead", func(o Options) (any, error) { return ProbeOverheadStudy(o) }, 0x114c5dafd34a25d2},
 	{"Freshness", func(o Options) (any, error) { return FreshnessStudy(o) }, 0xee2397e7bc4f27cc},
+	{"Protocol", func(o Options) (any, error) { return ProtocolResilienceStudy(o) }, 0x67c4ccc6822fd3d8},
 }
 
 // observedStages counts, per study at goldenOptions, the plans it forms and
@@ -58,6 +57,7 @@ var observedStages = map[string]struct{ forms, sims int }{
 	"Substrate":      {2 * 2 * (3 + 2), 2 * 2 * 2},
 	"Overhead":       {2 * (1 + 5), 0},
 	"Freshness":      {2 * 4, 2 * 4},
+	"Protocol":       {2 * 7, 0},
 }
 
 // goldenOptions is small enough to run every study in about a second, and

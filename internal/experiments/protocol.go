@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"edgecachegroups/internal/metrics"
 	"edgecachegroups/internal/protocol"
@@ -55,8 +54,9 @@ func ProtocolResilienceStudy(o Options) (*ProtocolResilienceResult, error) {
 		return nil, err
 	}
 	o = o.withDefaults()
-	// The protocol runs real timers per retry round, so the study uses a
-	// moderate network rather than the paper's full 500 caches.
+	// Each scenario exchanges every probe as a message and measures it in
+	// an agent, so the study uses a moderate network rather than the
+	// paper's full 500 caches.
 	n := o.scaleInt(120, 30)
 	k := maxInt(n/10, 2)
 	l, m := landmarksFor(n)
@@ -91,29 +91,15 @@ func ProtocolResilienceStudy(o Options) (*ProtocolResilienceResult, error) {
 				return err
 			}
 			defer tr.Close()
-			agents := make([]*protocol.Agent, n)
-			for a := range agents {
-				ag, err := protocol.NewAgent(topology.CacheIndex(a), e.prober, tr)
-				if err != nil {
+			for a := 0; a < n; a++ {
+				if _, err := protocol.NewAgent(topology.CacheIndex(a), e.prober, tr); err != nil {
 					return err
 				}
-				agents[a] = ag
 			}
-			defer func() {
-				for _, ag := range agents {
-					ag.Stop()
-				}
-			}()
 			for c := 0; c < int(sc.CrashFrac*float64(n)); c++ {
 				tr.Kill(protocol.CacheAddr(topology.CacheIndex(n - 1 - c)))
 			}
-			cfg := protocol.Config{
-				L: l, M: m, K: k, Theta: DefaultTheta,
-				ReplyTimeout: 150 * time.Millisecond,
-				Retries:      retries,
-				RoundBudget:  time.Minute,
-				Obs:          e.obs,
-			}
+			cfg := protocol.Config{L: l, M: m, K: k, Theta: DefaultTheta, Retries: retries, Obs: e.obs}
 			out, err := protocol.NewCoordinator(cfg, n, tr, src.Split("coordinator"))
 			if err != nil {
 				return err
@@ -156,6 +142,6 @@ func (r *ProtocolResilienceResult) Table() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"every run completes with a verified plan: crashed/partitioned caches degrade to the unresponsive column, never corrupt groups",
-		"fault draws come from per-link child streams, so each scenario replays bit-identically for a fixed seed")
+		"the transport runs in virtual time and draws faults from per-link child streams, so each scenario replays bit-identically for a fixed seed")
 	return t
 }

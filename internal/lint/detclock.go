@@ -11,9 +11,9 @@ import (
 // in these packages makes results depend on host speed and scheduling,
 // which breaks same-seed bit-identical checksums.
 //
-// The only sanctioned exception is the distributed coordinator's
-// RoundBudget path, which deliberately bounds a round by wall time and
-// carries //ecglint:allow detclock annotations.
+// No sanctioned exception remains: the distributed protocol runs its
+// rounds in virtual time too. A future one must carry an
+// //ecglint:allow detclock annotation with its reason.
 type DetClock struct{}
 
 // simPackages are the packages whose behaviour must be a pure function

@@ -11,8 +11,7 @@ import (
 // blocking send under a lock deadlocks against any other path that
 // needs the same lock to drain the channel, and an unsynchronized
 // send/Close pair panics. Non-blocking sends (a select with a default
-// clause) are allowed; that is exactly the shape the fixed transport
-// uses to deliver mailbox messages under its mutex. A close() under a
+// clause) are allowed. A close() under a
 // lock is flagged too: it is only sound when every send path also runs
 // under that lock, which deserves an explicit //ecglint:allow audit
 // trail at the close site.

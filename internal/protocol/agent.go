@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"errors"
-	"sync"
 
 	"edgecachegroups/internal/probe"
 	"edgecachegroups/internal/topology"
@@ -21,19 +20,18 @@ type AgentStats struct {
 	DupAssigns int64
 }
 
-// Agent is one edge cache's protocol endpoint: it answers probe requests
-// by measuring RTTs through the prober and records its eventual group
-// assignment. Requests are deduplicated by sequence number — a duplicated
-// or retransmitted request is answered from a cached response instead of
-// being re-executed, so the fault-injection transport's duplication never
-// doubles measurement work or perturbs determinism.
+// Agent is one edge cache's protocol endpoint: the handler the transport
+// calls with each message delivered to the cache. It answers probe
+// requests by measuring RTTs through the prober and records its eventual
+// group assignment. Requests are deduplicated by sequence number — a
+// duplicated or retransmitted request is answered from a cached response
+// instead of being re-executed, so the fault-injection transport's
+// duplication never doubles measurement work or perturbs determinism.
 type Agent struct {
 	addr      Addr
 	prober    *probe.Prober
 	transport Transport
-	inbox     <-chan Message
 
-	mu      sync.Mutex
 	group   int
 	members []topology.CacheIndex
 	stats   AgentStats
@@ -42,13 +40,10 @@ type Agent struct {
 	// retransmission. Seqs are unique per coordinator run, so the map is
 	// bounded by the run's message count.
 	responses map[uint64]Message
-
-	stopOnce sync.Once
-	stopped  chan struct{}
-	done     chan struct{}
 }
 
-// NewAgent registers and starts the agent for cache i. Stop it with Stop.
+// NewAgent builds the agent for cache i and registers it as the handler
+// of the cache's address on transport.
 func NewAgent(i topology.CacheIndex, prober *probe.Prober, transport Transport) (*Agent, error) {
 	if prober == nil {
 		return nil, errors.New("protocol: nil prober")
@@ -60,13 +55,10 @@ func NewAgent(i topology.CacheIndex, prober *probe.Prober, transport Transport) 
 		addr:      CacheAddr(i),
 		prober:    prober,
 		transport: transport,
-		inbox:     transport.Register(CacheAddr(i)),
 		group:     -1,
 		responses: make(map[uint64]Message),
-		stopped:   make(chan struct{}),
-		done:      make(chan struct{}),
 	}
-	go a.loop()
+	transport.Register(a.addr, a.handle)
 	return a, nil
 }
 
@@ -76,46 +68,15 @@ func (a *Agent) Addr() Addr { return a.addr }
 // Group returns the agent's assigned group (-1 before assignment) and the
 // group's member list.
 func (a *Agent) Group() (int, []topology.CacheIndex) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	members := make([]topology.CacheIndex, len(a.members))
-	copy(members, a.members)
-	return a.group, members
+	return a.group, append([]topology.CacheIndex(nil), a.members...)
 }
 
 // Stats returns a snapshot of the agent's work counters.
-func (a *Agent) Stats() AgentStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
-}
-
-// Stop signals the agent to exit and waits for it.
-func (a *Agent) Stop() {
-	a.stopOnce.Do(func() { close(a.stopped) })
-	<-a.done
-}
-
-// loop is the agent's actor body.
-func (a *Agent) loop() {
-	defer close(a.done)
-	for {
-		select {
-		case <-a.stopped:
-			return
-		case msg, ok := <-a.inbox:
-			if !ok {
-				return
-			}
-			a.handle(msg)
-		}
-	}
-}
+func (a *Agent) Stats() AgentStats { return a.stats }
 
 func (a *Agent) handle(msg Message) {
 	// Duplicate request: re-send the cached response. This also covers a
 	// retransmission whose original reply was lost in flight.
-	a.mu.Lock()
 	if cached, ok := a.responses[msg.Seq]; ok && cached.Kind == expectedReply(msg.Kind) {
 		switch msg.Kind {
 		case MsgProbeRequest:
@@ -123,12 +84,10 @@ func (a *Agent) handle(msg Message) {
 		case MsgAssign:
 			a.stats.DupAssigns++
 		}
-		a.mu.Unlock()
-		//ecglint:allow errdrop duplicate-reply delivery is fire-and-forget; the coordinator retries on timeout and counts losses
+		//ecglint:allow errdrop duplicate-reply delivery is fire-and-forget; the coordinator retries unanswered requests and counts losses
 		_ = a.transport.Send(cached)
 		return
 	}
-	a.mu.Unlock()
 
 	switch msg.Kind {
 	case MsgProbeRequest:
@@ -150,13 +109,11 @@ func (a *Agent) handle(msg Message) {
 			Seq:  msg.Seq,
 			RTTs: rtts,
 		}
-		a.mu.Lock()
 		a.stats.ProbeRequests++
 		a.responses[msg.Seq] = reply
-		a.mu.Unlock()
 		// Reply delivery failures are the coordinator's problem (it
 		// retries); the agent stays fire-and-forget.
-		//ecglint:allow errdrop reply delivery is fire-and-forget; the coordinator retries on timeout
+		//ecglint:allow errdrop reply delivery is fire-and-forget; the coordinator retries unanswered requests
 		_ = a.transport.Send(reply)
 	case MsgAssign:
 		ack := Message{
@@ -166,13 +123,11 @@ func (a *Agent) handle(msg Message) {
 			Seq:   msg.Seq,
 			Group: msg.Group,
 		}
-		a.mu.Lock()
 		a.group = msg.Group
 		a.members = append([]topology.CacheIndex(nil), msg.Members...)
 		a.stats.Assigns++
 		a.responses[msg.Seq] = ack
-		a.mu.Unlock()
-		//ecglint:allow errdrop ack delivery is fire-and-forget; the coordinator retries the assign on timeout
+		//ecglint:allow errdrop ack delivery is fire-and-forget; the coordinator retries unacknowledged assigns
 		_ = a.transport.Send(ack)
 	}
 }

@@ -14,9 +14,9 @@ import (
 	"edgecachegroups/internal/topology"
 )
 
-// chaosCaches is the network size of the chaos matrix. Small enough that
-// the coordinator's mailbox never overflows (overflow order would depend
-// on reader speed), large enough for partitions and crashes to bite.
+// chaosCaches is the network size of the chaos matrix: small enough to
+// run the whole matrix in well under a second, large enough for
+// partitions and crashes to bite.
 const chaosCaches = 24
 
 var (
@@ -49,8 +49,8 @@ func sharedProber(t *testing.T) *probe.Prober {
 	return chaosProber
 }
 
-// faultStack builds a fresh fault transport with running agents over the
-// shared prober.
+// faultStack builds a fresh fault transport with registered agents over
+// the shared prober.
 func faultStack(t *testing.T, fc FaultConfig, seed int64) *ChanTransport {
 	t.Helper()
 	prober := sharedProber(t)
@@ -63,13 +63,7 @@ func faultStack(t *testing.T, fc FaultConfig, seed int64) *ChanTransport {
 }
 
 func chaosCfg() Config {
-	return Config{
-		L: 4, M: 2, K: 3,
-		ReplyTimeout: 150 * time.Millisecond,
-		Retries:      6,
-		BackoffBase:  time.Millisecond,
-		RoundBudget:  20 * time.Second,
-	}
+	return Config{L: 4, M: 2, K: 3, Retries: 6}
 }
 
 // runProtocol executes coord.Run under a watchdog: a hang past the
@@ -160,7 +154,7 @@ func assertTypedFailure(t *testing.T, err error) {
 		t.Fatalf("RoundError has no round name: %v", err)
 	}
 	if re.Round != "cluster" &&
-		!errors.Is(err, ErrQuorum) && !errors.Is(err, ErrBudgetExceeded) && !errors.Is(err, ErrTransportClosed) {
+		!errors.Is(err, ErrQuorum) && !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("round %q failure wraps no known sentinel: %v", re.Round, err)
 	}
 }
@@ -230,9 +224,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		tr := faultStack(t, fc, 9001)
 		tr.KillAfter(CacheAddr(7), 3)
 		tr.Partition(CacheAddr(22), CacheAddr(23))
-		cfg := chaosCfg()
-		cfg.ReplyTimeout = 300 * time.Millisecond
-		coord, err := NewCoordinator(cfg, chaosCaches, tr, simrand.New(9002))
+		coord, err := NewCoordinator(chaosCfg(), chaosCaches, tr, simrand.New(9002))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,27 +322,18 @@ func TestRunLossSweepConservation(t *testing.T) {
 	}
 }
 
-// TestNoRetriesSentinel covers the Retries=0 remapping bug: the zero
-// value still means "default", and the NoRetries sentinel now expresses
-// an explicit single-attempt run.
+// TestNoRetriesSentinel: Retries is taken as given, so Retries: 0 is a
+// single-attempt run and a negative count is rejected.
 func TestNoRetriesSentinel(t *testing.T) {
-	if got := (Config{}).withDefaults().Retries; got != 2 {
-		t.Fatalf("zero-value Retries defaulted to %d, want 2", got)
-	}
-	if got := (Config{Retries: NoRetries}).withDefaults().Retries; got != 0 {
-		t.Fatalf("NoRetries mapped to %d retries, want 0", got)
-	}
-	if got := (Config{Retries: 5}).withDefaults().Retries; got != 5 {
-		t.Fatalf("explicit Retries changed to %d, want 5", got)
-	}
 	cfg := chaosCfg()
-	if err := (Config{L: cfg.L, M: cfg.M, K: cfg.K, Retries: NoRetries}).Validate(chaosCaches); err != nil {
-		t.Fatalf("NoRetries rejected: %v", err)
+	cfg.Retries = -1
+	if err := cfg.Validate(chaosCaches); err == nil {
+		t.Fatal("Retries=-1 accepted")
 	}
 
 	// End to end: a single-attempt run on a lossy transport must never
 	// re-send — exactly one message per peer per round.
-	cfg.Retries = NoRetries
+	cfg.Retries = 0
 	tr := faultStack(t, FaultConfig{Loss: 0.15}, 9300)
 	coord, err := NewCoordinator(cfg, chaosCaches, tr, simrand.New(9301))
 	if err != nil {
@@ -363,73 +346,12 @@ func TestNoRetriesSentinel(t *testing.T) {
 	}
 	assertValidResult(t, res, chaosCaches)
 	if res.Retries != 0 {
-		t.Fatalf("NoRetries run recorded %d retries", res.Retries)
+		t.Fatalf("Retries=0 run recorded %d retries", res.Retries)
 	}
 	plset := cfg.M * (cfg.L - 1)
 	want := int64(plset + chaosCaches + len(res.Members))
 	if res.MessagesSent != want {
 		t.Fatalf("single-attempt run sent %d messages, want exactly %d", res.MessagesSent, want)
-	}
-}
-
-// TestRoundBudgetExceeded starves the PLSet round of both replies and
-// budget and asserts the typed failure chain names everything: the round,
-// the quorum miss, and the exhausted budget.
-func TestRoundBudgetExceeded(t *testing.T) {
-	tr := faultStack(t, FaultConfig{}, 9400)
-	for i := 0; i < chaosCaches; i++ {
-		tr.Kill(CacheAddr(topology.CacheIndex(i)))
-	}
-	cfg := chaosCfg()
-	cfg.ReplyTimeout = 50 * time.Millisecond
-	cfg.RoundBudget = time.Millisecond
-	coord, err := NewCoordinator(cfg, chaosCaches, tr, simrand.New(9401))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runProtocol(t, coord, 30*time.Second)
-	if err == nil {
-		t.Fatal("run succeeded with every cache dead and a 1ms budget")
-	}
-	var re *RoundError
-	if !errors.As(err, &re) || re.Round != "plset" {
-		t.Fatalf("expected plset RoundError, got %v", err)
-	}
-	if !errors.Is(err, ErrQuorum) {
-		t.Fatalf("budget failure does not wrap ErrQuorum: %v", err)
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("budget failure does not wrap ErrBudgetExceeded: %v", err)
-	}
-}
-
-// TestBackoffScheduleDeterministic checks the jittered exponential
-// schedule directly: growth up to the 10× BackoffBase cap, jitter within
-// [0.5,1.5), and identical draws for identical seeds.
-func TestBackoffScheduleDeterministic(t *testing.T) {
-	mk := func() *Coordinator {
-		return &Coordinator{
-			cfg:        Config{BackoffBase: time.Millisecond},
-			backoffSrc: simrand.New(77).Split("backoff"),
-		}
-	}
-	sample := func(c *Coordinator) []time.Duration {
-		var out []time.Duration
-		for attempt := 1; attempt <= 6; attempt++ {
-			base := min(c.cfg.BackoffBase<<uint(attempt-1), 10*time.Millisecond)
-			d := c.backoffDelay(attempt)
-			if d < base/2 || d >= base+base/2 {
-				t.Fatalf("attempt %d: jittered %v outside [%v,%v)", attempt, d, base/2, base+base/2)
-			}
-			out = append(out, d)
-		}
-		return out
-	}
-	a, b := sample(mk()), sample(mk())
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("backoff schedule not deterministic: %v vs %v", a, b)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/core"
@@ -17,11 +16,6 @@ import (
 	"edgecachegroups/internal/verify"
 )
 
-// NoRetries configures Config.Retries for exactly one attempt per request.
-// The zero value of Retries means "use the default"; this sentinel makes
-// an explicit zero-retry run expressible.
-const NoRetries = -1
-
 // Config tunes the distributed group formation run.
 type Config struct {
 	// L is the landmark count (origin included); M the PLSet multiplier.
@@ -31,43 +25,16 @@ type Config struct {
 	K int
 	// Theta is the SDSL sensitivity (0 = plain SL seeding).
 	Theta float64
-	// ReplyTimeout bounds each wait for outstanding replies. Zero means
-	// the default (100ms).
-	ReplyTimeout time.Duration
 	// Retries is how many times an unanswered request is re-sent before
-	// the peer is declared unresponsive. Zero means the default (2); use
-	// NoRetries (-1) for an explicit zero-retry run.
+	// the peer is declared unresponsive; zero means one attempt per
+	// request. A request is unanswered when its reply window closes: the
+	// transport has nothing left to deliver.
 	Retries int
-	// BackoffBase, when positive, inserts an exponential backoff sleep
-	// before each retry attempt: base·2^(attempt-1), capped at 10× base,
-	// with deterministic jitter in [0.5,1.5) drawn from a child of the
-	// coordinator's random source. Zero disables backoff (retries fire
-	// immediately after the reply timeout, as before).
-	BackoffBase time.Duration
-	// RoundBudget, when positive, bounds the total wall time of each
-	// protocol round including all retries and backoff sleeps. A round
-	// that exhausts its budget stops retrying and degrades (or fails with
-	// an error wrapping ErrBudgetExceeded if it is below quorum). Zero
-	// means unlimited.
-	RoundBudget time.Duration
 	// Obs is the optional observability sink: rounds emit trace spans and
 	// KindProtocolRound events (reply counts), and the run's message /
 	// retry / duplicate / timeout totals land in its counters. Nil
 	// disables instrumentation; enabling it never changes the Result.
 	Obs *obs.Obs
-}
-
-func (c Config) withDefaults() Config {
-	if c.ReplyTimeout <= 0 {
-		c.ReplyTimeout = 100 * time.Millisecond
-	}
-	switch c.Retries {
-	case 0:
-		c.Retries = 2
-	case NoRetries:
-		c.Retries = 0
-	}
-	return c
 }
 
 // Validate reports whether the config is usable for numCaches caches.
@@ -80,12 +47,8 @@ func (c Config) Validate(numCaches int) error {
 		return fmt.Errorf("protocol: K=%d out of range [1,%d]", c.K, numCaches)
 	case c.Theta < 0 || math.IsNaN(c.Theta):
 		return fmt.Errorf("protocol: Theta must be >= 0, got %v", c.Theta)
-	case c.Retries < NoRetries:
-		return fmt.Errorf("protocol: Retries must be >= 0 (or NoRetries), got %d", c.Retries)
-	case c.BackoffBase < 0:
-		return fmt.Errorf("protocol: BackoffBase must be >= 0, got %v", c.BackoffBase)
-	case c.RoundBudget < 0:
-		return fmt.Errorf("protocol: RoundBudget must be >= 0, got %v", c.RoundBudget)
+	case c.Retries < 0:
+		return fmt.Errorf("protocol: Retries must be >= 0, got %d", c.Retries)
 	}
 	return nil
 }
@@ -93,14 +56,10 @@ func (c Config) Validate(numCaches int) error {
 // landmarks returns the landmark-selection parameters.
 func (c Config) landmarks() landmark.Params { return landmark.Params{L: c.L, M: c.M} }
 
-// Typed protocol failures. Run never panics and never blocks forever: it
-// either returns a verified Result or an error wrapping one of these.
-var (
-	// ErrQuorum reports that a round gathered too few replies to proceed.
-	ErrQuorum = errors.New("protocol: insufficient responses for quorum")
-	// ErrBudgetExceeded reports that a round ran out of its RoundBudget.
-	ErrBudgetExceeded = errors.New("protocol: round deadline budget exceeded")
-)
+// ErrQuorum reports that a round gathered too few replies to proceed.
+// Run never panics and never blocks forever: it either returns a verified
+// Result or an error wrapping ErrQuorum or ErrTransportClosed.
+var ErrQuorum = errors.New("protocol: insufficient responses for quorum")
 
 // RoundError is the typed failure of one protocol round; Round names the
 // round ("plset", "features", "cluster"). It wraps the cause, so
@@ -140,7 +99,7 @@ type Result struct {
 	// deliveries, late replies to already-answered requests, and replies
 	// from earlier rounds).
 	DuplicateReplies int64
-	// TimedOutWaits counts reply waits that expired with requests still
+	// TimedOutWaits counts reply windows that closed with requests still
 	// pending.
 	TimedOutWaits int64
 	// PLSetSize and PLSetResponsive surface the landmark round's quorum:
@@ -156,13 +115,12 @@ type Result struct {
 
 // Coordinator drives the distributed protocol. Build one per run.
 type Coordinator struct {
-	cfg        Config
-	n          int
-	transport  Transport
-	inbox      <-chan Message
-	src        *simrand.Source
-	backoffSrc *simrand.Source
-	seq        uint64
+	cfg       Config
+	n         int
+	transport Transport
+	inbox     []Message // replies delivered since the round last read them
+	src       *simrand.Source
+	seq       uint64
 
 	sent     int64
 	retries  int64
@@ -181,21 +139,15 @@ func NewCoordinator(cfg Config, numCaches int, transport Transport, src *simrand
 	if err := cfg.Validate(numCaches); err != nil {
 		return nil, err
 	}
-	return &Coordinator{
-		cfg:        cfg.withDefaults(),
-		n:          numCaches,
-		transport:  transport,
-		inbox:      transport.Register(CoordinatorAddr()),
-		src:        src,
-		backoffSrc: src.Split("backoff"),
-	}, nil
+	c := &Coordinator{cfg: cfg, n: numCaches, transport: transport, src: src}
+	transport.Register(CoordinatorAddr(), func(m Message) { c.inbox = append(c.inbox, m) })
+	return c, nil
 }
 
 // Run executes the five protocol rounds and returns the formed groups.
 // It returns either a Result whose plan and conservation accounting
 // passed its invariant checks or a typed error (*RoundError / *verify.Error);
-// it never panics and every wait is bounded by ReplyTimeout, Retries, and
-// RoundBudget.
+// it never panics, and each round makes at most Retries+1 attempts.
 func (c *Coordinator) Run() (*Result, error) {
 	// Round 1: PLSet probing.
 	plset, err := landmark.SamplePLSet(c.n, c.cfg.landmarks(), c.src.Split("landmarks"))
@@ -207,10 +159,10 @@ func (c *Coordinator) Run() (*Result, error) {
 	for _, ci := range plset {
 		plTargets = append(plTargets, probe.Cache(ci))
 	}
-	plReplies, plOut := c.requestRound("plset", plset, plTargets)
+	plReplies, plClosed := c.requestRound("plset", plset, plTargets)
 	c.cfg.Obs.EmitNow(obs.KindProtocolRound, "plset", int64(len(plReplies)))
 	if len(plReplies) < c.cfg.L-1 {
-		return nil, c.roundFailure("plset", plOut, fmt.Errorf("only %d of %d PLSet members responded, need >= %d",
+		return nil, c.roundFailure("plset", plClosed, fmt.Errorf("only %d of %d PLSet members responded, need >= %d",
 			len(plReplies), len(plset), c.cfg.L-1))
 	}
 
@@ -233,7 +185,7 @@ func (c *Coordinator) Run() (*Result, error) {
 	for i := range all {
 		all[i] = topology.CacheIndex(i)
 	}
-	featReplies, featOut := c.requestRound("features", all, landmarks)
+	featReplies, featClosed := c.requestRound("features", all, landmarks)
 	c.cfg.Obs.EmitNow(obs.KindProtocolRound, "features", int64(len(featReplies)))
 
 	// Round 4: clustering, through core's formation step. A cache whose
@@ -248,7 +200,7 @@ func (c *Coordinator) Run() (*Result, error) {
 		}
 	}
 	if len(responsive) < c.cfg.K {
-		return nil, c.roundFailure("features", featOut, fmt.Errorf("only %d caches responded with complete features, need >= K=%d",
+		return nil, c.roundFailure("features", featClosed, fmt.Errorf("only %d caches responded with complete features, need >= K=%d",
 			len(responsive), c.cfg.K))
 	}
 	points := cluster.NewMatrix(len(responsive), len(landmarks))
@@ -260,7 +212,9 @@ func (c *Coordinator) Run() (*Result, error) {
 		Landmarks: landmarks,
 		Theta:     c.cfg.Theta,
 	}
+	endCluster := c.cfg.Obs.StartSpan("cluster")
 	plan, err := template.Reform(points, c.cfg.K, c.src.Split("kmeans"))
+	endCluster()
 	if err != nil {
 		return nil, &RoundError{Round: "cluster", Err: fmt.Errorf("cluster features: %w", err)}
 	}
@@ -276,7 +230,6 @@ func (c *Coordinator) Run() (*Result, error) {
 	res.UnackedAssignments = c.assignRound(res)
 	c.cfg.Obs.EmitNow(obs.KindProtocolRound, "assign",
 		int64(len(res.Members)-len(res.UnackedAssignments)))
-	c.drainInbox()
 	res.MessagesSent = c.sent
 	res.Retries = c.retries
 	res.DuplicateReplies = c.dups
@@ -358,139 +311,40 @@ func (r *Result) Groups() [][]topology.CacheIndex {
 	return out
 }
 
-// drainInbox counts the messages still queued after the final round as
-// redundant, without blocking. Together with the rounds' uniform
-// stale-message counting this makes DuplicateReplies equal to every
-// message delivered to the coordinator minus the accepted ones — a
-// quantity the transport's per-link fault streams fix deterministically.
-func (c *Coordinator) drainInbox() {
-	for {
-		select {
-		case _, ok := <-c.inbox:
-			if !ok {
-				return
-			}
-			c.dups++
-		default:
-			return
-		}
-	}
-}
-
-// roundOutcome records why a round stopped collecting replies.
-type roundOutcome struct {
-	budgetExceeded bool
-	inboxClosed    bool
-}
-
-// roundFailure wraps a below-quorum round into the typed error chain.
-func (c *Coordinator) roundFailure(round string, out roundOutcome, reason error) error {
+// roundFailure wraps a below-quorum round into the typed error chain;
+// closed reports that the transport closed during the round.
+func (c *Coordinator) roundFailure(round string, closed bool, reason error) error {
 	err := fmt.Errorf("%v: %w", reason, ErrQuorum)
-	if out.budgetExceeded {
-		err = fmt.Errorf("%w (%w after %v)", err, ErrBudgetExceeded, c.cfg.RoundBudget)
-	}
-	if out.inboxClosed {
+	if closed {
 		err = fmt.Errorf("%w (%w)", err, ErrTransportClosed)
 	}
 	return &RoundError{Round: round, Err: err}
 }
 
-// backoff sleeps the exponential-backoff delay before retry attempt
-// `attempt` (>= 1). It returns false when the round budget is already
-// exhausted. The jitter draw comes from a dedicated child stream, so the
-// number of draws — and therefore every stream split off c.src — is a
-// pure function of the retry schedule.
-func (c *Coordinator) backoff(attempt int, budgetEnd time.Time) bool {
-	if c.cfg.BackoffBase <= 0 {
-		if budgetEnd.IsZero() {
-			return true
-		}
-		//ecglint:allow detclock RoundBudget bounds a round by real elapsed time; wall clock is the point
-		return time.Now().Before(budgetEnd)
-	}
-	d := c.backoffDelay(attempt)
-	if !budgetEnd.IsZero() {
-		//ecglint:allow detclock clamping the backoff to the RoundBudget's wall-clock remainder
-		remaining := time.Until(budgetEnd)
-		if remaining <= 0 {
-			return false
-		}
-		if d > remaining {
-			d = remaining
-		}
-	}
-	//ecglint:allow detclock retry backoff is a real delay against real transports; only the jitter draw feeds determinism and it comes from backoffSrc
-	time.Sleep(d)
-	return true
-}
-
-// backoffDelay draws the jittered delay before retry attempt `attempt`
-// (>= 1): BackoffBase·2^(attempt-1), capped at 10× BackoffBase, times a
-// jitter factor in [0.5,1.5).
-func (c *Coordinator) backoffDelay(attempt int) time.Duration {
-	// 2^4 already exceeds the 10× cap, so clamping the exponent there
-	// also rules out shift overflow.
-	d := min(c.cfg.BackoffBase<<uint(min(attempt-1, 4)), 10*c.cfg.BackoffBase)
-	return time.Duration(float64(d) * (0.5 + c.backoffSrc.Float64()))
-}
-
-// budgetEnd returns the wall-clock end of the current round's budget
-// (zero time when unbudgeted).
-func (c *Coordinator) budgetEnd() time.Time {
-	if c.cfg.RoundBudget <= 0 {
-		return time.Time{}
-	}
-	//ecglint:allow detclock RoundBudget anchors the round deadline to the wall clock by design
-	return time.Now().Add(c.cfg.RoundBudget)
-}
-
-// waitWindow clamps the per-attempt reply timeout to the remaining round
-// budget. ok is false when the budget is exhausted.
-func (c *Coordinator) waitWindow(budgetEnd time.Time) (time.Duration, bool) {
-	wait := c.cfg.ReplyTimeout
-	if budgetEnd.IsZero() {
-		return wait, true
-	}
-	//ecglint:allow detclock the reply window is clamped to the RoundBudget's wall-clock remainder
-	remaining := time.Until(budgetEnd)
-	if remaining <= 0 {
-		return 0, false
-	}
-	if remaining < wait {
-		wait = remaining
-	}
-	return wait, true
-}
-
 // round sends msg(p) to every peer and collects one accepted reply per
-// peer, re-sending to unanswered peers (with backoff) up to Retries times
-// inside the round budget; a closed inbox ends the round at once. The
-// round stamps each message's addresses and a fresh sequence number, and
-// calls accept only for a reply to a peer's outstanding request. It
-// returns the peers left without an accepted reply, in peers order.
+// peer, re-sending to unanswered peers up to Retries times. Each attempt
+// sends to the pending peers, then flushes the transport: the reply window
+// closes when nothing is left to deliver, and a closed transport ends the
+// round at once. The round stamps each message's addresses and a fresh
+// sequence number, and calls accept only for a reply to a peer's
+// outstanding request. It returns the peers left without an accepted
+// reply, in peers order, and whether the transport closed.
 func (c *Coordinator) round(name string, peers []topology.CacheIndex,
 	msg func(p topology.CacheIndex) Message, accept func(p topology.CacheIndex, reply Message) bool,
-) ([]topology.CacheIndex, roundOutcome) {
+) (left []topology.CacheIndex, closed bool) {
 	defer c.cfg.Obs.StartSpan("protocol-" + name)()
-	var out roundOutcome
 	pending := make(map[topology.CacheIndex]bool, len(peers))
 	for _, p := range peers {
 		pending[p] = true
 	}
 	seqOf := make(map[uint64]topology.CacheIndex)
-	budgetEnd := c.budgetEnd()
 
-attempts:
 	for attempt := 0; attempt <= c.cfg.Retries && len(pending) > 0; attempt++ {
 		if attempt > 0 {
-			if !c.backoff(attempt, budgetEnd) {
-				out.budgetExceeded = true
-				break
-			}
 			c.retries += int64(len(pending))
 		}
 		// Iterate peers in their given order so sequence numbers, and the
-		// per-link traffic they generate, are schedule-independent.
+		// per-link traffic they generate, follow the peer order.
 		for _, p := range peers {
 			if !pending[p] {
 				continue
@@ -503,53 +357,41 @@ attempts:
 			//ecglint:allow errdrop lost requests are re-sent by the retry loop and counted in c.retries
 			_ = c.transport.Send(m)
 		}
-		wait, ok := c.waitWindow(budgetEnd)
-		if !ok {
-			out.budgetExceeded = true
+		err := c.transport.Flush()
+		// Anything that is not an accepted answer to a pending request of
+		// this round — a duplicated delivery, a late reply to an answered
+		// or older request, a malformed reply — counts as redundant, so the
+		// counter equals delivered-minus-accepted.
+		for _, reply := range c.inbox {
+			p, known := seqOf[reply.Seq]
+			if !known || !pending[p] || !accept(p, reply) {
+				c.dups++
+				continue
+			}
+			delete(pending, p)
+		}
+		c.inbox = c.inbox[:0]
+		if err != nil {
+			closed = true
 			break
 		}
-		//ecglint:allow detclock reply timeout against a real transport; bounded by RoundBudget
-		deadline := time.After(wait)
-	wait:
-		for len(pending) > 0 {
-			select {
-			case reply, ok := <-c.inbox:
-				if !ok {
-					out.inboxClosed = true
-					break attempts
-				}
-				// Anything that is not an accepted answer to a pending request
-				// of this round — a duplicated delivery, a late reply to an
-				// answered or older request, a malformed reply — counts as
-				// redundant. Counting uniformly (rather than skipping stale
-				// kinds) keeps the counter equal to delivered-minus-accepted,
-				// which is schedule-independent.
-				p, known := seqOf[reply.Seq]
-				if !known || !pending[p] || !accept(p, reply) {
-					c.dups++
-					continue
-				}
-				delete(pending, p)
-			case <-deadline:
-				c.timeouts++
-				break wait
-			}
+		if len(pending) > 0 {
+			c.timeouts++
 		}
 	}
-	var left []topology.CacheIndex
 	for _, p := range peers {
 		if pending[p] {
 			left = append(left, p)
 		}
 	}
-	return left, out
+	return left, closed
 }
 
 // requestRound asks every peer to probe targets and returns the RTT
 // vectors keyed by cache index.
-func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, targets []probe.Endpoint) (map[topology.CacheIndex][]float64, roundOutcome) {
-	replies := make(map[topology.CacheIndex][]float64, len(peers))
-	_, out := c.round(name, peers,
+func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, targets []probe.Endpoint) (replies map[topology.CacheIndex][]float64, closed bool) {
+	replies = make(map[topology.CacheIndex][]float64, len(peers))
+	_, closed = c.round(name, peers,
 		func(topology.CacheIndex) Message { return Message{Kind: MsgProbeRequest, Targets: targets} },
 		func(p topology.CacheIndex, reply Message) bool {
 			if reply.Kind != MsgProbeReply || len(reply.RTTs) != len(targets) {
@@ -558,7 +400,7 @@ func (c *Coordinator) requestRound(name string, peers []topology.CacheIndex, tar
 			replies[p] = reply.RTTs
 			return true
 		})
-	return replies, out
+	return replies, closed
 }
 
 // failed reports whether an agent's measurement is the negative sentinel

@@ -1,14 +1,18 @@
 // Package protocol implements the group formation rounds as an actual
-// distributed protocol: the GF-Coordinator and every edge cache run as
-// concurrent agents exchanging messages over a pluggable transport.
+// distributed protocol: the GF-Coordinator and one agent per edge cache
+// exchange messages over a pluggable transport. The transport runs in
+// virtual time, like the paper's discrete-event simulator: a send queues a
+// message, a flush hands queued messages to their handlers, and a reply
+// window closes when nothing is left to deliver. A run is therefore a pure
+// function of its seeds, faults included.
 //
 // The paper describes the GF-Coordinator as "the node that coordinates the
 // execution of the three steps" (§3) and lists "architectures, mechanisms,
 // and system-level facilities for supporting scalable, efficient, and
 // reliable cooperation" among its problem statement. internal/core
 // implements the algorithms as a library; this package implements the
-// coordination itself — request/reply probing rounds, retries, timeouts,
-// and assignment broadcast — so that node failures and message loss are
+// coordination itself — request/reply probing rounds, retries, and
+// assignment broadcast — so that node failures and message loss are
 // first-class behaviours rather than simulation shortcuts.
 //
 // Protocol rounds:

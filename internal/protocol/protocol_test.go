@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"edgecachegroups/internal/core"
 	"edgecachegroups/internal/landmark"
@@ -16,7 +15,7 @@ import (
 	"edgecachegroups/internal/topology"
 )
 
-// stack builds a network, prober, transport, and running agents.
+// stack builds a network, prober, transport, and registered agents.
 func stack(t *testing.T, numCaches int, seed int64, loss float64) (*topology.Network, *ChanTransport, []*Agent) {
 	t.Helper()
 	g, err := topology.GenerateTransitStub(topology.DefaultTransitStubParams(), simrand.New(seed))
@@ -35,15 +34,14 @@ func stack(t *testing.T, numCaches int, seed int64, loss float64) (*topology.Net
 	if loss > 0 {
 		lossSrc = simrand.New(seed + 3)
 	}
-	tr, err := NewChanTransport(loss, lossSrc)
+	tr, err := NewFaultTransport(FaultConfig{Loss: loss}, lossSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return nw, tr, startAgents(t, numCaches, prober, tr)
 }
 
-// startAgents runs one agent per cache on tr; cleanup stops them and
-// closes tr.
+// startAgents registers one agent per cache on tr; cleanup closes tr.
 func startAgents(t *testing.T, numCaches int, prober *probe.Prober, tr *ChanTransport) []*Agent {
 	t.Helper()
 	agents := make([]*Agent, numCaches)
@@ -54,12 +52,7 @@ func startAgents(t *testing.T, numCaches int, prober *probe.Prober, tr *ChanTran
 		}
 		agents[i] = a
 	}
-	t.Cleanup(func() {
-		for _, a := range agents {
-			a.Stop()
-		}
-		tr.Close()
-	})
+	t.Cleanup(tr.Close)
 	return agents
 }
 
@@ -73,7 +66,7 @@ func assignmentMap(res *Result) map[topology.CacheIndex]int {
 }
 
 func defaultCfg(k int) Config {
-	return Config{L: 6, M: 3, K: k, ReplyTimeout: 200 * time.Millisecond, Retries: 3}
+	return Config{L: 6, M: 3, K: k, Retries: 3}
 }
 
 func TestAddrAndKindStrings(t *testing.T) {
@@ -115,9 +108,7 @@ func TestConfigValidate(t *testing.T) {
 		{L: 4, M: 2, K: 61},
 		{L: 4, M: 2, K: 2, Theta: -1},
 		{L: 4, M: 2, K: 2, Theta: math.NaN()}, // NaN would silently seed SL
-		{L: 4, M: 2, K: 2, Retries: -2},       // below the NoRetries sentinel
-		{L: 4, M: 2, K: 2, BackoffBase: -time.Second},
-		{L: 4, M: 2, K: 2, RoundBudget: -time.Second},
+		{L: 4, M: 2, K: 2, Retries: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(60); err == nil {
@@ -127,24 +118,25 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTransportBasics(t *testing.T) {
-	tr, err := NewChanTransport(0, nil)
+	tr, err := NewFaultTransport(FaultConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewChanTransport(1, nil); err == nil {
-		t.Fatal("lossProb=1 accepted")
+	if _, err := NewFaultTransport(FaultConfig{Loss: 1}, nil); err == nil {
+		t.Fatal("Loss=1 accepted")
 	}
-	box := tr.Register(CacheAddr(1))
+	got := collect(tr, CacheAddr(1))
 	if err := tr.Send(Message{To: CacheAddr(1), Kind: MsgAssign}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case msg := <-box:
-		if msg.Kind != MsgAssign {
-			t.Fatalf("kind = %v", msg.Kind)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered")
+	if len(*got) != 0 {
+		t.Fatal("message handled before Flush")
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 1 || (*got)[0].Kind != MsgAssign {
+		t.Fatalf("delivered %v, want one assign", *got)
 	}
 	if err := tr.Send(Message{To: CacheAddr(9)}); err == nil {
 		t.Fatal("send to unregistered addr accepted")
@@ -154,14 +146,15 @@ func TestTransportBasics(t *testing.T) {
 	if err := tr.Send(Message{To: CacheAddr(1)}); err != nil {
 		t.Fatalf("send to killed node errored: %v", err)
 	}
-	select {
-	case <-box:
-		t.Fatal("killed node received a message")
-	case <-time.After(20 * time.Millisecond):
+	if err := tr.Flush(); err != nil || len(*got) != 1 {
+		t.Fatalf("killed node received a message (flush err %v)", err)
 	}
 	tr.Close()
 	if err := tr.Send(Message{To: CacheAddr(1)}); err != ErrTransportClosed {
 		t.Fatalf("send after close = %v", err)
+	}
+	if err := tr.Flush(); err != ErrTransportClosed {
+		t.Fatalf("flush after close = %v", err)
 	}
 	tr.Close() // idempotent
 }
@@ -263,9 +256,7 @@ func TestRunHandlesCrashedCaches(t *testing.T) {
 	for _, ci := range crashed {
 		tr.Kill(CacheAddr(ci))
 	}
-	cfg := defaultCfg(4)
-	cfg.ReplyTimeout = 60 * time.Millisecond
-	coord, err := NewCoordinator(cfg, 40, tr, simrand.New(408))
+	coord, err := NewCoordinator(defaultCfg(4), 40, tr, simrand.New(408))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +288,7 @@ func TestRunFailsWhenPLSetMostlyDead(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.Kill(CacheAddr(topology.CacheIndex(i)))
 	}
-	cfg := Config{L: 4, M: 2, K: 2, ReplyTimeout: 30 * time.Millisecond, Retries: 1}
+	cfg := Config{L: 4, M: 2, K: 2, Retries: 1}
 	coord, err := NewCoordinator(cfg, 20, tr, simrand.New(410))
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +332,7 @@ func TestSDSLThetaInProtocol(t *testing.T) {
 }
 
 func TestNewCoordinatorErrors(t *testing.T) {
-	tr, err := NewChanTransport(0, nil)
+	tr, err := NewFaultTransport(FaultConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +347,8 @@ func TestNewCoordinatorErrors(t *testing.T) {
 	}
 }
 
-func TestAgentStopIdempotent(t *testing.T) {
-	tr, err := NewChanTransport(0, nil)
+func TestNewAgentErrors(t *testing.T) {
+	tr, err := NewFaultTransport(FaultConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +368,6 @@ func TestAgentStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Stop()
-	a.Stop() // must not panic or deadlock
 	group, _ := a.Group()
 	if group != -1 {
 		t.Fatalf("unassigned agent group = %d", group)
@@ -494,7 +483,7 @@ func TestFailedProbesAreUnresponsive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewChanTransport(0, nil)
+	tr, err := NewFaultTransport(FaultConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +527,7 @@ func TestFailedProbesAreUnresponsive(t *testing.T) {
 }
 
 // closeOnAssign closes the transport right after the first assignment is
-// sent, so the assign round sees its inbox close mid-round.
+// sent, so the assign round sees its transport close mid-round.
 type closeOnAssign struct{ *ChanTransport }
 
 func (c closeOnAssign) Send(m Message) error {
@@ -550,13 +539,12 @@ func (c closeOnAssign) Send(m Message) error {
 }
 
 // TestTransportClosedDuringAssign: the assign round must stop as soon as
-// its inbox closes, like the request rounds, instead of spending every
-// retry and backoff sleep on a dead transport.
+// its transport closes, like the request rounds, instead of spending every
+// retry on a dead transport.
 func TestTransportClosedDuringAssign(t *testing.T) {
 	_, tr, _ := stack(t, 40, 400, 0)
 	cfg := defaultCfg(5)
 	cfg.Theta = 1
-	cfg.BackoffBase = 20 * time.Millisecond
 	coord, err := NewCoordinator(cfg, 40, closeOnAssign{tr}, simrand.New(401))
 	if err != nil {
 		t.Fatal(err)

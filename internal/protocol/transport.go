@@ -9,28 +9,35 @@ import (
 	"edgecachegroups/internal/simrand"
 )
 
-// Transport delivers messages between protocol participants.
-// Implementations must be safe for concurrent use.
+// Transport delivers messages between protocol participants in virtual
+// time: Send queues a message, and Flush hands queued messages to their
+// addresses' handlers until none is left. A handler may Send, so one Flush
+// runs a whole request/reply exchange to quiescence. Send, Register and
+// Close are safe for concurrent use; handlers run on the goroutine that
+// calls Flush.
 type Transport interface {
-	// Send delivers msg to msg.To's mailbox. A Send to an unregistered
+	// Send queues msg for msg.To's handler. A Send to an unregistered
 	// address errors; a dropped (lossy) message does NOT error — loss is
 	// silent, as on a real network.
 	Send(msg Message) error
-	// Register creates (or returns) the mailbox channel for addr.
-	Register(addr Addr) <-chan Message
-	// Close shuts the transport down; subsequent Sends fail.
+	// Register sets the handler that receives addr's messages.
+	Register(addr Addr, h func(Message))
+	// Flush delivers queued messages, oldest first, until none is left.
+	// It returns ErrTransportClosed once the transport is closed.
+	Flush() error
+	// Close shuts the transport down; subsequent Sends and Flushes fail.
 	Close()
 }
 
-// ErrTransportClosed is returned by Send after Close.
+// ErrTransportClosed is returned by Send and Flush after Close.
 var ErrTransportClosed = errors.New("protocol: transport closed")
 
 // FaultConfig describes the deterministic fault model of a ChanTransport.
 // The zero value injects no faults. Every probabilistic knob draws from a
 // per-link child stream of the transport's random source, so the fate of a
 // message is a pure function of (seed, link, position in the link's send
-// sequence) — independent of how concurrent senders on other links
-// interleave. Runs with the same seed therefore replay bit-identically.
+// sequence) — independent of the order of sends on other links. Runs with
+// the same seed therefore replay bit-identically.
 type FaultConfig struct {
 	// Loss is the default per-message drop probability in [0,1), applied
 	// independently on every link.
@@ -84,25 +91,25 @@ func (fc FaultConfig) withDefaults() FaultConfig {
 }
 
 // TransportStats counts what the fault model did to the traffic. All
-// counters are monotone; Delivered + the Dropped* counters account for
-// every copy the transport decided on (duplication mints extra copies).
+// counters are monotone. Every copy the transport decided on (duplication
+// mints extra copies) is delivered, dropped, or still queued or held:
+// Sent + Duplicated = Delivered + the Dropped* counters + in flight, and
+// nothing is in flight after Close.
 type TransportStats struct {
-	// Sent counts Send calls that found an open transport and a mailbox.
+	// Sent counts Send calls that found an open transport and a handler.
 	Sent int64
-	// Delivered counts copies placed into a mailbox.
+	// Delivered counts copies handed to a handler.
 	Delivered int64
 	// Duplicated counts messages the duplication stage copied.
 	Duplicated int64
 	// Delayed counts copies held back for reordering.
 	Delayed int64
-	// DroppedLoss / DroppedDead / DroppedPartition / DroppedOverflow /
-	// DroppedClosed count copies removed by each failure mode (loss draw,
-	// crashed destination, partition cut, full mailbox, transport close
-	// with copies still held).
+	// DroppedLoss / DroppedDead / DroppedPartition / DroppedClosed count
+	// copies removed by each failure mode (loss draw, crashed destination,
+	// partition cut, transport close with copies still queued or held).
 	DroppedLoss      int64
 	DroppedDead      int64
 	DroppedPartition int64
-	DroppedOverflow  int64
 	DroppedClosed    int64
 }
 
@@ -119,15 +126,17 @@ type linkState struct {
 	held []heldMessage
 }
 
-// ChanTransport is an in-process Transport built on buffered channels,
-// with a deterministic fault model for failure-injection tests: per-link
-// message loss, duplication, bounded delay with reordering, network
-// partitions, and node crash/restart. See FaultConfig for the determinism
-// contract. The zero-fault configuration is a plain reliable transport.
+// ChanTransport is the in-process Transport: a FIFO of queued copies and
+// a handler per registered address, with a deterministic fault model for
+// failure-injection tests: per-link message loss, duplication, bounded
+// delay with reordering, network partitions, and node crash/restart. See
+// FaultConfig for the determinism contract. The zero-fault configuration
+// is a plain reliable transport.
 type ChanTransport struct {
-	mu     sync.Mutex
-	boxes  map[Addr]chan Message
-	closed bool
+	mu       sync.Mutex
+	handlers map[Addr]func(Message)
+	queue    []Message
+	closed   bool
 
 	faults FaultConfig
 	src    *simrand.Source // nil disables all probabilistic faults
@@ -148,14 +157,6 @@ type ChanTransport struct {
 
 var _ Transport = (*ChanTransport)(nil)
 
-// NewChanTransport builds an in-process transport with uniform message
-// loss only — the pre-fault-model constructor, kept for callers that need
-// nothing beyond loss. lossProb in [0,1) drops each message independently
-// using src (nil src means no loss regardless of lossProb).
-func NewChanTransport(lossProb float64, src *simrand.Source) (*ChanTransport, error) {
-	return NewFaultTransport(FaultConfig{Loss: lossProb}, src)
-}
-
 // NewFaultTransport builds an in-process transport with the full
 // deterministic fault model. A nil src disables every probabilistic fault
 // (loss, duplication, delay) regardless of the configured probabilities;
@@ -165,7 +166,7 @@ func NewFaultTransport(fc FaultConfig, src *simrand.Source) (*ChanTransport, err
 		return nil, err
 	}
 	return &ChanTransport{
-		boxes:     make(map[Addr]chan Message),
+		handlers:  make(map[Addr]func(Message)),
 		faults:    fc.withDefaults(),
 		src:       src,
 		links:     make(map[Link]*linkState),
@@ -175,21 +176,11 @@ func NewFaultTransport(fc FaultConfig, src *simrand.Source) (*ChanTransport, err
 	}, nil
 }
 
-// mailboxDepth bounds each participant's queue. The protocol's fan-out is
-// one outstanding request per peer, so a small constant suffices; a full
-// mailbox drops the message (backpressure as loss).
-const mailboxDepth = 64
-
 // Register implements Transport.
-func (t *ChanTransport) Register(addr Addr) <-chan Message {
+func (t *ChanTransport) Register(addr Addr, h func(Message)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if box, ok := t.boxes[addr]; ok {
-		return box
-	}
-	box := make(chan Message, mailboxDepth)
-	t.boxes[addr] = box
-	return box
+	t.handlers[addr] = h
 }
 
 // Kill marks addr as crashed: all traffic to it is silently dropped.
@@ -201,9 +192,8 @@ func (t *ChanTransport) Kill(addr Addr) {
 }
 
 // KillAfter schedules addr to crash after n more deliveries reach it.
-// Deliveries to one address come from a single sequential sender in this
-// protocol, so the crash lands at the same protocol position on every
-// run. n <= 0 crashes immediately.
+// Deliveries follow the transport's FIFO order, so the crash lands at the
+// same protocol position on every run. n <= 0 crashes immediately.
 func (t *ChanTransport) KillAfter(addr Addr, n int) {
 	if n <= 0 {
 		t.Kill(addr)
@@ -216,9 +206,8 @@ func (t *ChanTransport) KillAfter(addr Addr, n int) {
 	}
 }
 
-// Restart revives a crashed addr: traffic flows to it again. The node's
-// mailbox is left as it was — messages that arrived before the crash are
-// treated as received.
+// Restart revives a crashed addr: traffic flows to it again. Copies
+// dropped while it was down stay dropped.
 func (t *ChanTransport) Restart(addr Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -268,7 +257,6 @@ func (t *ChanTransport) PublishObs(o *obs.Obs) {
 	o.Gauge("transport_dropped_loss").Set(float64(st.DroppedLoss))
 	o.Gauge("transport_dropped_dead").Set(float64(st.DroppedDead))
 	o.Gauge("transport_dropped_partition").Set(float64(st.DroppedPartition))
-	o.Gauge("transport_dropped_overflow").Set(float64(st.DroppedOverflow))
 	o.Gauge("transport_dropped_closed").Set(float64(st.DroppedClosed))
 }
 
@@ -288,19 +276,16 @@ func (t *ChanTransport) link(from, to Addr) *linkState {
 	return ls
 }
 
-// Send implements Transport. The entire decision-and-delivery path runs
-// under the transport mutex: mailbox sends are non-blocking, so holding
-// the lock is cheap, and it means Close can never close a channel between
-// a Send's closed-check and its channel send (the old unsynchronized
-// `box <- msg` after unlock could panic against a concurrent Close).
+// Send implements Transport. The fault decisions run under the transport
+// mutex; surviving copies join the FIFO that Flush drains.
 func (t *ChanTransport) Send(msg Message) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrTransportClosed
 	}
-	if _, ok := t.boxes[msg.To]; !ok && !t.dead[msg.To] {
-		return fmt.Errorf("protocol: no mailbox for %v", msg.To)
+	if _, ok := t.handlers[msg.To]; !ok && !t.dead[msg.To] {
+		return fmt.Errorf("protocol: no handler for %v", msg.To)
 	}
 	t.stats.Sent++
 	if t.dead[msg.To] {
@@ -333,7 +318,7 @@ func (t *ChanTransport) Send(msg Message) error {
 				newHolds = append(newHolds, heldMessage{msg: msg, after: 1 + ls.src.Intn(t.faults.MaxDelay)})
 				continue
 			}
-			t.deliverLocked(msg)
+			t.queue = append(t.queue, msg)
 		}
 	}
 
@@ -342,7 +327,7 @@ func (t *ChanTransport) Send(msg Message) error {
 		for _, h := range ls.held {
 			h.after--
 			if h.after <= 0 {
-				t.deliverLocked(h.msg)
+				t.queue = append(t.queue, h.msg)
 				continue
 			}
 			kept = append(kept, h)
@@ -361,34 +346,54 @@ func (t *ChanTransport) lossProbLocked(msg Message) float64 {
 	return t.faults.Loss
 }
 
-// deliverLocked places one copy into its destination mailbox, honouring
-// crash state and the KillAfter schedule. Callers hold t.mu.
-func (t *ChanTransport) deliverLocked(msg Message) {
-	if t.dead[msg.To] {
-		t.stats.DroppedDead++
-		return
+// Flush implements Transport. Each queued copy is checked against the
+// crash state and the KillAfter schedule under the mutex, then handed to
+// its handler with the mutex released, so the handler can Send.
+func (t *ChanTransport) Flush() error {
+	for {
+		msg, h, ok := t.next()
+		if !ok {
+			break
+		}
+		h(msg)
 	}
-	box := t.boxes[msg.To]
-	select {
-	case box <- msg:
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return ErrTransportClosed
+	}
+	return nil
+}
+
+// next pops the oldest queued copy to a live address and returns it with
+// its handler, counting copies to crashed addresses as dropped on the way.
+// ok is false once the queue is empty or the transport is closed.
+func (t *ChanTransport) next() (msg Message, h func(Message), ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for !t.closed && len(t.queue) > 0 {
+		msg = t.queue[0]
+		t.queue = t.queue[1:]
+		if t.dead[msg.To] {
+			t.stats.DroppedDead++
+			continue
+		}
 		t.stats.Delivered++
-		if n, ok := t.killAfter[msg.To]; ok {
-			n--
-			if n <= 0 {
+		if n, scheduled := t.killAfter[msg.To]; scheduled {
+			if n <= 1 {
 				t.dead[msg.To] = true
 				delete(t.killAfter, msg.To)
 			} else {
-				t.killAfter[msg.To] = n
+				t.killAfter[msg.To] = n - 1
 			}
 		}
-	default:
-		// Mailbox overflow behaves as network loss.
-		t.stats.DroppedOverflow++
+		return msg, t.handlers[msg.To], true
 	}
+	return Message{}, nil, false
 }
 
-// Close implements Transport. Copies still held in delay queues are
-// dropped, as in-flight packets are when a network goes away.
+// Close implements Transport. Queued and held copies are dropped, as
+// in-flight packets are when a network goes away.
 func (t *ChanTransport) Close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -396,12 +401,10 @@ func (t *ChanTransport) Close() {
 		return
 	}
 	t.closed = true
+	t.stats.DroppedClosed += int64(len(t.queue))
+	t.queue = nil
 	for _, ls := range t.links {
 		t.stats.DroppedClosed += int64(len(ls.held))
 		ls.held = nil
-	}
-	for _, box := range t.boxes {
-		//ecglint:allow lockedsend sound because every send also runs under t.mu with non-blocking delivery; closing under the lock is what prevents the Send/Close panic
-		close(box)
 	}
 }

@@ -9,16 +9,25 @@ import (
 	"edgecachegroups/internal/topology"
 )
 
-// drainBox reads every message currently queued in box without blocking.
-func drainBox(box <-chan Message) []Message {
-	var out []Message
-	for {
-		select {
-		case msg := <-box:
-			out = append(out, msg)
-		default:
-			return out
-		}
+// collect registers a handler on addr that records every message it is
+// handed.
+func collect(tr *ChanTransport, addr Addr) *[]Message {
+	var got []Message
+	tr.Register(addr, func(m Message) { got = append(got, m) })
+	return &got
+}
+
+// accounted sums the copies a transport delivered or dropped; after Close
+// it must equal Sent + Duplicated.
+func accounted(st TransportStats) int64 {
+	return st.Delivered + st.DroppedLoss + st.DroppedDead + st.DroppedPartition + st.DroppedClosed
+}
+
+// flush delivers everything queued on tr.
+func flush(t *testing.T, tr *ChanTransport) {
+	t.Helper()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -47,14 +56,14 @@ func TestTransportDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	box := tr.Register(CacheAddr(0))
+	collect(tr, CacheAddr(0))
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0), Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		drainBox(box) // keep the mailbox from overflowing
 	}
+	flush(t, tr)
 	st := tr.Stats()
 	if st.Sent != n {
 		t.Fatalf("Sent = %d, want %d", st.Sent, n)
@@ -73,15 +82,15 @@ func TestTransportDelayReorders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	box := tr.Register(CacheAddr(0))
-	var got []Message
+	box := collect(tr, CacheAddr(0))
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0), Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, drainBox(box)...)
 	}
+	flush(t, tr)
+	got := *box
 	st := tr.Stats()
 	if st.Delayed == 0 {
 		t.Fatal("DelayProb=0.5 delayed nothing over 40 sends")
@@ -95,7 +104,7 @@ func TestTransportDelayReorders(t *testing.T) {
 	if inversions == 0 {
 		t.Fatal("delayed messages were never reordered")
 	}
-	// Nothing is lost: every delivered or still-held copy is accounted for.
+	// Nothing is lost: every copy is delivered or still held.
 	if held := st.Sent - st.Delivered; held < 0 || int(st.Delivered) != len(got) {
 		t.Fatalf("accounting: sent=%d delivered=%d received=%d", st.Sent, st.Delivered, len(got))
 	}
@@ -108,13 +117,14 @@ func TestTransportPerLinkLossOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	box0 := tr.Register(CacheAddr(0))
-	box1 := tr.Register(CacheAddr(1))
+	box0 := collect(tr, CacheAddr(0))
+	box1 := collect(tr, CacheAddr(1))
 	for i := 0; i < 30; i++ {
 		_ = tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0), Seq: uint64(i)})
 		_ = tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(1), Seq: uint64(i)})
 	}
-	onFlaky, onClean := len(drainBox(box0)), len(drainBox(box1))
+	flush(t, tr)
+	onFlaky, onClean := len(*box0), len(*box1)
 	if onClean != 30 {
 		t.Fatalf("clean link delivered %d/30", onClean)
 	}
@@ -127,29 +137,31 @@ func TestTransportPerLinkLossOverride(t *testing.T) {
 }
 
 func TestTransportPartitionAndHeal(t *testing.T) {
-	tr, err := NewChanTransport(0, nil)
+	tr, err := NewFaultTransport(FaultConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	box0 := tr.Register(CacheAddr(0))
-	box1 := tr.Register(CacheAddr(1))
-	tr.Register(CoordinatorAddr())
+	box0 := collect(tr, CacheAddr(0))
+	box1 := collect(tr, CacheAddr(1))
+	collect(tr, CoordinatorAddr())
 
 	tr.Partition(CacheAddr(0), CacheAddr(1))
 	// Across the cut: dropped silently.
 	if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := drainBox(box0); len(got) != 0 {
-		t.Fatalf("partitioned cache received %d messages", len(got))
+	flush(t, tr)
+	if len(*box0) != 0 {
+		t.Fatalf("partitioned cache received %d messages", len(*box0))
 	}
 	// Within the isolated side: still flows.
 	if err := tr.Send(Message{From: CacheAddr(0), To: CacheAddr(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := drainBox(box1); len(got) != 1 {
-		t.Fatalf("intra-partition delivery failed: got %d messages", len(got))
+	flush(t, tr)
+	if len(*box1) != 1 {
+		t.Fatalf("intra-partition delivery failed: got %d messages", len(*box1))
 	}
 	if st := tr.Stats(); st.DroppedPartition != 1 {
 		t.Fatalf("DroppedPartition = %d, want 1", st.DroppedPartition)
@@ -158,43 +170,48 @@ func TestTransportPartitionAndHeal(t *testing.T) {
 	if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := drainBox(box0); len(got) != 1 {
-		t.Fatalf("healed link delivery failed: got %d messages", len(got))
+	flush(t, tr)
+	if len(*box0) != 1 {
+		t.Fatalf("healed link delivery failed: got %d messages", len(*box0))
 	}
 }
 
 func TestTransportKillAfterAndRestart(t *testing.T) {
-	tr, err := NewChanTransport(0, nil)
+	tr, err := NewFaultTransport(FaultConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	box := tr.Register(CacheAddr(0))
+	box := collect(tr, CacheAddr(0))
 	tr.KillAfter(CacheAddr(0), 2)
 	for i := 0; i < 5; i++ {
 		if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0), Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := drainBox(box)
-	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
+	flush(t, tr)
+	if got := *box; len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
 		t.Fatalf("KillAfter(2) delivered %v", got)
 	}
 	if st := tr.Stats(); st.DroppedDead != 3 {
 		t.Fatalf("DroppedDead = %d, want 3", st.DroppedDead)
 	}
 	tr.Restart(CacheAddr(0))
+	*box = nil
 	if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0), Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if got := drainBox(box); len(got) != 1 || got[0].Seq != 9 {
+	flush(t, tr)
+	if got := *box; len(got) != 1 || got[0].Seq != 9 {
 		t.Fatalf("restarted node got %v", got)
 	}
 	// KillAfter with n <= 0 crashes immediately.
+	*box = nil
 	tr.KillAfter(CacheAddr(0), 0)
 	_ = tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0)})
-	if got := drainBox(box); len(got) != 0 {
-		t.Fatalf("immediately-killed node received %d messages", len(got))
+	flush(t, tr)
+	if len(*box) != 0 {
+		t.Fatalf("immediately-killed node received %d messages", len(*box))
 	}
 }
 
@@ -207,29 +224,26 @@ func TestTransportStatsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxes := make([]<-chan Message, 4)
-	for i := range boxes {
-		boxes[i] = tr.Register(CacheAddr(topology.CacheIndex(i)))
+	for i := 0; i < 4; i++ {
+		collect(tr, CacheAddr(topology.CacheIndex(i)))
 	}
-	tr.Register(CoordinatorAddr())
+	collect(tr, CoordinatorAddr())
 	tr.Kill(CacheAddr(3))
 	tr.Partition(CacheAddr(2))
 	for i := 0; i < 50; i++ {
 		for ci := 0; ci < 4; ci++ {
 			_ = tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(topology.CacheIndex(ci)), Seq: uint64(i)})
 		}
-		for _, box := range boxes {
-			drainBox(box)
+		if i%2 == 0 {
+			flush(t, tr) // leave every other batch queued for Close
 		}
 	}
-	tr.Close() // drops still-held copies into DroppedClosed
+	tr.Close() // drops still-queued and still-held copies into DroppedClosed
 	st := tr.Stats()
-	copies := st.Sent + st.Duplicated
-	accounted := st.Delivered + st.DroppedLoss + st.DroppedDead + st.DroppedPartition + st.DroppedOverflow + st.DroppedClosed
-	if copies != accounted {
-		t.Fatalf("copy accounting broken: sent+dup=%d, accounted=%d (%+v)", copies, accounted, st)
+	if copies, got := st.Sent+st.Duplicated, accounted(st); copies != got {
+		t.Fatalf("copy accounting broken: sent+dup=%d, accounted=%d (%+v)", copies, got, st)
 	}
-	if st.DroppedDead == 0 || st.DroppedPartition == 0 || st.DroppedLoss == 0 || st.Duplicated == 0 || st.Delayed == 0 {
+	if st.DroppedClosed == 0 || st.DroppedDead == 0 || st.DroppedPartition == 0 || st.DroppedLoss == 0 || st.Duplicated == 0 || st.Delayed == 0 {
 		t.Fatalf("fault stages idle in conservation hammer: %+v", st)
 	}
 }
@@ -244,13 +258,12 @@ func TestTransportSameSeedSameFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		box := tr.Register(CacheAddr(0))
-		var got []Message
+		box := collect(tr, CacheAddr(0))
 		for i := 0; i < 60; i++ {
 			_ = tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(0), Seq: uint64(i)})
-			got = append(got, drainBox(box)...)
+			flush(t, tr)
 		}
-		return got, tr.Stats()
+		return *box, tr.Stats()
 	}
 	gotA, stA := run()
 	gotB, stB := run()
@@ -267,33 +280,28 @@ func TestTransportSameSeedSameFaults(t *testing.T) {
 	}
 }
 
-// TestTransportLifecycleRace hammers Send against Kill, Restart,
+// TestTransportLifecycleRace hammers Send and Flush against Kill, Restart,
 // Partition, Heal, and Close from many goroutines under the race
-// detector. The old transport released its mutex before the channel send
-// and could panic ("send on closed channel") against a concurrent Close;
-// this pins the fix.
+// detector: the queue, the fault state and the counters must stay behind
+// the transport mutex, and Close must not break in-flight Sends.
 func TestTransportLifecycleRace(t *testing.T) {
 	tr, err := NewFaultTransport(FaultConfig{Loss: 0.1, DupProb: 0.2, DelayProb: 0.2}, simrand.New(26))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nAddrs = 4
-	boxes := make([]<-chan Message, nAddrs)
-	for i := range boxes {
-		boxes[i] = tr.Register(CacheAddr(topology.CacheIndex(i)))
+	for i := 0; i < nAddrs; i++ {
+		tr.Register(CacheAddr(topology.CacheIndex(i)), func(Message) {})
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers drain mailboxes until they close.
-	for _, box := range boxes {
-		box := box
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range box {
-			}
-		}()
-	}
+	// One flusher delivers queued copies until the transport closes.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for tr.Flush() == nil {
+		}
+	}()
 	// Senders spam all addresses, tolerating post-Close errors.
 	for s := 0; s < 4; s++ {
 		s := s

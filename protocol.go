@@ -6,8 +6,8 @@ import (
 )
 
 // Distributed protocol: the group formation rounds as actual message
-// passing between a coordinator and per-cache agents, with retries,
-// timeouts, message loss, and crash handling.
+// passing between a coordinator and per-cache agents in virtual time, with
+// retries, message loss, and crash handling.
 type (
 	// ProtocolConfig tunes the distributed group formation run.
 	ProtocolConfig = protocol.Config
@@ -19,8 +19,8 @@ type (
 	ProtocolAgent = protocol.Agent
 	// ProtocolTransport delivers protocol messages.
 	ProtocolTransport = protocol.Transport
-	// ChanTransport is the in-process transport with optional loss and
-	// crash injection.
+	// ChanTransport is the in-process virtual-time transport with its
+	// fault model.
 	ChanTransport = protocol.ChanTransport
 	// ProtocolMessage is one protocol datagram.
 	ProtocolMessage = protocol.Message
@@ -40,25 +40,13 @@ type (
 	ProtocolRoundError = protocol.RoundError
 )
 
-// ProtocolNoRetries configures ProtocolConfig.Retries for exactly one
-// attempt per request (the zero value means "use the default").
-const ProtocolNoRetries = protocol.NoRetries
-
 // Typed protocol failure sentinels; match with errors.Is.
 var (
 	// ErrProtocolQuorum reports a round with too few replies to proceed.
 	ErrProtocolQuorum = protocol.ErrQuorum
-	// ErrProtocolBudget reports a round that exhausted its RoundBudget.
-	ErrProtocolBudget = protocol.ErrBudgetExceeded
 	// ErrProtocolTransportClosed reports a send on a closed transport.
 	ErrProtocolTransportClosed = protocol.ErrTransportClosed
 )
-
-// NewChanTransport builds the in-process protocol transport; lossProb in
-// [0,1) drops messages using src.
-func NewChanTransport(lossProb float64, src *Rand) (*ChanTransport, error) {
-	return protocol.NewChanTransport(lossProb, src)
-}
 
 // NewFaultTransport builds the in-process transport with the full fault
 // model (loss, duplication, bounded delay with reordering, partitions,
@@ -68,7 +56,7 @@ func NewFaultTransport(faults FaultConfig, src *Rand) (*ChanTransport, error) {
 	return protocol.NewFaultTransport(faults, src)
 }
 
-// NewProtocolAgent starts the protocol agent for cache i.
+// NewProtocolAgent registers the protocol agent for cache i on transport.
 func NewProtocolAgent(i CacheIndex, prober *Prober, transport ProtocolTransport) (*ProtocolAgent, error) {
 	return protocol.NewAgent(topology.CacheIndex(i), prober, transport)
 }
