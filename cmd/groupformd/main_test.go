@@ -107,8 +107,8 @@ func TestDaemonIngestEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("/stats status %d", resp.StatusCode)
 	}
-	if srv.Engine().Stats().Total() != 1 {
-		t.Fatalf("report not recorded: total %d", srv.Engine().Stats().Total())
+	if srv.Engine().Health().StatReports != 1 {
+		t.Fatalf("report not recorded: total %d", srv.Engine().Health().StatReports)
 	}
 }
 

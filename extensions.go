@@ -150,9 +150,6 @@ type (
 
 // Group maintenance.
 type (
-	// Maintainer keeps a Plan aligned with drifting network conditions,
-	// one synchronous RunOnce round at a time; the caller owns the clock.
-	Maintainer = core.Maintainer
 	// MaintainerConfig tunes maintenance rounds.
 	MaintainerConfig = core.MaintainerConfig
 	// MaintainerEvent describes one maintenance round's outcome.
@@ -164,9 +161,11 @@ type (
 // DefaultMaintainerConfig returns sensible maintenance defaults.
 func DefaultMaintainerConfig() MaintainerConfig { return core.DefaultMaintainerConfig() }
 
-// NewMaintainer builds a group maintainer over plan.
-func NewMaintainer(plan *Plan, source FeatureSource, recluster func() (*Plan, error), cfg MaintainerConfig, src *Rand) (*Maintainer, error) {
-	return core.NewMaintainer(plan, source, recluster, cfg, src)
+// MaintainRound runs one maintenance round over plan and returns the plan
+// to install next (plan itself when nothing drifted or the round failed).
+// The caller owns the clock, the round number and the installed plan.
+func MaintainRound(plan *Plan, source FeatureSource, recluster func() (*Plan, error), cfg MaintainerConfig, src *Rand) (*Plan, MaintainerEvent, error) {
+	return core.MaintainRound(plan, source, recluster, cfg, src)
 }
 
 // Serving (the groupformd daemon layer).

@@ -342,15 +342,11 @@ func TestMaintainerThroughFacade(t *testing.T) {
 	}
 	cfg := ecg.DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := ecg.NewMaintainer(plan, source, nil, cfg, src.Split("maint"))
+	next, ev, err := ecg.MaintainRound(plan, source, nil, cfg, src.Split("maint"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := m.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.Drifted) != 0 {
+	if len(ev.Drifted) != 0 || next != plan {
 		t.Fatalf("deterministic prober produced drift: %+v", ev)
 	}
 }

@@ -3,10 +3,7 @@ package core
 import (
 	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/probe"
@@ -71,27 +68,32 @@ func TestMaintainerConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewMaintainerErrors checks that MaintainRound rejects its bad
+// inputs before it draws a sample.
 func TestNewMaintainerErrors(t *testing.T) {
 	plan := maintPlan(10)
 	cfg := DefaultMaintainerConfig()
 	src := simrand.New(1)
-	if _, err := NewMaintainer(nil, stableSource(plan), nil, cfg, src); err == nil {
-		t.Fatal("nil plan accepted")
-	}
-	if _, err := NewMaintainer(plan, nil, nil, cfg, src); err == nil {
-		t.Fatal("nil source accepted")
-	}
-	if _, err := NewMaintainer(plan, stableSource(plan), nil, cfg, nil); err == nil {
-		t.Fatal("nil rand accepted")
-	}
 	bad := cfg
 	bad.SampleFraction = 0
-	if _, err := NewMaintainer(plan, stableSource(plan), nil, bad, src); err == nil {
-		t.Fatal("bad config accepted")
+	cases := []struct {
+		name   string
+		plan   *Plan
+		source FeatureSource
+		cfg    MaintainerConfig
+		src    *simrand.Source
+	}{
+		{"nil plan", nil, stableSource(plan), cfg, src},
+		{"nil source", plan, nil, cfg, src},
+		{"nil rand", plan, stableSource(plan), cfg, nil},
+		{"bad config", plan, stableSource(plan), bad, src},
+		{"empty plan", &Plan{}, stableSource(plan), cfg, src},
 	}
-	empty := &Plan{}
-	if _, err := NewMaintainer(empty, stableSource(plan), nil, cfg, src); err == nil {
-		t.Fatal("empty plan accepted")
+	for _, tc := range cases {
+		next, ev, err := MaintainRound(tc.plan, tc.source, nil, tc.cfg, tc.src)
+		if err == nil || ev.Err != err || next != tc.plan {
+			t.Fatalf("%s accepted: plan %p, event %+v, err %v", tc.name, next, ev, err)
+		}
 	}
 }
 
@@ -99,18 +101,14 @@ func TestRunOnceNoDrift(t *testing.T) {
 	plan := maintPlan(20)
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, stableSource(plan), nil, cfg, simrand.New(2))
+	next, ev, err := MaintainRound(plan, stableSource(plan), nil, cfg, simrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := m.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Round != 1 || ev.Sampled != 20 {
+	if ev.Sampled != 20 {
 		t.Fatalf("event = %+v", ev)
 	}
-	if len(ev.Drifted) != 0 || len(ev.Reassigned) != 0 || ev.Reclustered {
+	if len(ev.Drifted) != 0 || len(ev.Reassigned) != 0 || ev.Reclustered || next != plan {
 		t.Fatalf("stable network produced changes: %+v", ev)
 	}
 }
@@ -127,11 +125,7 @@ func TestRunOnceIncrementalReassignment(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, nil, cfg, simrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +138,7 @@ func TestRunOnceIncrementalReassignment(t *testing.T) {
 	if ev.Reclustered {
 		t.Fatal("isolated drift triggered a full recluster")
 	}
-	g, err := m.Plan().GroupOf(0)
+	g, err := next.GroupOf(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +146,7 @@ func TestRunOnceIncrementalReassignment(t *testing.T) {
 		t.Fatalf("cache 0 in group %d after drift, want 1", g)
 	}
 	// Stored features refreshed.
-	if cluster.L2(m.Plan().Points[0], cluster.Vector{199, 201}) != 0 {
+	if cluster.L2(next.Points[0], cluster.Vector{199, 201}) != 0 {
 		t.Fatal("plan points not refreshed")
 	}
 }
@@ -172,18 +166,14 @@ func TestRunOnceWidespreadDriftTriggersRecluster(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, recluster, cfg, simrand.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, recluster, cfg, simrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ev.Reclustered || calls != 1 {
 		t.Fatalf("recluster not triggered: %+v calls=%d", ev, calls)
 	}
-	if m.Plan() != fresh {
+	if next != fresh {
 		t.Fatal("plan not replaced")
 	}
 }
@@ -194,14 +184,14 @@ func TestRunOnceReclusterErrorSurfaces(t *testing.T) {
 		return cluster.Vector{9999, 9999}, nil
 	}
 	reclusterErr := errors.New("network down")
-	m, err := NewMaintainer(plan, source, func() (*Plan, error) { return nil, reclusterErr },
+	next, _, err := MaintainRound(plan, source, func() (*Plan, error) { return nil, reclusterErr },
 		MaintainerConfig{SampleFraction: 1, DriftThreshold: 0.1, ReclusterFraction: 0.3},
 		simrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunOnce(); !errors.Is(err, reclusterErr) {
+	if !errors.Is(err, reclusterErr) {
 		t.Fatalf("err = %v, want wrapped recluster error", err)
+	}
+	if next != plan {
+		t.Fatal("failed round did not return the plan it started from")
 	}
 }
 
@@ -215,11 +205,7 @@ func TestRunOnceSkipsUnreachableCaches(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunOnce(); err != nil {
+	if _, _, err := MaintainRound(plan, source, nil, cfg, simrand.New(6)); err != nil {
 		t.Fatalf("round failed on unreachable cache: %v", err)
 	}
 }
@@ -250,8 +236,8 @@ func kmeansMaintPlan(n int) *Plan {
 }
 
 // TestRunOnceCopyOnWrite pins the COW contract: a plan snapshot taken
-// before a round is never mutated by the round — the maintainer builds a
-// replacement and swaps the pointer.
+// before a round is never mutated by the round — the round builds a
+// replacement for the caller to install.
 func TestRunOnceCopyOnWrite(t *testing.T) {
 	plan := maintPlan(20)
 	before := plan.Checksum()
@@ -265,18 +251,14 @@ func TestRunOnceCopyOnWrite(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, nil, cfg, simrand.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ev.Reassigned) != 1 {
 		t.Fatalf("reassigned = %v", ev.Reassigned)
 	}
-	if m.Plan() == plan {
+	if next == plan {
 		t.Fatal("round published the same *Plan it started from; want a copy-on-write replacement")
 	}
 	if plan.Checksum() != before {
@@ -287,7 +269,7 @@ func TestRunOnceCopyOnWrite(t *testing.T) {
 			t.Fatalf("snapshot assignment %d changed from %d to %d", i, beforeAssign[i], a)
 		}
 	}
-	if g := m.Plan().Assignments[0]; g != 1 {
+	if g := next.Assignments[0]; g != 1 {
 		t.Fatalf("published plan has cache 0 in group %d, want 1", g)
 	}
 }
@@ -311,18 +293,13 @@ func TestRunOncePlanVerifiesAfterReassignment(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, nil, cfg, simrand.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ev.Drifted) != 2 {
 		t.Fatalf("drifted = %v", ev.Drifted)
 	}
-	next := m.Plan()
 	if err := next.Verify(nil); err != nil {
 		t.Fatalf("maintained plan fails verification: %v", err)
 	}
@@ -349,11 +326,7 @@ func TestRunOnceSampledCountsMeasurements(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	_, ev, err := MaintainRound(plan, source, nil, cfg, simrand.New(33))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,21 +356,17 @@ func TestReclusterFractionUsesMeasuredCount(t *testing.T) {
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
 	cfg.ReclusterFraction = 0.5
-	m, err := NewMaintainer(plan, source, recluster, cfg, simrand.New(34))
+	next, ev, err := MaintainRound(plan, source, recluster, cfg, simrand.New(34))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := m.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ev.Reclustered || calls != 1 {
+	if !ev.Reclustered || calls != 1 || next != fresh {
 		t.Fatalf("recluster not triggered on 5/5 measured drift (5 skipped): %+v calls=%d", ev, calls)
 	}
 }
 
 // TestRunOnceKeepsLastGroupMember: reassigning a group's only member away
-// would break the partition invariant; the maintainer keeps it in place
+// would break the partition invariant; the round keeps it in place
 // and the plan still verifies.
 func TestRunOnceKeepsLastGroupMember(t *testing.T) {
 	points := []cluster.Vector{{10, 10}, {11, 10}, {12, 10}, {200, 200}}
@@ -421,18 +390,13 @@ func TestRunOnceKeepsLastGroupMember(t *testing.T) {
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
 	cfg.ReclusterFraction = 1 // keep the incremental path
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(35))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, nil, cfg, simrand.New(35))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ev.Reassigned) != 0 {
 		t.Fatalf("sole group member reassigned away: %+v", ev)
 	}
-	next := m.Plan()
 	if g := next.Assignments[3]; g != 1 {
 		t.Fatalf("cache 3 moved to group %d, emptying group 1", g)
 	}
@@ -445,7 +409,7 @@ func TestRunOnceKeepsLastGroupMember(t *testing.T) {
 	}
 }
 
-// TestRunOnceMedoidCentersStayReal: for K-medoids plans the maintainer
+// TestRunOnceMedoidCentersStayReal: for K-medoids plans the round
 // recomputes the medoid of touched groups instead of a mean, preserving
 // the centers-are-real-points property.
 func TestRunOnceMedoidCentersStayReal(t *testing.T) {
@@ -462,14 +426,10 @@ func TestRunOnceMedoidCentersStayReal(t *testing.T) {
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
 	cfg.ReclusterFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(36))
+	next, _, err := MaintainRound(plan, source, nil, cfg, simrand.New(36))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunOnce(); err != nil {
-		t.Fatal(err)
-	}
-	next := m.Plan()
 	for g, c := range next.Centers {
 		found := false
 		for i, a := range next.Assignments {
@@ -484,71 +444,6 @@ func TestRunOnceMedoidCentersStayReal(t *testing.T) {
 	}
 }
 
-// TestMaintainerConcurrentHammer runs concurrent RunOnce writers beside
-// Plan readers that traverse everything a query path would read; the
-// -race run is the assertion (this is the regression test for RunOnce
-// mutating the installed plan in place). The serving engine's clock is
-// covered by TestEngineConcurrentHammer in internal/serve.
-func TestMaintainerConcurrentHammer(t *testing.T) {
-	plan := kmeansMaintPlan(40)
-	var flip atomic.Int32
-	source := func(i topology.CacheIndex) (cluster.Vector, error) {
-		// Alternate rounds drift a handful of caches back and forth.
-		if int(i) < 4 && flip.Load()%2 == 0 {
-			return cluster.Vector{195 + float64(i), 205}, nil
-		}
-		return plan.Points[int(i)].Clone(), nil
-	}
-	cfg := MaintainerConfig{SampleFraction: 1, DriftThreshold: 0.2, ReclusterFraction: 0.9}
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(39))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(150 * time.Millisecond)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				p := m.Plan()
-				var sum float64
-				for i, a := range p.Assignments {
-					sum += p.Points[i][0] + float64(a)
-				}
-				for _, c := range p.Centers {
-					sum += c[0]
-				}
-				_ = sum
-			}
-		}()
-	}
-	var rounds atomic.Int64
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				flip.Add(1)
-				ev, err := m.RunOnce()
-				if err != nil {
-					t.Errorf("RunOnce round %d: %v", ev.Round, err)
-					return
-				}
-				rounds.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	// RunOnce serializes rounds: the round numbers are exactly 1..n.
-	if ev, err := m.RunOnce(); err != nil || int64(ev.Round) != rounds.Load()+1 {
-		t.Fatalf("round %d (%v) after %d concurrent rounds", ev.Round, err, rounds.Load())
-	}
-	if err := m.Plan().Verify(nil); err != nil {
-		t.Fatalf("final plan invalid: %v", err)
-	}
-}
-
 // TestRunOnceRejectsInvalidRecluster: every candidate plan is verified
 // before it is installed, so a recluster that returns a broken plan fails
 // the round and the last good plan stays.
@@ -560,15 +455,11 @@ func TestRunOnceRejectsInvalidRecluster(t *testing.T) {
 	broken := maintPlan(10)
 	broken.Assignments[0] = 7 // no such group
 	cfg := MaintainerConfig{SampleFraction: 1, DriftThreshold: 0.1, ReclusterFraction: 0.3}
-	m, err := NewMaintainer(plan, source, func() (*Plan, error) { return broken, nil }, cfg, simrand.New(37))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, func() (*Plan, error) { return broken, nil }, cfg, simrand.New(37))
 	if err == nil || ev.Err != err || ev.Reclustered {
 		t.Fatalf("invalid recluster accepted: %+v, %v", ev, err)
 	}
-	if m.Plan() != plan {
+	if next != plan {
 		t.Fatal("invalid recluster replaced the installed plan")
 	}
 }
@@ -594,17 +485,13 @@ func TestMaintainerEndToEnd(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, func() (*Plan, error) { return gf.FormGroups(4) }, cfg, simrand.New(192))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, func() (*Plan, error) { return gf.FormGroups(4) }, cfg, simrand.New(192))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The prober is deterministic per pair, so re-measured features are
 	// identical: zero drift.
-	if len(ev.Drifted) != 0 || ev.Reclustered {
+	if len(ev.Drifted) != 0 || ev.Reclustered || next != plan {
 		t.Fatalf("stable conditions produced drift: %+v", ev)
 	}
 }
@@ -641,18 +528,13 @@ func TestRunOnceRefreshesServerDist(t *testing.T) {
 	}
 	cfg := DefaultMaintainerConfig()
 	cfg.SampleFraction = 1
-	m, err := NewMaintainer(plan, source, nil, cfg, simrand.New(192))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := m.RunOnce()
+	next, ev, err := MaintainRound(plan, source, nil, cfg, simrand.New(192))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ev.Drifted) != 3 || ev.Reclustered {
 		t.Fatalf("want an incremental round over 3 drifted caches, got %+v", ev)
 	}
-	next := m.Plan()
 	for i, f := range next.Features {
 		if next.ServerDist[i] != f[origin] {
 			t.Fatalf("cache %d: ServerDist %v, origin feature %v", i, next.ServerDist[i], f[origin])

@@ -9,11 +9,12 @@ import (
 
 // CowMutate flags in-place mutation of values published through an
 // atomic.Pointer or atomic.Value — the copy-on-write discipline the
-// serving layer's hot-swap state (Engine.epoch, StatsBuffer.active,
-// the maintainer's installed plan) depends on. Once a pointer has been handed to
-// Store/Swap, or read back out with Load/Swap, every reader may hold it
-// concurrently: writing through it races those readers and retroactively
-// edits plans snapshots have already exposed. The sanctioned shape is
+// serving layer's published plan (Engine.epoch, whose plans each
+// maintenance round replaces rather than edits) depends on. Once a
+// pointer has been handed to Store/Swap, or read back out with
+// Load/Swap, every reader may hold it concurrently: writing through it
+// races those readers and retroactively edits plans snapshots have
+// already exposed. The sanctioned shape is
 // load → clone → mutate the clone → store; a clone/copy call on the
 // path breaks the taint.
 //

@@ -133,8 +133,8 @@ func TestServerStatsBareArrayAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("bare array: status %d, want 202", resp.StatusCode)
 	}
-	if e.Stats().Total() != 1 {
-		t.Fatalf("bare array not recorded: total %d", e.Stats().Total())
+	if e.Health().StatReports != 1 {
+		t.Fatalf("bare array not recorded: total %d", e.Health().StatReports)
 	}
 	// Malformed JSON.
 	if resp := postStats(t, ts.URL, `{nope`); resp.StatusCode != http.StatusBadRequest {
