@@ -110,6 +110,54 @@ func TestTransportDelayReorders(t *testing.T) {
 	}
 }
 
+// TestTransportFlushReleasesHeld: a delayed copy whose link sees no later
+// send is released when the queue drains, so Flush strands nothing. One
+// message goes to each of 20 addresses; the copies sent straight through
+// arrive first, then the held ones in the order they were held.
+func TestTransportFlushReleasesHeld(t *testing.T) {
+	tr, err := NewFaultTransport(FaultConfig{DelayProb: 0.7}, simrand.New(27))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var got []Message
+	const n = 20
+	for i := 0; i < n; i++ {
+		tr.Register(CacheAddr(topology.CacheIndex(i)), func(m Message) { got = append(got, m) })
+	}
+	for i := 0; i < n; i++ {
+		if err := tr.Send(Message{From: CoordinatorAddr(), To: CacheAddr(topology.CacheIndex(i)), Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(t, tr)
+	st := tr.Stats()
+	if st.Delayed < 2 || st.Delayed == n {
+		t.Fatalf("Delayed = %d, want some but not all of %d copies held", st.Delayed, n)
+	}
+	if st.Delivered != n || len(got) != n {
+		t.Fatalf("delivered %d (%d handed out) of %d: held copies stranded", st.Delivered, len(got), n)
+	}
+	// Two ascending runs: the straight-through copies, then the held ones.
+	descents := 0
+	for i := 1; i < n; i++ {
+		if got[i].Seq < got[i-1].Seq {
+			descents++
+		}
+	}
+	if descents != 1 {
+		t.Fatalf("delivery order %v is not straight-through copies then held copies in hold order", seqs(got))
+	}
+}
+
+func seqs(msgs []Message) []uint64 {
+	out := make([]uint64, len(msgs))
+	for i, m := range msgs {
+		out[i] = m.Seq
+	}
+	return out
+}
+
 func TestTransportPerLinkLossOverride(t *testing.T) {
 	flaky := Link{From: CoordinatorAddr(), To: CacheAddr(0)}
 	tr, err := NewFaultTransport(FaultConfig{LinkLoss: map[Link]float64{flaky: 0.9}}, simrand.New(23))
