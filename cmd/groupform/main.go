@@ -68,7 +68,6 @@ func run(args []string, w io.Writer) error {
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text")
 		suggestK = fs.Bool("suggest-k", false, "also report the elbow-suggested number of groups")
 		parallel = fs.Int("parallelism", 0, "worker-pool bound for probing, clustering, and embedding (0 = per-layer defaults; results are identical for any value)")
-		prune    = fs.String("kmeans-prune", "auto", "K-means reassignment strategy: auto (grouped-bounds pruning) or none (exhaustive); results are identical for either")
 
 		distributed = fs.Bool("distributed", false, "run the message-passing protocol (coordinator + per-cache agents) over a fault-injecting transport instead of the in-process pipeline")
 		loss        = fs.Float64("loss", 0, "distributed: per-message loss probability in [0,1)")
@@ -127,14 +126,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("parallelism must be >= 0, got %d", *parallel)
 	}
 	cfg = ecg.WithParallelism(cfg, *parallel)
-	switch strings.ToLower(*prune) {
-	case "auto":
-		cfg = ecg.WithKMeansPrune(cfg, ecg.PruneAuto)
-	case "none":
-		cfg = ecg.WithKMeansPrune(cfg, ecg.PruneNone)
-	default:
-		return fmt.Errorf("unknown -kmeans-prune %q (want auto or none)", *prune)
-	}
 
 	src := ecg.NewRand(*seed)
 	graph, err := ecg.GenerateTransitStub(ecg.DefaultTransitStubParams(), src.Split("topo"))

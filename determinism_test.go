@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	ecg "edgecachegroups"
+	"edgecachegroups/internal/cluster"
 )
 
 // formPlan runs the full pipeline (topology -> placement -> probing ->
@@ -282,11 +283,14 @@ func TestPlanChecksumPruneInvariant(t *testing.T) {
 	}
 	for _, s := range schemes {
 		t.Run(s.name, func(t *testing.T) {
-			exhaustive, _ := formPlan(t, 77, ecg.WithKMeansPrune(s.cfg, ecg.PruneNone), 6)
+			ref := s.cfg
+			ref.Cluster.Prune = cluster.PruneNone
+			exhaustive, _ := formPlan(t, 77, ref, 6)
 			want := exhaustive.Checksum()
-			for _, mode := range []ecg.KMeansPruneMode{ecg.PruneNone, ecg.PruneAuto} {
+			for _, mode := range []cluster.PruneMode{cluster.PruneNone, cluster.PruneAuto} {
 				for _, workers := range []int{1, 8} {
-					cfg := ecg.WithKMeansPrune(s.cfg, mode)
+					cfg := s.cfg
+					cfg.Cluster.Prune = mode
 					cfg.Cluster.Parallelism = workers
 					plan, _ := formPlan(t, 77, cfg, 6)
 					if got := plan.Checksum(); got != want {

@@ -151,19 +151,6 @@ type (
 	// FeatureMatrix is the flat (one contiguous allocation) feature store
 	// the pipeline builds for million-cache inputs.
 	FeatureMatrix = cluster.Matrix
-	// KMeansPruneMode selects the K-means reassignment strategy
-	// (grouped-bounds pruning or the exhaustive sweep). Both modes return
-	// bit-identical plans; see WithKMeansPrune.
-	KMeansPruneMode = cluster.PruneMode
-)
-
-// K-means pruning modes. The default (PruneAuto) is Yinyang grouped-bounds
-// pruning, which skips the distance evaluations the exhaustive sweep would
-// waste on provably-unchanged points and provably-losing centers without
-// altering any result. PruneNone is the exhaustive reference.
-const (
-	PruneAuto = cluster.PruneAuto
-	PruneNone = cluster.PruneNone
 )
 
 // Position representations.
@@ -202,15 +189,6 @@ func WithParallelism(cfg SchemeConfig, workers int) SchemeConfig {
 	cfg.ProbeParallelism = workers
 	cfg.Cluster.Parallelism = workers
 	cfg.GNP.Parallelism = workers
-	return cfg
-}
-
-// WithKMeansPrune sets the K-means reassignment strategy and returns the
-// updated config. Like WithParallelism, the knob never changes the formed
-// plan — pruned and exhaustive runs produce bit-identical checksums — it
-// only trades distance evaluations for bound bookkeeping.
-func WithKMeansPrune(cfg SchemeConfig, mode KMeansPruneMode) SchemeConfig {
-	cfg.Cluster.Prune = mode
 	return cfg
 }
 
