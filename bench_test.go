@@ -142,17 +142,6 @@ func BenchmarkTopologyGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkDijkstra(b *testing.B) {
-	g := benchTopology(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.ShortestPaths(topology.NodeID(i % g.NumNodes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkProbeMeasure(b *testing.B) {
 	g := benchTopology(b)
 	nw, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: 100}, simrand.New(2))

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -12,50 +11,108 @@ type pqItem struct {
 	dist float64
 }
 
-// distHeap is a min-heap of pqItems keyed by dist.
+// distHeap is a typed binary min-heap of pqItems keyed by dist. push and
+// pop take exactly container/heap's sift steps (Push then up; Pop swaps
+// the root with the last item, sifts down over the rest and takes the
+// last), so items with equal dist leave in the same order as they did
+// through container/heap and every distance keeps its bits. The sifts
+// move a hole instead of swapping, which visits the same slots.
 type distHeap []pqItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// push adds it and sifts it up.
+func (h *distHeap) push(it pqItem) {
+	*h = append(*h, it)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.dist < s[i].dist) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = it
+}
+
+// pop removes and returns the minimum item. The heap must not be empty.
+func (h *distHeap) pop() pqItem {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].dist < s[j].dist {
+			j = j2
+		}
+		if !(s[j].dist < last.dist) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = last
+	*h = s[:n]
+	return top
+}
+
+// dijkstraScratch is one Dijkstra run's working state. A worker keeps one
+// and reuses it across sources: dijkstra resets it rather than
+// reallocating it, so a warm scratch runs without allocating.
+type dijkstraScratch struct {
+	dist []float64 // distance from the last source, +Inf if unreachable
+	done []bool
+	heap distHeap
+}
+
+// reset sizes the scratch for an n-node graph and clears it.
+func (s *dijkstraScratch) reset(n int) {
+	if len(s.dist) != n {
+		s.dist = make([]float64, n)
+		s.done = make([]bool, n)
+		s.heap = make(distHeap, 0, n)
+	}
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+	}
+	clear(s.done)
+	s.heap = s.heap[:0]
 }
 
 // ShortestPaths computes single-source shortest-path distances from src to
 // every node using Dijkstra's algorithm. Unreachable nodes get +Inf.
 func (g *Graph) ShortestPaths(src NodeID) ([]float64, error) {
-	return g.dijkstra(src, nil)
+	var s dijkstraScratch
+	if err := g.dijkstra(src, nil, &s); err != nil {
+		return nil, err
+	}
+	return s.dist, nil
 }
 
-// dijkstra is the one Dijkstra loop behind ShortestPaths and
-// ShortestPathTree. It returns the distances from src; a non-nil prev
-// (one entry per node) also receives each node's predecessor on its
-// shortest path, -1 for src and unreachable nodes.
-func (g *Graph) dijkstra(src NodeID, prev []NodeID) ([]float64, error) {
+// dijkstra is the one Dijkstra loop behind ShortestPaths,
+// ShortestPathTree and the RTT matrix build. It leaves the distances from
+// src in s.dist; a non-nil prev (one entry per node) also receives each
+// node's predecessor on its shortest path, -1 for src and unreachable
+// nodes.
+func (g *Graph) dijkstra(src NodeID, prev []NodeID, s *dijkstraScratch) error {
 	n := len(g.nodes)
 	if int(src) < 0 || int(src) >= n {
-		return nil, fmt.Errorf("topology: source node %d out of range [0,%d)", src, n)
+		return fmt.Errorf("topology: source node %d out of range [0,%d)", src, n)
 	}
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
+	s.reset(n)
 	for i := range prev {
 		prev[i] = -1
 	}
+	dist, done := s.dist, s.done
 	dist[int(src)] = 0
-	done := make([]bool, n)
 
-	h := make(distHeap, 0, n)
-	heap.Push(&h, pqItem{node: src, dist: 0})
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(pqItem)
+	s.heap.push(pqItem{node: src, dist: 0})
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
 		u := int(it.node)
 		if done[u] {
 			continue
@@ -68,25 +125,11 @@ func (g *Graph) dijkstra(src NodeID, prev []NodeID) ([]float64, error) {
 				if prev != nil {
 					prev[v] = it.node
 				}
-				heap.Push(&h, pqItem{node: e.to, dist: nd})
+				s.heap.push(pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
-	return dist, nil
-}
-
-// ShortestPathsMulti computes shortest-path distances from each source in
-// srcs. The result is indexed result[i][node] for srcs[i].
-func (g *Graph) ShortestPathsMulti(srcs []NodeID) ([][]float64, error) {
-	out := make([][]float64, len(srcs))
-	for i, s := range srcs {
-		d, err := g.ShortestPaths(s)
-		if err != nil {
-			return nil, fmt.Errorf("source %d (%d): %w", i, s, err)
-		}
-		out[i] = d
-	}
-	return out, nil
+	return nil
 }
 
 // Eccentricity returns the maximum finite shortest-path distance from src.

@@ -3,8 +3,10 @@ package topology
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
+	"edgecachegroups/internal/par"
 	"edgecachegroups/internal/simrand"
 )
 
@@ -76,25 +78,42 @@ func NewNetworkAt(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 	return buildNetwork(g, origin, cp)
 }
 
+// buildNetwork runs Dijkstra from every endpoint (index 0 the origin,
+// k+1 cache k) and keeps only the endpoint columns of each source's
+// distances. Sources are spread over GOMAXPROCS workers, each with its
+// own Dijkstra scratch; every row depends on its source alone, so the
+// matrix is the same at any worker count, and the error of the lowest
+// failing source wins.
 func buildNetwork(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 	endpoints := make([]NodeID, 0, len(caches)+1)
 	endpoints = append(endpoints, origin)
 	endpoints = append(endpoints, caches...)
 
-	rows, err := g.ShortestPathsMulti(endpoints)
-	if err != nil {
-		return nil, fmt.Errorf("compute RTT matrix: %w", err)
-	}
 	n := len(endpoints)
 	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			d := rows[i][int(endpoints[j])]
+	errs := make([]error, n)
+	workers := par.Workers(n, runtime.GOMAXPROCS(0))
+	scratch := make([]dijkstraScratch, workers)
+	par.ForEachWorker(n, workers, func(w, i int) {
+		s := &scratch[w]
+		if err := g.dijkstra(endpoints[i], nil, s); err != nil {
+			errs[i] = fmt.Errorf("compute RTT matrix: source %d (%d): %w", i, endpoints[i], err)
+			return
+		}
+		row := make([]float64, n)
+		for j, e := range endpoints {
+			d := s.dist[int(e)]
 			if math.IsInf(d, 1) {
-				return nil, fmt.Errorf("endpoint %d unreachable from endpoint %d: %w", j, i, ErrDisconnected)
+				errs[i] = fmt.Errorf("endpoint %d unreachable from endpoint %d: %w", j, i, ErrDisconnected)
+				return
 			}
-			dist[i][j] = d
+			row[j] = d
+		}
+		dist[i] = row
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	// Dijkstra accumulates edge weights in path order, so dist[i][j] and

@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
 
+	"edgecachegroups/internal/par"
 	"edgecachegroups/internal/simrand"
 )
 
@@ -202,5 +204,56 @@ func TestMeanPairwiseDistSingleCache(t *testing.T) {
 	}
 	if got := nw.MeanPairwiseDist(); got != 0 {
 		t.Fatalf("MeanPairwiseDist with 1 cache = %v, want 0", got)
+	}
+}
+
+// TestDijkstraAllocationFree pins the RTT build's allocation shape: a warm
+// per-worker scratch runs Dijkstra without allocating, and a NewNetworkAt
+// build allocates per endpoint row and per worker, never per heap push,
+// so boxing heap items into interfaces cannot come back unnoticed.
+func TestDijkstraAllocationFree(t *testing.T) {
+	g := testGraph(t)
+	var s dijkstraScratch
+	// Warm from every source so the heap backing reaches its peak size.
+	for src := 0; src < g.NumNodes(); src++ {
+		if err := g.dijkstra(NodeID(src), nil, &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := NodeID(0)
+	if a := testing.AllocsPerRun(20, func() {
+		if err := g.dijkstra(src, nil, &s); err != nil {
+			t.Fatal(err)
+		}
+		src = NodeID((int(src) + 37) % g.NumNodes())
+	}); a != 0 {
+		t.Fatalf("warm dijkstra allocates %v per run, want 0", a)
+	}
+
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, so count mallocs by hand
+	// to see a four-worker build.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	stubs := g.NodesOfKind(KindStub)
+	caches := stubs[1:101]
+	n := len(caches) + 1
+	workers := par.Workers(n, runtime.GOMAXPROCS(0))
+	build := func() {
+		if _, err := NewNetworkAt(g, stubs[0], caches); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	// One row per endpoint, a few slices per build, and per worker its
+	// scratch (dist, done, heap and its growth) plus a goroutine.
+	bound := float64(n + 32 + 16*workers)
+	if a := float64(after.Mallocs-before.Mallocs) / runs; a > bound {
+		t.Fatalf("NewNetworkAt with %d endpoints and %d workers allocates %v per build, want <= %v", n, workers, a, bound)
 	}
 }

@@ -17,11 +17,11 @@ type ShortestPathTree struct {
 // ShortestPathTree computes the shortest-path tree rooted at src.
 func (g *Graph) ShortestPathTree(src NodeID) (*ShortestPathTree, error) {
 	prev := make([]NodeID, len(g.nodes))
-	dist, err := g.dijkstra(src, prev)
-	if err != nil {
+	var s dijkstraScratch
+	if err := g.dijkstra(src, prev, &s); err != nil {
 		return nil, err
 	}
-	return &ShortestPathTree{src: src, dist: dist, prev: prev}, nil
+	return &ShortestPathTree{src: src, dist: s.dist, prev: prev}, nil
 }
 
 // Source returns the tree's root.

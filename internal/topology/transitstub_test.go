@@ -204,13 +204,11 @@ func TestTriangleInequalityProperty(t *testing.T) {
 			return false
 		}
 		n := g.NumNodes()
-		srcs := make([]NodeID, n)
-		for i := range srcs {
-			srcs[i] = NodeID(i)
-		}
-		d, err := g.ShortestPathsMulti(srcs)
-		if err != nil {
-			return false
+		d := make([][]float64, n)
+		for i := range d {
+			if d[i], err = g.ShortestPaths(NodeID(i)); err != nil {
+				return false
+			}
 		}
 		const eps = 1e-9
 		for i := 0; i < n; i++ {
