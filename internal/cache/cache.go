@@ -232,18 +232,25 @@ var ErrTooLarge = errors.New("cache: document larger than capacity")
 
 // Insert admits a document copy fetched at time nowSec with the given
 // version, evicting low-utility entries as needed. A document larger than
-// the entire cache is rejected with ErrTooLarge, and so is a DocID outside
-// [0, math.MaxInt32]. Inserting a document that is already cached
-// refreshes its version and metadata.
+// the entire cache is rejected with ErrTooLarge; a DocID outside
+// [0, math.MaxInt32], a size that is not positive (NaN included) and an
+// update rate that is negative or NaN are rejected too. Inserting a
+// document that is already cached refreshes its version and metadata.
 func (ec *EdgeCache) Insert(d workload.Document, version int64, nowSec float64) error {
 	if d.ID < 0 || d.ID > math.MaxInt32 {
 		return fmt.Errorf("cache: document ID %d outside [0, %d]", d.ID, math.MaxInt32)
 	}
-	if d.SizeKB <= 0 {
+	// The negated comparisons also reject NaN, which fails every
+	// comparison: a NaN size would make usedKB NaN and switch the capacity
+	// check off for good, and a NaN or negative rate corrupts utility.
+	if !(d.SizeKB > 0) {
 		return fmt.Errorf("cache: document %d has non-positive size %v", d.ID, d.SizeKB)
 	}
 	if d.SizeKB > ec.cfg.CapacityKB {
 		return fmt.Errorf("cache: document %d (%.1fKB > %.1fKB): %w", d.ID, d.SizeKB, ec.cfg.CapacityKB, ErrTooLarge)
+	}
+	if !(d.UpdateRatePerSec >= 0) {
+		return fmt.Errorf("cache: document %d has negative update rate %v", d.ID, d.UpdateRatePerSec)
 	}
 	if old := ec.find(d.ID); old >= 0 {
 		// Re-insert of a cached document: remove the old copy (without the

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -441,5 +442,45 @@ func TestInsertRejectsDocIDOutside32Bit(t *testing.T) {
 	}
 	if !ec.Contains(math.MaxInt32, 1) || ec.Contains(-1, 1) {
 		t.Fatal("doc MaxInt32 not stored under its own ID")
+	}
+}
+
+// TestInsertRejectsBadSizeAndRate pins Insert's input checks: a NaN size
+// fails every comparison, so without its own check it would make usedKB
+// NaN and switch capacity enforcement off, and a NaN or negative update
+// rate would give a NaN or negative utility. Each bad document leaves
+// the cache untouched, and capacity still holds afterwards.
+func TestInsertRejectsBadSizeAndRate(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		sizeKB, rate float64
+		want         string
+	}{
+		{"zero size", 0, 0, "non-positive size 0"},
+		{"negative size", -1, 0, "non-positive size -1"},
+		{"NaN size", math.NaN(), 0, "non-positive size NaN"},
+		{"-Inf size", math.Inf(-1), 0, "non-positive size -Inf"},
+		{"+Inf size", math.Inf(1), 0, "larger than capacity"},
+		{"negative rate", 10, -2, "negative update rate -2"},
+		{"NaN rate", 10, math.NaN(), "negative update rate NaN"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ec := newCache(t, 100)
+			err := ec.Insert(doc(1, tc.sizeKB, tc.rate), 1, 0)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Insert(size %v, rate %v) = %v, want an error containing %q", tc.sizeKB, tc.rate, err, tc.want)
+			}
+			if ec.Len() != 0 || ec.UsedKB() != 0 || ec.Stats().Inserts != 0 {
+				t.Fatalf("rejected insert changed the cache: len=%d used=%v stats=%+v", ec.Len(), ec.UsedKB(), ec.Stats())
+			}
+			for id := 2; id < 50; id++ {
+				if err := ec.Insert(doc(id, 10, 0), 1, float64(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ec.Len() != 10 || ec.UsedKB() != 100 {
+				t.Fatalf("after 48 inserts of 10 KB into 100 KB: len=%d used=%v, want 10 and 100", ec.Len(), ec.UsedKB())
+			}
+		})
 	}
 }

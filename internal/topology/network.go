@@ -18,16 +18,28 @@ type CacheIndex int
 // and N edge caches attached to distinct stub routers, with the true
 // shortest-path RTT between every pair of placed endpoints precomputed.
 //
+// RTTs are symmetric, so each pair is stored once: toOrigin holds the N
+// cache-to-origin RTTs and pairs the N(N-1)/2 cache pairs as a packed
+// upper triangle, (N+1)N/2 values in all where a square matrix would
+// hold (N+1)².
+//
 // Network is immutable after construction and safe for concurrent reads.
 type Network struct {
 	graph  *Graph
 	origin NodeID
 	caches []NodeID
 
-	// dist[i][j] is the RTT between endpoints i and j where index 0 is the
-	// origin and index k+1 is cache k.
-	dist [][]float64
+	// toOrigin[i] is the RTT between cache i and the origin.
+	toOrigin []float64
+	// pairs holds the RTT between caches i < j at rowStart(N, i)+j-i-1:
+	// row i lists caches i+1..N-1, and the rows follow each other.
+	pairs []float64
 }
+
+// rowStart returns the index in an n-cache packed upper triangle at which
+// row i, the pairs (i, j) with j > i, starts: the rows before it hold
+// (n-1) + (n-2) + ... + (n-i) = i(2n-i-1)/2 pairs.
+func rowStart(n, i int) int { return i * (2*n - i - 1) / 2 }
 
 // PlaceParams configures endpoint placement.
 type PlaceParams struct {
@@ -81,51 +93,91 @@ func NewNetworkAt(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 // buildNetwork runs Dijkstra from every endpoint (index 0 the origin,
 // k+1 cache k) and keeps only the endpoint columns of each source's
 // distances. Sources are spread over GOMAXPROCS workers, each with its
-// own Dijkstra scratch; every row depends on its source alone, so the
-// matrix is the same at any worker count, and the error of the lowest
-// failing source wins.
+// own Dijkstra scratch. Source e writes its distances to the endpoints
+// after it straight into its row of the packed triangle (toOrigin for the
+// origin), and those to the endpoints before it into its row of a
+// transient lower triangle; foldPairs then averages the two directions
+// and the transient is dropped. Every entry depends on its source alone,
+// so the result is the same at any worker count, and the error of the
+// lowest failing source wins.
 func buildNetwork(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 	endpoints := make([]NodeID, 0, len(caches)+1)
 	endpoints = append(endpoints, origin)
 	endpoints = append(endpoints, caches...)
 
-	n := len(endpoints)
-	dist := make([][]float64, n)
+	nc := len(caches)
+	n := nc + 1
+	toOrigin := make([]float64, nc)
+	pairs := make([]float64, nc*(nc-1)/2)
+	// Row e of below, at e(e-1)/2, holds source e's distances to the
+	// endpoints 0..e-1.
+	below := make([]float64, n*(n-1)/2)
 	errs := make([]error, n)
 	workers := par.Workers(n, runtime.GOMAXPROCS(0))
 	scratch := make([]dijkstraScratch, workers)
-	par.ForEachWorker(n, workers, func(w, i int) {
+	par.ForEachWorker(n, workers, func(w, e int) {
 		s := &scratch[w]
-		if err := g.dijkstra(endpoints[i], nil, s); err != nil {
-			errs[i] = fmt.Errorf("compute RTT matrix: source %d (%d): %w", i, endpoints[i], err)
+		if err := g.dijkstra(endpoints[e], nil, s); err != nil {
+			errs[e] = fmt.Errorf("compute RTT matrix: source %d (%d): %w", e, endpoints[e], err)
 			return
 		}
-		row := make([]float64, n)
-		for j, e := range endpoints {
-			d := s.dist[int(e)]
+		lo := below[e*(e-1)/2:][:e]
+		hi := toOrigin
+		if e > 0 {
+			hi = pairs[rowStart(nc, e-1):rowStart(nc, e)]
+		}
+		for f, ep := range endpoints {
+			d := s.dist[int(ep)]
 			if math.IsInf(d, 1) {
-				errs[i] = fmt.Errorf("endpoint %d unreachable from endpoint %d: %w", j, i, ErrDisconnected)
+				errs[e] = fmt.Errorf("endpoint %d unreachable from endpoint %d: %w", f, e, ErrDisconnected)
 				return
 			}
-			row[j] = d
+			if f < e {
+				lo[f] = d
+			} else if f > e {
+				hi[f-e-1] = d
+			}
 		}
-		dist[i] = row
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	// Dijkstra accumulates edge weights in path order, so dist[i][j] and
-	// dist[j][i] can differ by a few ULPs. RTTs are symmetric by assumption
-	// (paper §3), so symmetrize explicitly.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := (dist[i][j] + dist[j][i]) / 2
-			dist[i][j], dist[j][i] = d, d
+	foldPairs(toOrigin, pairs, below)
+	return &Network{graph: g, origin: origin, caches: caches, toOrigin: toOrigin, pairs: pairs}, nil
+}
+
+// foldTile is the side of the square tiles foldPairs walks: two 64×64
+// blocks of float64, one per triangle, fit in a core's L1 or L2 cache.
+const foldTile = 64
+
+// foldPairs symmetrizes the RTTs in place. Dijkstra accumulates edge
+// weights in path order, so d_ij and d_ji can differ by a few ULPs, and
+// RTTs are symmetric by assumption (paper §3): each upper entry d_ij,
+// i < j, becomes (d_ij + d_ji)/2, with d_ji from row j of below (see
+// buildNetwork). The upper triangle is read along its rows and below
+// along its columns, so the cache pairs are walked in tiles of foldTile
+// rows by foldTile columns to keep both in cache.
+func foldPairs(toOrigin, pairs, below []float64) {
+	for c := range toOrigin {
+		toOrigin[c] = (toOrigin[c] + below[(c+1)*c/2]) / 2
+	}
+	nc := len(toOrigin)
+	for i0 := 0; i0 < nc; i0 += foldTile {
+		i1 := min(i0+foldTile, nc)
+		for j0 := i0; j0 < nc; j0 += foldTile {
+			j1 := min(j0+foldTile, nc)
+			for i := i0; i < i1; i++ {
+				// Cache i is endpoint i+1, and cache j's row of below
+				// starts at (j+1)j/2, so d_ji is at (j+1)j/2 + i+1.
+				base := rowStart(nc, i) - i - 1
+				for j := max(j0, i+1); j < j1; j++ {
+					pairs[base+j] = (pairs[base+j] + below[(j+1)*j/2+i+1]) / 2
+				}
+			}
 		}
 	}
-	return &Network{graph: g, origin: origin, caches: caches, dist: dist}, nil
 }
 
 // NumCaches returns N, the number of edge caches.
@@ -145,27 +197,39 @@ func (nw *Network) CacheNode(i CacheIndex) (NodeID, error) {
 	return nw.caches[int(i)], nil
 }
 
-// Dist returns the true RTT in milliseconds between caches i and j.
+// Dist returns the true RTT in milliseconds between caches i and j; it is
+// 0 for i == j. It panics if i != j and either is out of range.
 func (nw *Network) Dist(i, j CacheIndex) float64 {
-	return nw.dist[int(i)+1][int(j)+1]
+	if i == j {
+		return 0
+	}
+	if i > j {
+		i, j = j, i
+	}
+	// A j past the last cache would land in a later row of pairs, so it
+	// is bounds-checked against toOrigin, which has one entry per cache;
+	// a negative i always gives a negative index. A panic message would
+	// keep Dist from being inlined.
+	_ = nw.toOrigin[j]
+	return nw.pairs[rowStart(len(nw.caches), int(i))+int(j-i)-1]
 }
 
 // DistToOrigin returns the true RTT between cache i and the origin server.
 func (nw *Network) DistToOrigin(i CacheIndex) float64 {
-	return nw.dist[0][int(i)+1]
+	return nw.toOrigin[i]
 }
 
 // MeanPairwiseDist returns the mean RTT over all unordered cache pairs.
+// The packed triangle lists the pairs in (i, j), i < j, row order, so the
+// sum is taken in that order.
 func (nw *Network) MeanPairwiseDist() float64 {
 	n := len(nw.caches)
 	if n < 2 {
 		return 0
 	}
 	var sum float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sum += nw.dist[i+1][j+1]
-		}
+	for _, d := range nw.pairs {
+		sum += d
 	}
 	return sum / float64(n*(n-1)/2)
 }

@@ -191,6 +191,33 @@ func TestNearestFarthestCaches(t *testing.T) {
 	}
 }
 
+// TestDistOutOfRangePanics checks that Dist rejects cache indices outside
+// [0,N) instead of reading a neighbouring row of the packed triangle.
+func TestDistOutOfRangePanics(t *testing.T) {
+	g := NewGraph()
+	o := g.AddNode(KindStub, 0)
+	caches := []NodeID{g.AddNode(KindStub, 0), g.AddNode(KindStub, 0), g.AddNode(KindStub, 0)}
+	for _, c := range caches {
+		if err := g.AddEdge(o, c, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw, err := NewNetworkAt(g, o, caches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]CacheIndex{{0, 3}, {3, 0}, {1, 4}, {-1, 2}, {2, -1}, {-2, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Dist(%d,%d) did not panic", p[0], p[1])
+				}
+			}()
+			nw.Dist(p[0], p[1])
+		}()
+	}
+}
+
 func TestMeanPairwiseDistSingleCache(t *testing.T) {
 	g := NewGraph()
 	o := g.AddNode(KindStub, 0)
@@ -209,8 +236,9 @@ func TestMeanPairwiseDistSingleCache(t *testing.T) {
 
 // TestDijkstraAllocationFree pins the RTT build's allocation shape: a warm
 // per-worker scratch runs Dijkstra without allocating, and a NewNetworkAt
-// build allocates per endpoint row and per worker, never per heap push,
-// so boxing heap items into interfaces cannot come back unnoticed.
+// build allocates a fixed set of slices plus a few per worker, never per
+// endpoint or per heap push, so per-row slices or boxing heap items into
+// interfaces cannot come back unnoticed.
 func TestDijkstraAllocationFree(t *testing.T) {
 	g := testGraph(t)
 	var s dijkstraScratch
@@ -250,10 +278,46 @@ func TestDijkstraAllocationFree(t *testing.T) {
 		build()
 	}
 	runtime.ReadMemStats(&after)
-	// One row per endpoint, a few slices per build, and per worker its
-	// scratch (dist, done, heap and its growth) plus a goroutine.
-	bound := float64(n + 32 + 16*workers)
+	// A few slices per build (the triangles, toOrigin, errors, the work
+	// channel) and per worker its scratch (dist, done, heap and its
+	// growth) plus a goroutine.
+	bound := float64(16 + 8*workers)
 	if a := float64(after.Mallocs-before.Mallocs) / runs; a > bound {
 		t.Fatalf("NewNetworkAt with %d endpoints and %d workers allocates %v per build, want <= %v", n, workers, a, bound)
+	}
+}
+
+// TestNetworkRetainedBytes pins the RTT store's footprint: a live Network
+// of N caches keeps one value per unordered endpoint pair, 8·(N(N-1)/2 + N)
+// bytes, plus a fixed slack, and nothing of the transient lower triangle
+// the build folds in. A full (N+1)² matrix would keep about twice that.
+func TestNetworkRetainedBytes(t *testing.T) {
+	g := testGraph(t)
+	stubs := g.NodesOfKind(KindStub)
+	const nc = 300
+	caches := make([]NodeID, nc)
+	for i := range caches {
+		caches[i] = stubs[(7*i+3)%len(stubs)]
+	}
+	// Collect twice first: after a single collection, objects kept for one
+	// more cycle (sync.Pool's victim cache) were freed inside the
+	// measurement and hid about 36 KB of the network.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	nw, err := NewNetworkAt(g, stubs[1], caches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(nw)
+	// The slack covers the struct, its 2.4 KB cache list and the page
+	// rounding of the large triangle.
+	const slack = 8192
+	bound := 8*(nc*(nc-1)/2+nc) + slack
+	if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); got > int64(bound) {
+		t.Fatalf("a live %d-cache Network retains %d heap bytes, want <= %d", nc, got, bound)
 	}
 }

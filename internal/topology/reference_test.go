@@ -142,9 +142,11 @@ func decodeFuzzNetwork(b []byte) (g *Graph, origin NodeID, caches []NodeID, ok b
 }
 
 // checkNetworkMatchesReference checks that NewNetworkAt gives the
-// reference build's Dist and DistToOrigin bit for bit, or the same error
-// text, with one worker and with four, and that ShortestPathTree from
-// each endpoint gives the reference's distances and predecessors.
+// reference build's Dist, DistToOrigin and MeanPairwiseDist bit for bit,
+// and Dist(i,i) == +0, or the same error text, with one worker and with
+// four, and that ShortestPathTree from each endpoint gives the
+// reference's distances and predecessors. Every cache pair is read, so a
+// packed index that is off at a row boundary cannot hide.
 func checkNetworkMatchesReference(t *testing.T, g *Graph, origin NodeID, caches []NodeID) {
 	t.Helper()
 	for _, src := range append([]NodeID{origin}, caches...) {
@@ -184,8 +186,30 @@ func checkNetworkMatchesReference(t *testing.T, g *Graph, origin NodeID, caches 
 					t.Fatalf("GOMAXPROCS=%d: Dist(%d,%d) = %v, reference %v", procs, i, j, got, want[i+1][j+1])
 				}
 			}
+			if got := nw.Dist(ci, ci); math.Float64bits(got) != 0 {
+				t.Fatalf("GOMAXPROCS=%d: Dist(%d,%d) = %v, want +0", procs, i, i, got)
+			}
+		}
+		if got, ref := nw.MeanPairwiseDist(), refMeanPairwiseDist(want); math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("GOMAXPROCS=%d: MeanPairwiseDist = %v, reference %v", procs, got, ref)
 		}
 	}
+}
+
+// refMeanPairwiseDist is MeanPairwiseDist over a reference matrix: the
+// cache pairs summed in i<j row order.
+func refMeanPairwiseDist(dist [][]float64) float64 {
+	n := len(dist) - 1
+	if n < 2 {
+		return 0
+	}
+	var sum float64
+	for i := 1; i <= n; i++ {
+		for j := i + 1; j <= n; j++ {
+			sum += dist[i][j]
+		}
+	}
+	return sum / float64(n*(n-1)/2)
 }
 
 // FuzzNetworkMatchesReference runs checkNetworkMatchesReference on small
@@ -218,11 +242,12 @@ func FuzzNetworkMatchesReference(f *testing.F) {
 }
 
 // TestNetworkMatchesReferenceTransitStub runs the same check on a
-// generated transit-stub topology with 60 caches.
+// generated transit-stub topology with 150 caches, so the symmetrizing
+// fold crosses foldTile boundaries in both directions.
 func TestNetworkMatchesReferenceTransitStub(t *testing.T) {
 	g := testGraph(t)
 	stubs := g.NodesOfKind(KindStub)
-	caches := make([]NodeID, 60)
+	caches := make([]NodeID, 150)
 	for i := range caches {
 		caches[i] = stubs[(7*i+3)%len(stubs)]
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# CI entry point: build (the root module and the perfbench module), vet,
-# and test (race detector on) the whole module.
+# CI entry point: build and vet the root module and the perfbench module,
+# and test (race detector on) the root module.
 # Usage: scripts/ci.sh [extra go test args]
 set -eu
 
@@ -17,6 +17,9 @@ echo "==> (cd perfbench && go build ./...)"
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> (cd perfbench && go vet ./...)"
+(cd perfbench && go vet ./...)
 
 echo "==> gofmt drift"
 drift=$(gofmt -l .)
