@@ -301,9 +301,9 @@ type VerifyError = verify.Error
 
 // VerifyPlan checks a formed plan's structural invariants: every cache in
 // exactly one group, no empty groups, consistent dimensions, and — for
-// unedited K-means plans — centers equal to member means. A nil nw skips
-// the network-coverage check. Plans also carry a stable fingerprint via
-// Plan.Checksum for determinism audits.
+// every plan but a K-medoids one — centers equal to member means. A nil
+// nw skips the network-coverage check. Plans also carry a stable
+// fingerprint via Plan.Checksum for determinism audits.
 func VerifyPlan(plan *Plan, nw *Network) error { return plan.Verify(nw) }
 
 // VerifyReport checks a simulation report's conservation invariants

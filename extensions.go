@@ -124,12 +124,6 @@ const RepresentationVivaldi = core.Vivaldi
 // deployable strategy.
 type OracleLandmarks = landmark.Oracle
 
-// Group-size balancing.
-type (
-	// BalanceOptions constrains group sizes after clustering.
-	BalanceOptions = core.BalanceOptions
-)
-
 // Trace statistics.
 type (
 	// TraceStats summarizes a request log.

@@ -115,27 +115,9 @@ type Result struct {
 // K returns the number of clusters.
 func (r *Result) K() int { return len(r.Centers) }
 
-// Members returns the point indices of cluster c. Callers that need every
-// cluster's members should use MembersAll, which builds the full inverse
-// mapping in one pass instead of one scan per cluster.
-func (r *Result) Members(c int) []int {
-	var out []int
-	for i, a := range r.Assignments {
-		if a == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// MembersAll returns the members of every cluster, indexed by cluster ID,
-// in a single pass over the assignments (O(n+k), versus O(n·k) for calling
-// Members in a loop). Empty clusters yield nil slices.
-func (r *Result) MembersAll() [][]int {
-	return membersAll(r.Assignments, len(r.Centers))
-}
-
-// membersAll builds the cluster -> member-indices inverse of assign.
+// membersAll builds the cluster -> member-indices inverse of assign in
+// one O(n+k) pass, each cluster's members in ascending order. Empty
+// clusters yield nil slices.
 func membersAll(assign []int, k int) [][]int {
 	sizes := make([]int, k)
 	for _, a := range assign {

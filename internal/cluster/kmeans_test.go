@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -256,11 +257,16 @@ func TestResultMembersAndWithinSS(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for c := 0; c < 2; c++ {
-		total += len(res.Members(c))
+	for c, members := range membersAll(res.Assignments, res.K()) {
+		for _, i := range members {
+			if res.Assignments[i] != c {
+				t.Fatalf("membersAll lists point %d in cluster %d, assigned to %d", i, c, res.Assignments[i])
+			}
+		}
+		total += len(members)
 	}
 	if total != 4 {
-		t.Fatalf("Members cover %d points, want 4", total)
+		t.Fatalf("membersAll covers %d points, want 4", total)
 	}
 	// Optimal SS: each pair clusters together -> SS = 2*(0.5^2)*2 = 1.
 	if ss := res.WithinClusterSS(mustMatrix(t, points)); math.Abs(ss-1) > 1e-9 {
@@ -464,8 +470,7 @@ func TestKMeansFinalCentersAreMeans(t *testing.T) {
 			t.Fatalf("assignments = %v, want %v (crafted repair scenario did not materialize)", res.Assignments, wantAssign)
 		}
 	}
-	for c := 0; c < res.K(); c++ {
-		members := res.Members(c)
+	for c, members := range membersAll(res.Assignments, res.K()) {
 		if len(members) == 0 {
 			t.Fatalf("cluster %d left empty", c)
 		}
@@ -566,6 +571,8 @@ func TestKMeansIterationPhaseAllocationFree(t *testing.T) {
 	}
 }
 
+// TestMembersAllMatchesMembers: membersAll's one-pass inverse equals a
+// brute-force scan of the assignments per cluster.
 func TestMembersAllMatchesMembers(t *testing.T) {
 	src := simrand.New(9)
 	points := threeBlobs(20, src)
@@ -573,19 +580,19 @@ func TestMembersAllMatchesMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := res.MembersAll()
+	all := membersAll(res.Assignments, res.K())
 	if len(all) != res.K() {
-		t.Fatalf("MembersAll returned %d clusters, want %d", len(all), res.K())
+		t.Fatalf("membersAll returned %d clusters, want %d", len(all), res.K())
 	}
 	for c := 0; c < res.K(); c++ {
-		want := res.Members(c)
-		if len(all[c]) != len(want) {
-			t.Fatalf("cluster %d: MembersAll has %d members, Members has %d", c, len(all[c]), len(want))
-		}
-		for i := range want {
-			if all[c][i] != want[i] {
-				t.Fatalf("cluster %d member %d: MembersAll %d, Members %d", c, i, all[c][i], want[i])
+		var want []int
+		for i, a := range res.Assignments {
+			if a == c {
+				want = append(want, i)
 			}
+		}
+		if !slices.Equal(all[c], want) {
+			t.Fatalf("cluster %d: membersAll %v, brute force %v", c, all[c], want)
 		}
 	}
 }

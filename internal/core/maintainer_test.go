@@ -24,13 +24,17 @@ func maintPlan(n int) *Plan {
 			assigns[i] = 1
 		}
 	}
-	return &Plan{
+	p := &Plan{
 		Scheme:      "SL",
 		Points:      points,
 		Features:    append([]cluster.Vector(nil), points...),
 		Assignments: assigns,
-		Centers:     []cluster.Vector{{10, 10}, {200, 200}},
+		Centers:     make([]cluster.Vector, 2),
 	}
+	// Centers are member means, as after formation: Verify checks that on
+	// every plan whose algorithm is not K-medoids.
+	refreshCenters(p, []bool{true, true})
+	return p
 }
 
 // stableSource returns the plan's own points (no drift).

@@ -36,7 +36,7 @@ type Plan struct {
 	Centers []cluster.Vector
 	// Algorithm records which clustering algorithm produced the plan
 	// (K-means centers are member means; K-medoids centers are real
-	// points). Zero on plans built before this field existed.
+	// points). Zero reads as K-means.
 	Algorithm Algorithm
 	// Theta is the SDSL server-distance sensitivity the plan was seeded
 	// with (zero for SL), so Reform can seed the same way. Checksum does
@@ -45,11 +45,6 @@ type Plan struct {
 	// Iterations and Converged report the K-means outcome.
 	Iterations int
 	Converged  bool
-
-	// edited is set once assignments are changed without recomputing the
-	// centers (Balance, AddCache, RemoveCache); it relaxes the
-	// centers-are-means invariant in Verify.
-	edited bool
 }
 
 // NumGroups returns K.
@@ -128,54 +123,6 @@ func (p *Plan) AssignPoint(point cluster.Vector) (int, error) {
 	return best, nil
 }
 
-// AddCache appends a new cache with the given clustered-space point and
-// raw server distance, assigning it to the nearest group. It returns the
-// assigned group.
-func (p *Plan) AddCache(point cluster.Vector, serverDist float64) (int, error) {
-	g, err := p.AssignPoint(point)
-	if err != nil {
-		return 0, err
-	}
-	p.Points = append(p.Points, point)
-	p.Features = append(p.Features, point) // raw features unavailable for embedded points
-	p.ServerDist = append(p.ServerDist, serverDist)
-	p.Assignments = append(p.Assignments, g)
-	p.edited = true
-	return g, nil
-}
-
-// RemoveCache removes cache i from the plan, preserving the indices of the
-// remaining caches minus one (the slice compacts). It returns an error if
-// removal would leave a group empty and no repair is possible, or if i is
-// out of range.
-func (p *Plan) RemoveCache(i topology.CacheIndex) error {
-	idx := int(i)
-	if idx < 0 || idx >= len(p.Assignments) {
-		return fmt.Errorf("core: cache index %d out of range [0,%d)", i, len(p.Assignments))
-	}
-	p.Assignments = append(p.Assignments[:idx], p.Assignments[idx+1:]...)
-	p.Points = append(p.Points[:idx], p.Points[idx+1:]...)
-	if idx < len(p.Features) {
-		p.Features = append(p.Features[:idx], p.Features[idx+1:]...)
-	}
-	if idx < len(p.ServerDist) {
-		p.ServerDist = append(p.ServerDist[:idx], p.ServerDist[idx+1:]...)
-	}
-	p.edited = true
-	return nil
-}
-
-// Edited reports whether the plan's assignments were changed without
-// recomputing the centers (Balance, AddCache, RemoveCache), which relaxes
-// the centers-are-means invariant in Verify.
-func (p *Plan) Edited() bool { return p.edited }
-
-// MarkEdited relaxes the centers-are-means invariant in Verify. It is for
-// rebuilding a plan from a serialized snapshot (internal/serve), where the
-// original edited state must survive the round trip; in-package editors
-// set the flag directly.
-func (p *Plan) MarkEdited() { p.edited = true }
-
 // cloneShallow returns a copy of p with fresh top-level slice headers over
 // the shared element vectors. Maintenance replaces elements wholesale
 // (never mutating a vector in place), so readers of the original plan see
@@ -246,9 +193,10 @@ func (p *Plan) Reform(points cluster.Matrix, k int, src *simrand.Source) (*Plan,
 }
 
 // Verify checks the plan's structural invariants: a well-formed partition
-// (every cache in exactly one group, no empty groups), consistent
-// dimensions across points/features/centers, and — for unedited K-means
-// plans — that every center is exactly the mean of its members. A nil nw
+// (every cache in exactly one group, no empty groups), one feature vector
+// and one server distance per cache (or none), consistent dimensions
+// across points/features/centers, and — for every plan except K-medoids
+// ones — that every center is exactly the mean of its members. A nil nw
 // skips the network-coverage check. It returns the first violated
 // invariant as a *verify.Error.
 func (p *Plan) Verify(nw *topology.Network) error {
@@ -264,13 +212,16 @@ func (p *Plan) Verify(nw *topology.Network) error {
 	if len(p.Features) != 0 && len(p.Features) != len(p.Assignments) {
 		return verify.Errorf("plan", "%d feature vectors for %d assignments", len(p.Features), len(p.Assignments))
 	}
+	if len(p.ServerDist) != 0 && len(p.ServerDist) != len(p.Assignments) {
+		return verify.Errorf("plan", "%d server distances for %d assignments", len(p.ServerDist), len(p.Assignments))
+	}
 	if err := dimensions(p.Points, p.Centers); err != nil {
 		return err
 	}
 	if err := uniformDims("features", p.Features); err != nil {
 		return err
 	}
-	if p.Algorithm == AlgoKMeans && !p.edited {
+	if p.Algorithm != AlgoKMedoids {
 		return centersAreMeans(p.Points, p.Assignments, p.Centers)
 	}
 	return nil
@@ -346,8 +297,9 @@ const meanTolerance = 1e-9
 // points, within floating-point tolerance. This is the invariant the
 // K-means iteration must restore after empty-cluster repair: a stale
 // donor-cluster center silently skews WithinClusterSS and every
-// center-distance decision downstream (balancing, incremental joins).
-// The caller has checked the partition and the dimensions.
+// center-distance decision downstream (maintenance reassignment and
+// incremental joins). The caller has checked the partition and the
+// dimensions.
 func centersAreMeans(points []cluster.Vector, assignments []int, centers []cluster.Vector) error {
 	dim := len(centers[0])
 	sums := make([][]float64, len(centers))

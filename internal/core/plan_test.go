@@ -88,57 +88,6 @@ func TestAssignPoint(t *testing.T) {
 	}
 }
 
-func TestAddCache(t *testing.T) {
-	p := smallPlan()
-	g, err := p.AddCache(cluster.Vector{9, 9}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != 1 {
-		t.Fatalf("AddCache assigned to %d, want 1", g)
-	}
-	if p.NumCaches() != 5 {
-		t.Fatalf("NumCaches = %d, want 5", p.NumCaches())
-	}
-	got, err := p.GroupOf(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("new cache in group %d", got)
-	}
-	if p.ServerDist[4] != 9 {
-		t.Fatalf("ServerDist[4] = %v", p.ServerDist[4])
-	}
-	if _, err := p.AddCache(cluster.Vector{1, 2, 3}, 1); err == nil {
-		t.Fatal("mismatched point accepted")
-	}
-}
-
-func TestRemoveCache(t *testing.T) {
-	p := smallPlan()
-	if err := p.RemoveCache(1); err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCaches() != 3 {
-		t.Fatalf("NumCaches = %d, want 3", p.NumCaches())
-	}
-	// Former cache 2 is now index 1.
-	g, err := p.GroupOf(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != 1 {
-		t.Fatalf("compacted cache group = %d, want 1", g)
-	}
-	if err := p.RemoveCache(10); err == nil {
-		t.Fatal("out-of-range RemoveCache accepted")
-	}
-	if err := p.RemoveCache(-1); err == nil {
-		t.Fatal("negative RemoveCache accepted")
-	}
-}
-
 // TestIncrementalAssignMatchesCluster: a cache added at an existing cache's
 // exact position must join that cache's group.
 func TestIncrementalAssignMatchesCluster(t *testing.T) {

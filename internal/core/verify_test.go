@@ -102,6 +102,7 @@ func TestPlanChecks(t *testing.T) {
 			Points:      []cluster.Vector{{0, 0}, {2, 0}, {10, 10}},
 			Centers:     []cluster.Vector{{1, 0}, {10, 10}},
 			Features:    []cluster.Vector{{0, 0}, {2, 0}, {10, 10}},
+			ServerDist:  []float64{0, 2, 10},
 			Algorithm:   AlgoKMeans,
 		}
 	}
@@ -122,6 +123,11 @@ func TestPlanChecks(t *testing.T) {
 		{"NaN center", nw3, func(p *Plan) { p.Centers[0] = cluster.Vector{0, math.NaN()} }, "dimensions"},
 		{"stale center", nw3, func(p *Plan) { p.Centers[0] = cluster.Vector{5, 5} }, "centers"},
 		{"feature count mismatch", nw3, func(p *Plan) { p.Features = p.Features[:1] }, "plan"},
+		{"short server distances", nw3, func(p *Plan) { p.ServerDist = p.ServerDist[:1] }, "plan"},
+		{"stale center, algorithm zero", nw3, func(p *Plan) {
+			p.Algorithm = 0
+			p.Centers[0] = cluster.Vector{5, 5}
+		}, "centers"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -130,19 +136,13 @@ func TestPlanChecks(t *testing.T) {
 			wantStage(t, p.Verify(tt.nw), tt.stage)
 		})
 	}
-	// K-medoids plans skip the means check (centers are real points), and
-	// so do plans whose assignments were edited after clustering.
+	// Only K-medoids plans skip the means check: their centers are real
+	// points.
 	p := base()
 	p.Algorithm = AlgoKMedoids
 	p.Centers[0] = cluster.Vector{0, 0}
 	if err := p.Verify(nw3); err != nil {
 		t.Fatalf("medoid-style plan rejected: %v", err)
-	}
-	p = base()
-	p.edited = true
-	p.Centers[0] = cluster.Vector{0, 0}
-	if err := p.Verify(nil); err != nil {
-		t.Fatalf("edited plan rejected: %v", err)
 	}
 }
 

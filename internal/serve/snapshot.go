@@ -42,7 +42,6 @@ type planJSON struct {
 	Theta          float64          `json:"theta,omitempty"`
 	Iterations     int              `json:"iterations,omitempty"`
 	Converged      bool             `json:"converged,omitempty"`
-	Edited         bool             `json:"edited,omitempty"`
 }
 
 // snapshotFile is the on-disk envelope. Checksum is the plan's FNV-1a
@@ -92,7 +91,6 @@ func SaveSnapshot(path string, ep *Epoch) error {
 			Theta:          p.Theta,
 			Iterations:     p.Iterations,
 			Converged:      p.Converged,
-			Edited:         p.Edited(),
 		},
 	}
 	data, err := json.Marshal(snap)
@@ -169,9 +167,6 @@ func LoadSnapshot(path string) (*Epoch, error) {
 		Theta:          pj.Theta,
 		Iterations:     pj.Iterations,
 		Converged:      pj.Converged,
-	}
-	if pj.Edited {
-		plan.MarkEdited()
 	}
 	if err := plan.Verify(nil); err != nil {
 		return nil, fmt.Errorf("serve: snapshot %s holds an invalid plan: %w", path, err)

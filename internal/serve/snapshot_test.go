@@ -2,14 +2,17 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"edgecachegroups/internal/simrand"
+	"edgecachegroups/internal/verify"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -53,25 +56,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if q.Checksum() != plan.Checksum() {
 		t.Fatalf("restored plan digests to %016x, want %016x", q.Checksum(), plan.Checksum())
-	}
-}
-
-func TestSnapshotEditedFlagRoundTrip(t *testing.T) {
-	plan := testPlan(8)
-	// Move one cache without recomputing centers: only legal as "edited".
-	plan.Assignments[0] = 1
-	plan.MarkEdited()
-	ep := &Epoch{Seq: 2, Plan: plan, Checksum: plan.Checksum(), Updated: time.Now()}
-	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := SaveSnapshot(path, ep); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
-	}
-	got, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatalf("LoadSnapshot: %v", err)
-	}
-	if !got.Plan.Edited() {
-		t.Fatal("edited flag lost in round trip (restored plan would wrongly re-arm CentersAreMeans)")
 	}
 }
 
@@ -135,6 +119,55 @@ func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsStaleCenters: a snapshot whose recorded checksum
+// matches its plan still never loads when the plan breaks an invariant
+// Verify checks. Cache 0 of the two stale cases sits in group 1 while both
+// centers are those of the formed plan; the file either carries an
+// "edited" key, which LoadSnapshot ignores, or omits the algorithm, which
+// reads as K-means. Each case is a committed FuzzLoadSnapshot seed.
+func TestSnapshotRejectsStaleCenters(t *testing.T) {
+	tests := []struct {
+		seed  string
+		stage string
+	}{
+		{"stale-centers-edited", "centers"},
+		{"stale-centers-algorithm-omitted", "centers"},
+		{"short-server-dist", "plan"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.seed, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "plan.json")
+			if err := os.WriteFile(path, readFuzzSeed(t, "FuzzLoadSnapshot", tt.seed), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadSnapshot(path)
+			var ve *verify.Error
+			if !errors.As(err, &ve) || ve.Stage != tt.stage {
+				t.Fatalf("LoadSnapshot error %v, want a verify error of stage %q", err, tt.stage)
+			}
+		})
+	}
+}
+
+// readFuzzSeed returns the []byte value of a committed fuzz corpus entry.
+func readFuzzSeed(t *testing.T, fuzzer, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", fuzzer, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	body, ok2 := strings.CutSuffix(strings.TrimSpace(body), ")")
+	if !ok || !ok2 {
+		t.Fatalf("%s: not a one-value []byte corpus entry", name)
+	}
+	data, err := strconv.Unquote(body)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(data)
+}
+
 func TestSnapshotLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	plan := testPlan(8)
@@ -161,8 +194,9 @@ func TestSnapshotLeavesNoTempFiles(t *testing.T) {
 // FuzzLoadSnapshot: whatever bytes sit at the snapshot path, LoadSnapshot
 // either fails or returns a plan that passes Verify, digests to the
 // checksum the file records, and boots an engine. The committed corpus
-// holds a valid file, a version-1 file, a torn file, a checksum mismatch
-// and a file without landmarks.
+// holds a valid file, a version-1 file, a torn file, a checksum mismatch,
+// a file without landmarks and the three invalid plans of
+// TestSnapshotRejectsStaleCenters.
 func FuzzLoadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "plan.json")
