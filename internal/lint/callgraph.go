@@ -11,19 +11,19 @@ import (
 // This file builds the interprocedural layer the v2 analyzers run on: a
 // static call graph over every function and method declared in the
 // loaded packages, with method-set resolution for concrete receiver
-// types and name-based resolution for interface dispatch. The graph is
-// keyed by types.Func.FullName() rather than object identity because
-// the loader type-checks each package directory independently: the
-// *types.Func a caller resolves through go/importer's source mode is a
-// different object from the one created when the callee's own package
-// was loaded, but both render the same full name.
+// types and types.Implements resolution for interface dispatch. Load
+// checks every package in one type universe, so nodes are keyed by the
+// declared *types.Func; a call to a method of an instantiated generic
+// type resolves through Func.Origin to the declaration.
 //
 // Soundness limits (documented in DESIGN.md §9): calls through function
 // values (fields, parameters, variables) produce no edge; interface
-// dispatch is resolved by method-name sets, which over-approximates the
-// implementing types (fine for taint propagation); the standard library
-// is opaque except for the known root sets (time.* wall-clock reads,
-// sync blocking waits).
+// dispatch keeps every loaded method whose receiver's pointer type
+// implements the interface, so it may add edges no run takes (fine for
+// taint propagation) but misses a generic receiver whose method
+// signature mentions its type parameters; the standard library is
+// opaque except for the known root sets (time.* wall-clock reads, sync
+// blocking waits).
 
 // program is the whole-run analysis state shared by every analyzer: the
 // packages under analysis, the interprocedural call graph over their
@@ -31,14 +31,12 @@ import (
 type program struct {
 	pkgs []*Package
 	sup  *suppressions
-	// funcs indexes every declared function/method by FullName.
-	funcs map[string]*funcNode
+	// funcs indexes every declared function/method.
+	funcs map[*types.Func]*funcNode
 	// nodes holds the same set in deterministic (package, position) order.
 	nodes []*funcNode
 	// methodsByName indexes declared methods for interface dispatch.
 	methodsByName map[string][]*funcNode
-	// recvNames caches the method-name set of each receiver base type.
-	recvNames map[*types.Named]map[string]bool
 	// witness memos (computed post-fixpoint, deterministic edge order).
 	wallMemo  map[*funcNode]string
 	blockMemo map[*funcNode]string
@@ -47,7 +45,6 @@ type program struct {
 // funcNode is one declared function or method with a body, plus its
 // outgoing call edges and computed transitive summary.
 type funcNode struct {
-	name    string // types.Func.FullName()
 	fn      *types.Func
 	pkg     *Package
 	decl    *ast.FuncDecl
@@ -78,9 +75,8 @@ func newProgram(pkgs []*Package, sup *suppressions) *program {
 	p := &program{
 		pkgs:          pkgs,
 		sup:           sup,
-		funcs:         make(map[string]*funcNode),
+		funcs:         make(map[*types.Func]*funcNode),
 		methodsByName: make(map[string][]*funcNode),
-		recvNames:     make(map[*types.Named]map[string]bool),
 		wallMemo:      make(map[*funcNode]string),
 		blockMemo:     make(map[*funcNode]string),
 	}
@@ -96,8 +92,8 @@ func newProgram(pkgs []*Package, sup *suppressions) *program {
 				if !ok {
 					continue
 				}
-				n := &funcNode{name: fn.FullName(), fn: fn, pkg: pkg, decl: fd}
-				p.funcs[n.name] = n
+				n := &funcNode{fn: fn, pkg: pkg, decl: fd}
+				p.funcs[fn] = n
 				p.nodes = append(p.nodes, n)
 				if fd.Recv != nil {
 					p.methodsByName[fn.Name()] = append(p.methodsByName[fn.Name()], n)
@@ -113,12 +109,13 @@ func newProgram(pkgs []*Package, sup *suppressions) *program {
 	return p
 }
 
-// node returns the graph node for a resolved function, or nil.
+// node returns the graph node for a resolved function, or nil. A
+// method of an instantiated generic type maps to its declaration.
 func (p *program) node(fn *types.Func) *funcNode {
 	if fn == nil {
 		return nil
 	}
-	return p.funcs[fn.FullName()]
+	return p.funcs[fn.Origin()]
 }
 
 // posRange is a half-open source interval used to classify call sites.
@@ -166,7 +163,7 @@ func (p *program) collectEdges(n *funcNode) {
 }
 
 // resolve maps a call expression to its candidate callee nodes: one node
-// for a direct function or concrete-method call, every name-compatible
+// for a direct function or concrete-method call, every implementing
 // declared method for an interface-dispatch call, nil for calls through
 // function values or to functions outside the loaded packages.
 func (p *program) resolve(pkg *Package, call *ast.CallExpr) []*funcNode {
@@ -196,60 +193,20 @@ func (p *program) resolve(pkg *Package, call *ast.CallExpr) []*funcNode {
 
 // dispatch returns the declared methods a call through iface's method
 // named method could reach: every loaded concrete method of that name
-// whose receiver type's method-name set covers the interface. Matching
-// is by name, not full signatures, because the interface and the
-// concrete type may have been type-checked in different universes (see
-// the file comment); the over-approximation only ever adds edges.
+// whose receiver type, through a pointer so value methods count too,
+// implements iface.
 func (p *program) dispatch(iface *types.Interface, method string) []*funcNode {
-	want := make([]string, 0, iface.NumMethods())
-	for i := 0; i < iface.NumMethods(); i++ {
-		want = append(want, iface.Method(i).Name())
-	}
 	var out []*funcNode
 	for _, cand := range p.methodsByName[method] {
-		names := p.receiverMethodNames(cand)
-		if names == nil {
-			continue
+		recv := cand.fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
 		}
-		ok := true
-		for _, w := range want {
-			if !names[w] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if types.Implements(types.NewPointer(recv), iface) {
 			out = append(out, cand)
 		}
 	}
 	return out
-}
-
-// receiverMethodNames returns the method-name set of node's receiver
-// base type (through a pointer receiver, so value methods count too).
-func (p *program) receiverMethodNames(n *funcNode) map[string]bool {
-	recv := n.fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return nil
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	if names, ok := p.recvNames[named]; ok {
-		return names
-	}
-	names := make(map[string]bool)
-	mset := types.NewMethodSet(types.NewPointer(named))
-	for i := 0; i < mset.Len(); i++ {
-		names[mset.At(i).Obj().Name()] = true
-	}
-	p.recvNames[named] = names
-	return names
 }
 
 // shortFuncName renders a function for findings: package-qualified with

@@ -29,10 +29,10 @@ func buildProgram(t *testing.T, root string, patterns ...string) *program {
 func findNode(t *testing.T, p *program, suffix string) *funcNode {
 	t.Helper()
 	var hit *funcNode
-	for name, n := range p.funcs {
-		if strings.HasSuffix(name, suffix) {
+	for fn, n := range p.funcs {
+		if strings.HasSuffix(fn.FullName(), suffix) {
 			if hit != nil {
-				t.Fatalf("suffix %q is ambiguous (%s and %s)", suffix, hit.name, name)
+				t.Fatalf("suffix %q is ambiguous (%s and %s)", suffix, hit.fn.FullName(), fn.FullName())
 			}
 			hit = n
 		}
@@ -52,15 +52,16 @@ func testCwd(t *testing.T) string {
 	return cwd
 }
 
-// TestCallGraphInterfaceDispatch pins the method-name-set dispatch: a
-// call through the fixture's ringer interface must produce edges to
-// every concrete Ring method.
+// TestCallGraphInterfaceDispatch pins implements-based dispatch: a call
+// through the fixture's ringer interface must produce edges to every
+// concrete Ring method that implements ringer, and none to a Ring
+// method of another signature.
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	p := buildProgram(t, testCwd(t), "testdata/src/callgraph")
 	n := findNode(t, p, "callgraph.dispatchThrough")
 	var callees []string
 	for _, e := range n.edges {
-		callees = append(callees, e.callee.name)
+		callees = append(callees, e.callee.fn.FullName())
 	}
 	for _, want := range []string{"bell).Ring", "silent).Ring"} {
 		found := false
@@ -73,8 +74,13 @@ func TestCallGraphInterfaceDispatch(t *testing.T) {
 			t.Errorf("dispatchThrough edges %v missing concrete method %q", callees, want)
 		}
 	}
-	if got := len(p.methodsByName["Ring"]); got != 2 {
-		t.Errorf("methodsByName[Ring] has %d entries, want 2", got)
+	for _, c := range callees {
+		if strings.HasSuffix(c, "counter).Ring") {
+			t.Errorf("dispatchThrough has an edge to %s, whose signature does not match ringer", c)
+		}
+	}
+	if got := len(p.methodsByName["Ring"]); got != 3 {
+		t.Errorf("methodsByName[Ring] has %d entries, want 3", got)
 	}
 }
 

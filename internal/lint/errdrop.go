@@ -169,8 +169,7 @@ func errorField(t types.Type) (string, bool) {
 	return "", false
 }
 
-// isErrorType reports whether t is the universe error interface (shared
-// across type-checking universes, so identity comparison is sound).
+// isErrorType reports whether t is the predeclared error interface.
 func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }

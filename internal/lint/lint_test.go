@@ -188,6 +188,47 @@ func TestTransitiveOneCallDeep(t *testing.T) {
 	}
 }
 
+// TestLoadSharesOneUniverse pins the loader's memoization: the package
+// transitive imports for clockutil is the very *types.Package Load
+// returned for clockutil, so objects compare by identity across
+// packages.
+func TestLoadSharesOneUniverse(t *testing.T) {
+	pkgs := loadFixtures(t, "testdata/src/transitive/...")
+	var clock, trans *lint.Package
+	for _, pkg := range pkgs {
+		switch {
+		case strings.HasSuffix(pkg.Path, "/transitive/clockutil"):
+			clock = pkg
+		case strings.HasSuffix(pkg.Path, "/transitive"):
+			trans = pkg
+		}
+	}
+	if clock == nil || trans == nil {
+		t.Fatalf("fixture packages missing: clockutil %v, transitive %v", clock != nil, trans != nil)
+	}
+	for _, imp := range trans.Types.Imports() {
+		if imp.Path() == clock.Path {
+			if imp != clock.Types {
+				t.Fatalf("transitive imports a second copy of %s", clock.Path)
+			}
+			return
+		}
+	}
+	t.Fatalf("transitive does not import %s", clock.Path)
+}
+
+// TestLoadRelativeRoot checks that root may be relative to the working
+// directory, as it is for the CLI's patterns.
+func TestLoadRelativeRoot(t *testing.T) {
+	pkgs, err := lint.Load(".", []string{"testdata/src/detclock"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || !strings.HasSuffix(pkgs[0].Path, "/internal/lint/testdata/src/detclock") {
+		t.Fatalf("loaded %d packages, want only the detclock fixture", len(pkgs))
+	}
+}
+
 // TestStaleAllowIsReported keeps suppressions from outliving their
 // violation: a well-formed directive guarding nothing must surface.
 func TestStaleAllowIsReported(t *testing.T) {

@@ -24,10 +24,16 @@ import (
 // how the analyzer tests (and the CLI's acceptance check) load the
 // seeded-violation fixtures.
 //
+// All packages share one type universe (see loader).
+//
 // Test files (_test.go) are not loaded: the invariants ecglint enforces
 // are about simulation and protocol code; tests measure wall time and
 // spin goroutines legitimately.
 func Load(root string, patterns []string) ([]*Package, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
 	modRoot, modPath, err := findModule(root)
 	if err != nil {
 		return nil, err
@@ -38,12 +44,16 @@ func Load(root string, patterns []string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	// One source-mode importer shared across packages: stdlib and
-	// module-internal dependencies are type-checked once and cached.
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	l := &loader{
+		fset:    fset,
+		modRoot: modRoot,
+		modPath: modPath,
+		std:     importer.ForCompiler(fset, "gc", nil),
+		pkgs:    make(map[string]*Package),
+	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := loadDir(fset, &conf, modRoot, modPath, dir)
+		pkg, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -54,13 +64,38 @@ func Load(root string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// findModule walks up from dir to the nearest go.mod and returns the
-// module directory and module path.
-func findModule(dir string) (modRoot, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
+// loader is the run's types.Importer. It checks each module package
+// once, on first use, so every importer sees the same *types.Package; the
+// standard library comes from compiler export data, which needs the Go
+// toolchain at GOROOT and a writable GOCACHE.
+type loader struct {
+	fset             *token.FileSet
+	modRoot, modPath string
+	std              types.Importer
+	// pkgs maps an import path to its package; a nil entry marks one
+	// being checked (or a directory without Go files).
+	pkgs map[string]*Package
+}
+
+// Import serves module paths from the loader, the rest from export data.
+func (l *loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.modPath)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
 	}
+	pkg, err := l.loadDir(filepath.Join(l.modRoot, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: import cycle or no Go files at %s", path)
+	}
+	return pkg.Types, nil
+}
+
+// findModule walks up from the absolute dir to the nearest go.mod and
+// returns the module directory and module path.
+func findModule(dir string) (modRoot, modPath string, err error) {
 	for {
 		data, readErr := os.ReadFile(filepath.Join(dir, "go.mod"))
 		if readErr == nil {
@@ -138,9 +173,22 @@ func skipDir(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// loadDir parses and type-checks the single package in dir, or returns
-// (nil, nil) when dir holds no non-test Go files.
-func loadDir(fset *token.FileSet, conf *types.Config, modRoot, modPath, dir string) (*Package, error) {
+// loadDir parses and type-checks the single package in dir once, or
+// returns (nil, nil) when dir holds no non-test Go files.
+func (l *loader) loadDir(dir string) (*Package, error) {
+	rel, err := filepath.Rel(l.modRoot, dir)
+	if err != nil {
+		return nil, err
+	}
+	path := l.modPath
+	if rel != "." {
+		path = l.modPath + "/" + filepath.ToSlash(rel)
+	}
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	l.pkgs[path] = nil
+
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -151,7 +199,7 @@ func loadDir(fset *token.FileSet, conf *types.Config, modRoot, modPath, dir stri
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -161,24 +209,18 @@ func loadDir(fset *token.FileSet, conf *types.Config, modRoot, modPath, dir stri
 		return nil, nil
 	}
 
-	rel, err := filepath.Rel(modRoot, dir)
-	if err != nil {
-		return nil, err
-	}
-	path := modPath
-	if rel != "." {
-		path = modPath + "/" + filepath.ToSlash(rel)
-	}
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	tpkg, err := conf.Check(path, fset, files, info)
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }

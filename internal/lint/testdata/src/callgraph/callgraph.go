@@ -18,7 +18,13 @@ type silent struct{}
 
 func (silent) Ring() int { return 0 }
 
-// dispatchThrough calls Ring through the interface; both concrete
+// counter has a Ring method with another signature, so it does not
+// implement ringer: dispatchThrough must not reach it.
+type counter struct{}
+
+func (counter) Ring(n int) int { return n }
+
+// dispatchThrough calls Ring through the interface; both implementing
 // methods must become edges.
 func dispatchThrough(r ringer) int { return r.Ring() }
 

@@ -12,3 +12,10 @@ func HiddenNow() int64 { return time.Now().UnixNano() }
 
 // Indirect reaches the wall clock two frames down.
 func Indirect() int64 { return HiddenNow() }
+
+// Clock is a generic type whose method reads the wall clock: a call on
+// an instance such as Clock[int] must resolve to this declaration.
+type Clock[T any] struct{ v T }
+
+// Now reads the wall clock one frame down.
+func (c Clock[T]) Now() int64 { return time.Now().UnixNano() }

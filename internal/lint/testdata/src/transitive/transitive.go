@@ -64,3 +64,11 @@ func (b *box) lockedRange() int {
 	b.mu.Unlock()
 	return total
 }
+
+// genericStamp calls a method of an instantiated generic type.
+func genericStamp() int64 { return clockutil.Clock[int]{}.Now() }
+
+type nower interface{ Now() int64 }
+
+// ifaceStamp reaches the generic method through interface dispatch.
+func ifaceStamp(n nower) int64 { return n.Now() }

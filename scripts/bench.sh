@@ -22,7 +22,9 @@
 # per-sample cost, ObsDisabled = nil-handle overhead; both must stay at
 # 0 allocs/op), and the full-module lint-engine run (EcglintModule = the
 # per-invocation cost of the CI lint gate: load, type-check, call graph,
-# summaries, analyzers).
+# summaries, analyzers). All counts run in one process, so EcglintModule's
+# row averages one first op, which pays the standard library's
+# `go list -export` lookups, with warm ops that reuse them.
 set -eu
 
 cd "$(dirname "$0")/.."
