@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,5 +134,50 @@ func TestRunPolicyAndBeaconFlags(t *testing.T) {
 	}
 	if err := run([]string{"-trace", dir, "-k", "3", "-policy", "bogus"}, &buf); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestRunGolden pins cachesim's whole stdout over one 40-cache trace for
+// the utility policy and for LRU with beacon points, each over a generated
+// topology and over a -topology file.
+func TestRunGolden(t *testing.T) {
+	dir := writeTrace(t, 40)
+	topoPath := filepath.Join(t.TempDir(), "topo.json")
+	g, err := ecg.GenerateTransitStub(ecg.DefaultTransitStubParams(), ecg.NewRand(3).Split("topo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(topoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ecg.WriteGraphJSON(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"utility", nil, "30d023d0ead0b23b"},
+		{"utility-topology", []string{"-topology", topoPath}, "b27f49194c2c2e45"},
+		{"lru-beacons", []string{"-policy", "lru", "-beacons", "2"}, "7993aaabdc41a247"},
+		{"lru-beacons-topology", []string{"-policy", "lru", "-beacons", "2", "-topology", topoPath}, "467a7ef3b2de54ea"},
+		{"euclidean", []string{"-scheme", "euclidean"}, "75dfce19ea5ec8e5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			args := append([]string{"-trace", dir, "-k", "4"}, tc.args...)
+			if err := run(args, &buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:8]); got != tc.want {
+				t.Errorf("stdout digest %s, want %s\n%s", got, tc.want, buf.String())
+			}
+		})
 	}
 }

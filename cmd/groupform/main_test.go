@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -184,4 +186,51 @@ func TestClampLandmarks(t *testing.T) {
 			t.Errorf("-l %d -m %d -caches %d: %d assignments", tt.l, tt.m, tt.n, len(out.Assignments))
 		}
 	}
+}
+
+// TestRunGolden pins groupform's whole stdout, as text and as -json, for
+// each scheme, each landmark selector, -suggest-k and a -distributed run
+// with loss, duplication and crashed caches. Any change to a plan, its
+// checksum or its report moves a digest here.
+func TestRunGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		args       []string
+		text, json string
+	}{
+		{"sl", []string{"-scheme", "sl"}, "3078d78a8ea997a5", "16bfc5bf4d3db27a"},
+		{"sdsl-theta2", []string{"-scheme", "sdsl", "-theta", "2"}, "e5a3053ea0e13578", "89b4fc4de9ce57fd"},
+		{"euclidean", []string{"-scheme", "euclidean", "-dim", "3"}, "c5c45e48bf8775c0", "0cd2c65fe44c5e88"},
+		{"greedy", []string{"-landmarks", "greedy"}, "64be98d9beaeee2c", "f0f4045462f7c338"},
+		{"random", []string{"-landmarks", "random"}, "e3c40f2ff3eae049", "74b88fef8a7917a9"},
+		{"min-dist", []string{"-landmarks", "min-dist"}, "9c901c5d8541c92b", "1ea45a116be92177"},
+		{"suggest-k", []string{"-suggest-k"}, "1dc27121d4c0b153", "b90d97fb49908b54"},
+		{"distributed", []string{"-l", "5", "-m", "2", "-distributed",
+			"-loss", "0.2", "-dup", "0.15", "-crash", "3", "-retries", "6"}, "d43877845aeee681", "534684d410ee7e5e"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-caches", "50", "-k", "5"}, tc.args...)
+			for _, mode := range []struct {
+				args []string
+				want string
+			}{
+				{args, tc.text},
+				{append(args[:len(args):len(args)], "-json"), tc.json},
+			} {
+				var buf bytes.Buffer
+				if err := run(mode.args, &buf); err != nil {
+					t.Fatal(err)
+				}
+				if got := digest(buf.Bytes()); got != mode.want {
+					t.Errorf("%v: stdout digest %s, want %s\n%s", mode.args, got, mode.want, buf.String())
+				}
+			}
+		})
+	}
+}
+
+// digest is a short fingerprint of a command's output.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
 }

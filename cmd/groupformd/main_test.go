@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -209,6 +212,63 @@ func TestClampLandmarks(t *testing.T) {
 		if len(plan.Landmarks) != tt.wantL {
 			t.Errorf("formInitialPlan(l=%d, m=%d, caches=%d): %d landmarks, want %d",
 				tt.l, tt.m, tt.n, len(plan.Landmarks), tt.wantL)
+		}
+	}
+}
+
+// bootChecksum boots the daemon on the given formation flags and returns
+// the checksum of its boot epoch's plan.
+func bootChecksum(t *testing.T, flags ...string) string {
+	t.Helper()
+	args := append([]string{"-addr", "127.0.0.1:0", "-interval", "1h"}, flags...)
+	ready := make(chan *ecg.ServeServer, 1)
+	var buf bytes.Buffer
+	if err := run(args, &buf, ready); err != nil {
+		t.Fatalf("run %v: %v", flags, err)
+	}
+	srv := <-ready
+	defer srv.Close()
+	return fmt.Sprintf("%016x", srv.Engine().Epoch().Checksum)
+}
+
+// TestBootChecksumGolden pins the checksum of the plan the daemon forms
+// at boot for each scheme it serves.
+func TestBootChecksumGolden(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-caches", "50", "-k", "5", "-scheme", "sl"}, "fd1b4952f211b2d9"},
+		{[]string{"-caches", "50", "-k", "5", "-scheme", "sdsl", "-theta", "2"}, "8e774fa15fe4a4d4"},
+		{[]string{"-caches", "200", "-k", "20", "-seed", "1"}, "50dc14ac26f25a85"},
+	} {
+		if got := bootChecksum(t, tc.flags...); got != tc.want {
+			t.Errorf("%v: boot plan checksum %s, want %s", tc.flags, got, tc.want)
+		}
+	}
+}
+
+// TestBootPlanMatchesGroupform checks that the daemon boots on the plan
+// the batch CLI forms: for the same flags, groupform -json reports the
+// boot epoch's checksum as its planChecksum.
+func TestBootPlanMatchesGroupform(t *testing.T) {
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	for _, flags := range [][]string{
+		{"-caches", "200", "-k", "20", "-seed", "1"},
+		{"-caches", "50", "-k", "5", "-scheme", "sl", "-l", "7", "-m", "3", "-seed", "4"},
+	} {
+		out, err := exec.Command(gobin, append([]string{"run", "../groupform", "-json"}, flags...)...).Output()
+		if err != nil {
+			t.Fatalf("groupform %v: %v", flags, err)
+		}
+		var batch struct {
+			Checksum string `json:"planChecksum"`
+		}
+		if err := json.Unmarshal(out, &batch); err != nil {
+			t.Fatalf("groupform %v: %v", flags, err)
+		}
+		if got := bootChecksum(t, flags...); got != batch.Checksum {
+			t.Errorf("%v: daemon boots on plan %s, groupform forms %s", flags, got, batch.Checksum)
 		}
 	}
 }
