@@ -1,8 +1,9 @@
 // Command benchjson converts `go test -bench` output into the tracked
 // benchmark-baseline JSON (BENCH_pipeline.json). It reads benchmark lines
-// from stdin, averages repeated runs (-count=N), derives parallel-vs-serial
-// speedups for benchmark pairs whose names differ only in a trailing worker
-// count (FooPar1/FooPar8, Foo1/Foo8) plus pruned-vs-exhaustive speedups for
+// from stdin, averages repeated runs (-count=N) and keeps their min and
+// max ns/op beside the mean, derives parallel-vs-serial speedups for
+// benchmark pairs whose names differ only in a trailing worker count
+// (FooPar1/FooPar8, Foo1/Foo8) plus pruned-vs-exhaustive speedups for
 // FooExhaustive/FooPruned pairs, and records the host's CPU budget so a
 // baseline measured on a single-core machine is not mistaken for one where
 // the parallel pipeline could show its wall-clock win.
@@ -30,6 +31,8 @@ type Bench struct {
 	Runs        int                `json:"runs"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	MinNsPerOp  float64            `json:"min_ns_per_op"`
+	MaxNsPerOp  float64            `json:"max_ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
@@ -89,13 +92,15 @@ func run(r io.Reader, w io.Writer) error {
 
 // accum collects the repeated runs of one benchmark.
 type accum struct {
-	runs       int
-	iterations int64
-	sums       map[string]float64
+	runs         int
+	iterations   int64
+	sums         map[string]float64
+	minNs, maxNs float64 // spread of ns/op across the runs
 }
 
 // parse reads benchmark lines ("BenchmarkFoo-8  100  123 ns/op  4 B/op ...")
-// and averages repeated runs of the same name.
+// and averages repeated runs of the same name, keeping the min and max
+// ns/op of the runs.
 func parse(r io.Reader) ([]Bench, error) {
 	acc := make(map[string]*accum)
 	var order []string
@@ -125,6 +130,12 @@ func parse(r io.Reader) ([]Bench, error) {
 				return nil, fmt.Errorf("bad value %q for %s", fields[i], name)
 			}
 			a.sums[fields[i+1]] += v
+			if fields[i+1] == "ns/op" {
+				if a.runs == 1 || v < a.minNs {
+					a.minNs = v
+				}
+				a.maxNs = max(a.maxNs, v)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -133,7 +144,7 @@ func parse(r io.Reader) ([]Bench, error) {
 	out := make([]Bench, 0, len(order))
 	for _, name := range order {
 		a := acc[name]
-		b := Bench{Name: name, Runs: a.runs, Iterations: a.iterations}
+		b := Bench{Name: name, Runs: a.runs, Iterations: a.iterations, MinNsPerOp: a.minNs, MaxNsPerOp: a.maxNs}
 		n := float64(a.runs)
 		// Iterate units in sorted order so the emitted JSON (field values
 		// and Extra insertion sequence) never depends on map order.

@@ -47,6 +47,38 @@ func TestParseAveragesRepeatedRuns(t *testing.T) {
 	}
 }
 
+// TestParseKeepsNsPerOpSpread checks that the min and max ns/op of the
+// repeated runs sit beside their mean, and that a single run's spread is
+// the run itself.
+func TestParseKeepsNsPerOpSpread(t *testing.T) {
+	benches, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		i        int
+		min, max float64
+	}{
+		{0, 6313225, 6513225},
+		{1, 3206612, 3206612},
+		{2, 52000000, 52000000},
+	} {
+		b := benches[tc.i]
+		if b.MinNsPerOp != tc.min || b.MaxNsPerOp != tc.max {
+			t.Errorf("%s: ns/op spread [%v, %v], want [%v, %v]", b.Name, b.MinNsPerOp, b.MaxNsPerOp, tc.min, tc.max)
+		}
+	}
+	var buf bytes.Buffer
+	if err := run(strings.NewReader(sample), &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"min_ns_per_op": 6313225`, `"max_ns_per_op": 6513225`} {
+		if !strings.Contains(buf.String(), field) {
+			t.Errorf("baseline JSON lacks %s:\n%s", field, buf.String())
+		}
+	}
+}
+
 func TestSpeedupPairsSerialAndParallel(t *testing.T) {
 	benches, err := parse(strings.NewReader(sample))
 	if err != nil {

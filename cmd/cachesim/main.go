@@ -17,10 +17,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	ecg "edgecachegroups"
-	"edgecachegroups/internal/landmark"
+	"edgecachegroups/cmd/internal/cli"
 	"edgecachegroups/internal/workload"
 )
 
@@ -33,21 +32,18 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
+	scheme := cli.SchemeFlags(fs, "group formation scheme: sl, sdsl, or euclidean")
+	scheme.Dim = 5
+	obsFlags := cli.ObsFlags(fs)
 	var (
 		traceDir = fs.String("trace", "", "directory holding catalog.json, requests.jsonl, updates.jsonl (required)")
 		topoFile = fs.String("topology", "", "optional topology JSON (from topogen -dump); otherwise generated from -seed")
 		k        = fs.Int("k", 20, "number of cooperative groups")
-		scheme   = fs.String("scheme", "sdsl", "group formation scheme: sl, sdsl, or euclidean")
-		theta    = fs.Float64("theta", 1.0, "SDSL server-distance sensitivity")
-		l        = fs.Int("l", 25, "number of landmarks")
-		m        = fs.Int("m", 4, "PLSet multiplier")
 		alpha    = fs.Float64("alpha", 0.8, "Zipf exponent used to rebuild the catalog profile")
 		seed     = fs.Int64("seed", 1, "random seed (topology, placement, probing, clustering)")
 		warmup   = fs.Float64("warmup", 0, "seconds of warm-up excluded from latency stats")
 		policy   = fs.String("policy", "utility", "cache replacement policy: utility or lru")
 		beacons  = fs.Int("beacons", 0, "beacon points per group (0 = multicast cooperation model)")
-		obsAddr  = fs.String("obs-addr", "", "serve live /metrics, /debug/vars, /debug/pprof, and /trace on this host:port (\":0\" for ephemeral; results are identical with or without)")
-		obsWait  = fs.Duration("obs-linger", 0, "keep the -obs-addr endpoint up this long after the run finishes, for scraping")
 	)
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
@@ -56,19 +52,32 @@ func run(args []string, w io.Writer) error {
 	if *traceDir == "" {
 		return fmt.Errorf("-trace is required")
 	}
-	var o *ecg.Obs
-	if *obsAddr != "" {
-		o = ecg.NewObs()
-		srv, err := ecg.ServeObs(*obsAddr, o)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(w, "observability endpoint on http://%s/metrics\n", srv.Addr())
-		if *obsWait > 0 {
-			defer time.Sleep(*obsWait)
-		}
+	// The plan and the report come from outside input (a trace file and
+	// optionally a topology file), so both are checked, as every other
+	// command checks its plans (scheme.Config sets the plan's Verify).
+	simCfg := ecg.DefaultSimConfig()
+	simCfg.WarmupSec = *warmup
+	simCfg.BeaconsPerGroup = *beacons
+	simCfg.Verify = true
+	switch strings.ToLower(*policy) {
+	case "utility":
+		simCfg.CachePolicy = ecg.PolicyUtility
+	case "lru":
+		simCfg.CachePolicy = ecg.PolicyLRU
+	default:
+		return fmt.Errorf("unknown policy %q (want utility or lru)", *policy)
 	}
+	// Reject bad simulator flags before the formation they would
+	// otherwise fail after.
+	if err := simCfg.Validate(0); err != nil {
+		return err
+	}
+	o, stop, err := obsFlags.Start(w)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	simCfg.Obs = o
 
 	catalog, requests, updates, err := loadTrace(*traceDir, *alpha)
 	if err != nil {
@@ -84,7 +93,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("request log is empty")
 	}
 
-	src := ecg.NewRand(*seed)
 	var graph *ecg.Graph
 	if *topoFile != "" {
 		f, err := os.Open(*topoFile)
@@ -96,60 +104,16 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("load topology: %w", err)
 		}
-	} else {
-		graph, err = ecg.GenerateTransitStub(ecg.DefaultTransitStubParams(), src.Split("topo"))
-		if err != nil {
-			return fmt.Errorf("generate topology: %w", err)
-		}
 	}
-	nw, err := ecg.NewNetwork(graph, ecg.PlaceParams{NumCaches: numCaches}, src.Split("place"))
+	cfg, err := scheme.Config(numCaches, o)
 	if err != nil {
-		return fmt.Errorf("place network: %w", err)
+		return err
 	}
-	prober, err := ecg.NewProber(nw, ecg.DefaultProbeConfig(), src.Split("probe"))
+	nw, plan, err := cli.Form(graph, numCaches, *k, cfg, ecg.NewRand(*seed))
 	if err != nil {
-		return fmt.Errorf("build prober: %w", err)
+		return err
 	}
 
-	lp := landmark.Fit(*l, *m, numCaches)
-	var cfg ecg.SchemeConfig
-	switch strings.ToLower(*scheme) {
-	case "sl":
-		cfg = ecg.SL(lp.L, lp.M)
-	case "sdsl":
-		cfg = ecg.SDSL(lp.L, lp.M, *theta)
-	case "euclidean":
-		cfg = ecg.EuclideanScheme(lp.L, lp.M, 5)
-	default:
-		return fmt.Errorf("unknown scheme %q", *scheme)
-	}
-	// The plan and the report come from outside input (a trace file and
-	// optionally a topology file), so both are checked, as every other
-	// command checks its plans.
-	cfg.Verify = true
-	cfg.Obs = o
-	gf, err := ecg.NewCoordinator(nw, prober, cfg, src.Split("gf"))
-	if err != nil {
-		return fmt.Errorf("build coordinator: %w", err)
-	}
-	plan, err := gf.FormGroups(*k)
-	if err != nil {
-		return fmt.Errorf("form groups: %w", err)
-	}
-
-	simCfg := ecg.DefaultSimConfig()
-	simCfg.WarmupSec = *warmup
-	simCfg.BeaconsPerGroup = *beacons
-	simCfg.Verify = true
-	simCfg.Obs = o
-	switch strings.ToLower(*policy) {
-	case "utility":
-		simCfg.CachePolicy = ecg.PolicyUtility
-	case "lru":
-		simCfg.CachePolicy = ecg.PolicyLRU
-	default:
-		return fmt.Errorf("unknown policy %q (want utility or lru)", *policy)
-	}
 	sim, err := ecg.NewSimulator(nw, plan.Groups(), catalog, simCfg)
 	if err != nil {
 		return fmt.Errorf("build simulator: %w", err)

@@ -181,3 +181,25 @@ func TestRunGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsSimFlagsFirst: a bad simulator flag must fail before any
+// formation work, so it is reported even when the topology file the
+// formation would read does not exist.
+func TestRunRejectsSimFlagsFirst(t *testing.T) {
+	dir := writeTrace(t, 10)
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-warmup", "NaN"}, "WarmupSec"},
+		{[]string{"-beacons", "-1"}, "BeaconsPerGroup"},
+		{[]string{"-policy", "bogus"}, "unknown policy"},
+	} {
+		var buf bytes.Buffer
+		args := append([]string{"-trace", dir, "-k", "2", "-topology", "/no/such/file"}, tc.flags...)
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want the %s error", tc.flags, err, tc.want)
+		}
+	}
+}

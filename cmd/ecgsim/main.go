@@ -18,8 +18,8 @@ import (
 	"strings"
 	"time"
 
+	"edgecachegroups/cmd/internal/cli"
 	"edgecachegroups/internal/experiments"
-	"edgecachegroups/internal/obs"
 )
 
 func main() {
@@ -44,28 +44,22 @@ func run(args []string, w io.Writer) error {
 		parallel = fs.Int("parallel", 4, "sweep-point parallelism")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 		outPath  = fs.String("out", "", "also append rendered tables to this file")
-		obsAddr  = fs.String("obs-addr", "", "serve live /metrics, /debug/vars, /debug/pprof, and /trace on this host:port (\":0\" for ephemeral; results are identical with or without)")
-		obsWait  = fs.Duration("obs-linger", 0, "keep the -obs-addr endpoint up this long after the run finishes, for scraping")
+		obsFlags = cli.ObsFlags(fs)
 	)
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, Trials: *trials}
-	if *obsAddr != "" {
-		opts.Obs = obs.New()
-		srv, err := obs.Serve(*obsAddr, opts.Obs)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		if !*quiet {
-			fmt.Fprintf(w, "observability endpoint on http://%s/metrics\n", srv.Addr())
-		}
-		if *obsWait > 0 {
-			defer time.Sleep(*obsWait)
-		}
+	progress := w
+	if *quiet {
+		progress = io.Discard
 	}
+	o, stop, err := obsFlags.Start(progress)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, Trials: *trials, Obs: o}
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -129,16 +123,12 @@ func run(args []string, w io.Writer) error {
 
 	for _, e := range todo {
 		start := time.Now()
-		if !*quiet {
-			fmt.Fprintf(w, "running %s (scale=%g, seed=%d, trials=%d)...\n", e.name, *scale, *seed, *trials)
-		}
+		fmt.Fprintf(progress, "running %s (scale=%g, seed=%d, trials=%d)...\n", e.name, *scale, *seed, *trials)
 		result, err := e.run(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		if !*quiet {
-			fmt.Fprintf(w, "done in %.1fs\n", time.Since(start).Seconds())
-		}
+		fmt.Fprintf(progress, "done in %.1fs\n", time.Since(start).Seconds())
 		if err := result.Table().Render(w); err != nil {
 			return err
 		}

@@ -16,10 +16,10 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	ecg "edgecachegroups"
-	"edgecachegroups/internal/landmark"
+	"edgecachegroups/cmd/internal/cli"
+	"edgecachegroups/internal/protocol"
 )
 
 func main() {
@@ -55,14 +55,12 @@ type output struct {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("groupform", flag.ContinueOnError)
+	scheme := cli.SchemeFlags(fs, "group formation scheme: sl, sdsl, or euclidean")
+	obsFlags := cli.ObsFlags(fs)
+	fs.IntVar(&scheme.Dim, "dim", 5, "GNP embedding dimension (euclidean scheme)")
 	var (
 		caches   = fs.Int("caches", 500, "number of edge caches")
 		k        = fs.Int("k", 50, "number of cooperative groups")
-		scheme   = fs.String("scheme", "sdsl", "group formation scheme: sl, sdsl, or euclidean")
-		theta    = fs.Float64("theta", 1.0, "SDSL server-distance sensitivity")
-		l        = fs.Int("l", 25, "number of landmarks (including the origin)")
-		m        = fs.Int("m", 4, "PLSet multiplier")
-		dim      = fs.Int("dim", 5, "GNP embedding dimension (euclidean scheme)")
 		selector = fs.String("landmarks", "greedy", "landmark selector: greedy, random, or min-dist")
 		seed     = fs.Int64("seed", 1, "random seed")
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text")
@@ -76,39 +74,20 @@ func run(args []string, w io.Writer) error {
 		maxDelay    = fs.Int("max-delay", 0, "distributed: reordering window in subsequent link messages (0 = default)")
 		crash       = fs.Int("crash", 0, "distributed: crash the N highest-index caches before the run")
 		retries     = fs.Int("retries", 3, "distributed: request retries per peer (0 = exactly one attempt)")
-
-		obsAddr = fs.String("obs-addr", "", "serve live /metrics, /debug/vars, /debug/pprof, and /trace on this host:port (\":0\" for ephemeral; results are identical with or without)")
-		obsWait = fs.Duration("obs-linger", 0, "keep the -obs-addr endpoint up this long after the run finishes, for scraping")
 	)
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var o *ecg.Obs
-	if *obsAddr != "" {
-		o = ecg.NewObs()
-		srv, err := ecg.ServeObs(*obsAddr, o)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(w, "observability endpoint on http://%s/metrics\n", srv.Addr())
-		if *obsWait > 0 {
-			defer time.Sleep(*obsWait)
-		}
+	o, stop, err := obsFlags.Start(w)
+	if err != nil {
+		return err
 	}
+	defer stop()
 
-	lp := landmark.Fit(*l, *m, *caches)
-	var cfg ecg.SchemeConfig
-	switch strings.ToLower(*scheme) {
-	case "sl":
-		cfg = ecg.SL(lp.L, lp.M)
-	case "sdsl":
-		cfg = ecg.SDSL(lp.L, lp.M, *theta)
-	case "euclidean":
-		cfg = ecg.EuclideanScheme(lp.L, lp.M, *dim)
-	default:
-		return fmt.Errorf("unknown scheme %q (want sl, sdsl, or euclidean)", *scheme)
+	cfg, err := scheme.Config(*caches, o)
+	if err != nil {
+		return err
 	}
 	switch strings.ToLower(*selector) {
 	case "greedy":
@@ -120,51 +99,28 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown landmark selector %q", *selector)
 	}
-	cfg.Verify = true
-	cfg.Obs = o
 	if *parallel < 0 {
 		return fmt.Errorf("parallelism must be >= 0, got %d", *parallel)
 	}
 	cfg = ecg.WithParallelism(cfg, *parallel)
 
 	src := ecg.NewRand(*seed)
-	graph, err := ecg.GenerateTransitStub(ecg.DefaultTransitStubParams(), src.Split("topo"))
-	if err != nil {
-		return fmt.Errorf("generate topology: %w", err)
-	}
-	nw, err := ecg.NewNetwork(graph, ecg.PlaceParams{NumCaches: *caches}, src.Split("place"))
-	if err != nil {
-		return fmt.Errorf("place network: %w", err)
-	}
-	prober, err := ecg.NewProber(nw, ecg.DefaultProbeConfig(), src.Split("probe"))
-	if err != nil {
-		return fmt.Errorf("build prober: %w", err)
-	}
 	if *distributed {
-		if strings.EqualFold(*scheme, "euclidean") {
+		if strings.EqualFold(scheme.Name, "euclidean") {
 			return fmt.Errorf("the euclidean scheme is not available in -distributed mode (agents report raw landmark RTTs)")
 		}
 		if !strings.EqualFold(*selector, "greedy") {
 			return fmt.Errorf("-landmarks %s is not available in -distributed mode (the coordinator selects landmarks greedily)", *selector)
 		}
-		theta := *theta
-		if strings.EqualFold(*scheme, "sl") {
-			theta = 0
+		pcfg := ecg.ProtocolConfig{
+			L: cfg.Landmarks.L, M: cfg.Landmarks.M, K: *k, Theta: cfg.Theta, Retries: *retries, Obs: o,
 		}
-		d := distOptions{
-			caches: *caches, k: *k, l: lp.L, m: lp.M, theta: theta,
-			loss: *loss, dup: *dup, delay: *delay, maxDelay: *maxDelay, crash: *crash,
-			retries: *retries, asJSON: *asJSON, obs: o,
-		}
-		return runDistributed(w, d, nw, prober, src)
+		faults := ecg.FaultConfig{Loss: *loss, DupProb: *dup, DelayProb: *delay, MaxDelay: *maxDelay}
+		return runDistributed(w, pcfg, faults, *caches, *crash, *asJSON, src)
 	}
-	gf, err := ecg.NewCoordinator(nw, prober, cfg, src.Split("gf"))
+	nw, plan, err := cli.Form(nil, *caches, *k, cfg, src)
 	if err != nil {
-		return fmt.Errorf("build coordinator: %w", err)
-	}
-	plan, err := gf.FormGroups(*k)
-	if err != nil {
-		return fmt.Errorf("form groups: %w", err)
+		return err
 	}
 
 	suggested := 0
@@ -233,60 +189,30 @@ func writeOutput(w io.Writer, out output, asJSON bool) error {
 	return nil
 }
 
-// distOptions carries the -distributed flag values.
-type distOptions struct {
-	caches, k, l, m          int
-	theta                    float64
-	loss, dup, delay         float64
-	maxDelay, crash, retries int
-	asJSON                   bool
-	obs                      *ecg.Obs
-}
-
 // runDistributed executes the message-passing protocol over a
 // fault-injecting transport and reports the result with its resilience
 // counters.
-func runDistributed(w io.Writer, d distOptions, nw *ecg.Network, prober *ecg.Prober, src *ecg.Rand) error {
-	if d.crash < 0 || d.crash >= d.caches {
-		return fmt.Errorf("crash count %d out of range [0,%d)", d.crash, d.caches)
-	}
-	tr, err := ecg.NewFaultTransport(ecg.FaultConfig{
-		Loss: d.loss, DupProb: d.dup, DelayProb: d.delay, MaxDelay: d.maxDelay,
-	}, src.Split("transport"))
+func runDistributed(w io.Writer, pcfg ecg.ProtocolConfig, faults ecg.FaultConfig, caches, crash int, asJSON bool, src *ecg.Rand) error {
+	nw, prober, err := cli.Network(nil, caches, src)
 	if err != nil {
 		return err
 	}
-	defer tr.Close()
-	for i := 0; i < d.caches; i++ {
-		if _, err := ecg.NewProtocolAgent(ecg.CacheIndex(i), prober, tr); err != nil {
-			return fmt.Errorf("start agent %d: %w", i, err)
-		}
-	}
-	for i := 0; i < d.crash; i++ {
-		tr.Kill(ecg.ProtocolCacheAddr(ecg.CacheIndex(d.caches - 1 - i)))
-	}
-
-	pcfg := ecg.ProtocolConfig{L: d.l, M: d.m, K: d.k, Theta: d.theta, Retries: d.retries, Obs: d.obs}
-	coord, err := ecg.NewProtocolCoordinator(pcfg, d.caches, tr, src.Split("coordinator"))
+	res, tr, err := protocol.RunWithFaults(pcfg, faults, prober, caches, crash, src)
 	if err != nil {
 		return err
 	}
-	res, err := coord.Run()
-	if err != nil {
-		return fmt.Errorf("protocol run: %w", err)
-	}
-	tr.PublishObs(d.obs)
+	tr.PublishObs(pcfg.Obs)
 
-	assignments := make([]int, d.caches)
+	assignments := make([]int, caches)
 	for i := range assignments {
 		assignments[i] = -1 // unresponsive caches end up in no group
 	}
 	for i, ci := range res.Members {
 		assignments[ci] = res.Plan.Assignments[i]
 	}
-	out := planOutput(nw, res.Plan, res.Groups(), assignments, d.caches, d.k)
+	out := planOutput(nw, res.Plan, res.Groups(), assignments, caches, pcfg.K)
 	out.Scheme = "sl-distributed"
-	if d.theta > 0 {
+	if pcfg.Theta > 0 {
 		out.Scheme = "sdsl-distributed"
 	}
 	out.Distributed = true
@@ -297,5 +223,5 @@ func runDistributed(w io.Writer, d distOptions, nw *ecg.Network, prober *ecg.Pro
 	out.DuplicateReplies = res.DuplicateReplies
 	out.TimedOutWaits = res.TimedOutWaits
 	out.Degraded = res.Degraded
-	return writeOutput(w, out, d.asJSON)
+	return writeOutput(w, out, asJSON)
 }

@@ -25,12 +25,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	ecg "edgecachegroups"
-	"edgecachegroups/internal/landmark"
+	"edgecachegroups/cmd/internal/cli"
 )
 
 func main() {
@@ -49,10 +48,7 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 		addr     = fs.String("addr", ":8344", "HTTP listen address (\":0\" for ephemeral)")
 		caches   = fs.Int("caches", 200, "number of edge caches (initial formation)")
 		k        = fs.Int("k", 20, "number of cooperative groups")
-		scheme   = fs.String("scheme", "sdsl", "group formation scheme: sl or sdsl (feature-vector schemes only; the daemon ingests raw landmark RTTs)")
-		theta    = fs.Float64("theta", 1.0, "SDSL server-distance sensitivity")
-		l        = fs.Int("l", 25, "number of landmarks (including the origin)")
-		m        = fs.Int("m", 4, "PLSet multiplier")
+		scheme   = cli.SchemeFlags(fs, "group formation scheme: sl or sdsl (feature-vector schemes only; the daemon ingests raw landmark RTTs)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		interval = fs.Duration("interval", time.Minute, "maintenance round period")
 		sample   = fs.Float64("sample", 1.0, "fraction of caches examined per round, in (0,1]")
@@ -96,7 +92,12 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 		}
 	}
 	if cfg.Plan == nil {
-		plan, err := formInitialPlan(*caches, *k, *scheme, *theta, *l, *m, cfg.Rand, o)
+		// The boot plan is the one groupform forms for the same flags.
+		fcfg, err := scheme.Config(*caches, o)
+		if err != nil {
+			return err
+		}
+		_, plan, err := cli.Form(nil, *caches, *k, fcfg, cfg.Rand)
 		if err != nil {
 			return err
 		}
@@ -125,43 +126,4 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 	s := <-sig
 	fmt.Fprintf(w, "received %s, shutting down\n", s)
 	return srv.Close()
-}
-
-// formInitialPlan runs the paper's pipeline once over a simulated
-// transit-stub network to produce the boot plan.
-func formInitialPlan(caches, k int, scheme string, theta float64, l, m int, src *ecg.Rand, o *ecg.Obs) (*ecg.Plan, error) {
-	lp := landmark.Fit(l, m, caches)
-	var cfg ecg.SchemeConfig
-	switch strings.ToLower(scheme) {
-	case "sl":
-		cfg = ecg.SL(lp.L, lp.M)
-	case "sdsl":
-		cfg = ecg.SDSL(lp.L, lp.M, theta)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q (the daemon supports sl and sdsl; embedded-representation schemes cannot ingest raw landmark RTTs)", scheme)
-	}
-	cfg.Verify = true
-	cfg.Obs = o
-
-	graph, err := ecg.GenerateTransitStub(ecg.DefaultTransitStubParams(), src.Split("topo"))
-	if err != nil {
-		return nil, fmt.Errorf("generate topology: %w", err)
-	}
-	nw, err := ecg.NewNetwork(graph, ecg.PlaceParams{NumCaches: caches}, src.Split("place"))
-	if err != nil {
-		return nil, fmt.Errorf("place network: %w", err)
-	}
-	prober, err := ecg.NewProber(nw, ecg.DefaultProbeConfig(), src.Split("probe"))
-	if err != nil {
-		return nil, fmt.Errorf("build prober: %w", err)
-	}
-	gf, err := ecg.NewCoordinator(nw, prober, cfg, src.Split("gf"))
-	if err != nil {
-		return nil, fmt.Errorf("build coordinator: %w", err)
-	}
-	plan, err := gf.FormGroups(k)
-	if err != nil {
-		return nil, fmt.Errorf("form groups: %w", err)
-	}
-	return plan, nil
 }

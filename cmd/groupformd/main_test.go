@@ -191,31 +191,6 @@ func TestDaemonRejectsNonFiniteFlags(t *testing.T) {
 	}
 }
 
-// TestClampLandmarks checks that the boot formation shrinks -l and -m to
-// fit the cache count (landmark.Fit) instead of failing.
-func TestClampLandmarks(t *testing.T) {
-	tests := []struct {
-		l, m, n int
-		wantL   int
-	}{
-		{25, 4, 500, 25},
-		{25, 4, 40, 11},
-		{25, 0, 100, 25},
-		{1, 1, 1, 2},
-	}
-	for _, tt := range tests {
-		plan, err := formInitialPlan(tt.n, 1, "sl", 1, tt.l, tt.m, ecg.NewRand(1), nil)
-		if err != nil {
-			t.Errorf("formInitialPlan(l=%d, m=%d, caches=%d): %v", tt.l, tt.m, tt.n, err)
-			continue
-		}
-		if len(plan.Landmarks) != tt.wantL {
-			t.Errorf("formInitialPlan(l=%d, m=%d, caches=%d): %d landmarks, want %d",
-				tt.l, tt.m, tt.n, len(plan.Landmarks), tt.wantL)
-		}
-	}
-}
-
 // bootChecksum boots the daemon on the given formation flags and returns
 // the checksum of its boot epoch's plan.
 func bootChecksum(t *testing.T, flags ...string) string {

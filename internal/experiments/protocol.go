@@ -6,7 +6,6 @@ import (
 	"edgecachegroups/internal/metrics"
 	"edgecachegroups/internal/protocol"
 	"edgecachegroups/internal/simrand"
-	"edgecachegroups/internal/topology"
 )
 
 // ---------------------------------------------------------------------------
@@ -86,25 +85,8 @@ func ProtocolResilienceStudy(o Options) (*ProtocolResilienceResult, error) {
 		err = forEach(len(scenarios), o.Parallelism, func(i int) error {
 			sc := scenarios[i]
 			src := simrand.New(seed+101).SplitN("scenario", i)
-			tr, err := protocol.NewFaultTransport(sc.Faults, src.Split("transport"))
-			if err != nil {
-				return err
-			}
-			defer tr.Close()
-			for a := 0; a < n; a++ {
-				if _, err := protocol.NewAgent(topology.CacheIndex(a), e.prober, tr); err != nil {
-					return err
-				}
-			}
-			for c := 0; c < int(sc.CrashFrac*float64(n)); c++ {
-				tr.Kill(protocol.CacheAddr(topology.CacheIndex(n - 1 - c)))
-			}
 			cfg := protocol.Config{L: l, M: m, K: k, Theta: DefaultTheta, Retries: retries, Obs: e.obs}
-			out, err := protocol.NewCoordinator(cfg, n, tr, src.Split("coordinator"))
-			if err != nil {
-				return err
-			}
-			r, err := out.Run()
+			r, _, err := protocol.RunWithFaults(cfg, sc.Faults, e.prober, n, int(sc.CrashFrac*float64(n)), src)
 			if err != nil {
 				return fmt.Errorf("scenario %q: %w", sc.Name, err)
 			}

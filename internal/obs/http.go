@@ -88,8 +88,9 @@ func Handler(o *Obs) http.Handler {
 	return mux
 }
 
-// Server is a live exposition endpoint. Construct with Serve; Close
-// releases the listener.
+// Server is a live HTTP endpoint: a listener and the accept loop that
+// serves a handler on it. Construct with Serve or ServeOn; Close releases
+// the listener.
 type Server struct {
 	srv *http.Server
 	ln  net.Listener
@@ -138,14 +139,19 @@ func Serve(addr string, o *Obs) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(o)}
-	s := &Server{srv: srv, ln: ln}
+	return ServeOn(ln, Handler(o)), nil
+}
+
+// ServeOn serves h on ln in a background goroutine. The returned Server
+// owns ln; the caller should Close it when done.
+func ServeOn(ln net.Listener, h http.Handler) *Server {
+	s := &Server{srv: &http.Server{Handler: h}, ln: ln}
 	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			s.errMu.Lock()
 			s.serveErr = err
 			s.errMu.Unlock()
 		}
 	}()
-	return s, nil
+	return s
 }

@@ -144,6 +144,37 @@ func NewCoordinator(cfg Config, numCaches int, transport Transport, src *simrand
 	return c, nil
 }
 
+// RunWithFaults runs one distributed formation over a fresh transport
+// with the fault model faults: it starts an agent for each of numCaches
+// caches, kills the crash highest-index ones, and runs a coordinator with
+// cfg. The transport draws from src.Split("transport") and the
+// coordinator from src.Split("coordinator"). The returned transport is
+// closed; Run leaves nothing in flight, so its Stats cover the whole run.
+func RunWithFaults(cfg Config, faults FaultConfig, prober *probe.Prober, numCaches, crash int, src *simrand.Source) (*Result, *ChanTransport, error) {
+	if crash < 0 || crash >= numCaches {
+		return nil, nil, fmt.Errorf("crash count %d out of range [0,%d)", crash, numCaches)
+	}
+	tr, err := NewFaultTransport(faults, src.Split("transport"))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer tr.Close()
+	for i := 0; i < numCaches; i++ {
+		if _, err := NewAgent(topology.CacheIndex(i), prober, tr); err != nil {
+			return nil, nil, fmt.Errorf("start agent %d: %w", i, err)
+		}
+	}
+	for i := 0; i < crash; i++ {
+		tr.Kill(CacheAddr(topology.CacheIndex(numCaches - 1 - i)))
+	}
+	coord, err := NewCoordinator(cfg, numCaches, tr, src.Split("coordinator"))
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := coord.Run()
+	return res, tr, err
+}
+
 // Run executes the five protocol rounds and returns the formed groups.
 // It returns either a Result whose plan and conservation accounting
 // passed its invariant checks or a typed error (*RoundError / *verify.Error);

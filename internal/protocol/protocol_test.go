@@ -611,3 +611,41 @@ func TestProtocolMatchesFormGroups(t *testing.T) {
 		})
 	}
 }
+
+// TestRunWithFaults checks the one-call fault run: the crashed caches
+// are the highest-index ones and end up unresponsive, nothing is left in
+// flight when the transport closes, and a crash count outside [0, n)
+// fails before any transport is built.
+func TestRunWithFaults(t *testing.T) {
+	const n, crash = 40, 4
+	g, err := topology.GenerateTransitStub(topology.DefaultTransitStubParams(), simrand.New(501))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: n}, simrand.New(502))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prober, err := probe.NewProber(nw, probe.DefaultConfig(), simrand.New(503))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := FaultConfig{Loss: 0.1, DupProb: 0.1, DelayProb: 0.2}
+	res, tr, err := RunWithFaults(defaultCfg(4), faults, prober, n, crash, simrand.New(504))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := n - crash; c < n; c++ {
+		if !slices.Contains(res.Unresponsive, topology.CacheIndex(c)) {
+			t.Errorf("crashed cache %d not reported unresponsive", c)
+		}
+	}
+	if st := tr.Stats(); st.Sent == 0 || st.DroppedClosed != 0 {
+		t.Errorf("transport stats %+v: want traffic and nothing dropped at close", st)
+	}
+	for _, bad := range []int{-1, n} {
+		if _, _, err := RunWithFaults(defaultCfg(4), faults, prober, n, bad, simrand.New(504)); err == nil {
+			t.Errorf("crash count %d accepted", bad)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"edgecachegroups/internal/obs"
@@ -202,33 +201,11 @@ func cacheInts(members []topology.CacheIndex) []int {
 }
 
 // Server is a live groupformd endpoint: the engine's background loop plus
-// an HTTP listener. Construct with Serve; Close stops both.
+// the HTTP listener, whose Addr and ServeErr it shares. Construct with
+// Serve; Close stops both.
 type Server struct {
+	*obs.Server
 	engine *Engine
-	srv    *http.Server
-	ln     net.Listener
-
-	errMu    sync.Mutex
-	serveErr error // terminal accept-loop error other than a clean Close
-}
-
-// ServeErr returns the error that killed the background accept loop, if
-// it died for a reason other than Close; nil while serving normally.
-func (s *Server) ServeErr() error {
-	if s == nil {
-		return nil
-	}
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.serveErr
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string {
-	if s == nil || s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Engine returns the serving engine.
@@ -248,12 +225,9 @@ func (s *Server) Close() error {
 	}
 	s.engine.Stop()
 	persistErr := s.engine.Persist()
-	closeErr := s.srv.Close()
+	closeErr := s.Server.Close()
 	if persistErr != nil {
 		return persistErr
-	}
-	if serveErr := s.ServeErr(); serveErr != nil {
-		return serveErr
 	}
 	return closeErr
 }
@@ -266,15 +240,6 @@ func Serve(addr string, e *Engine, o *obs.Obs) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewHandler(e, o)}
 	e.Start()
-	s := &Server{engine: e, srv: srv, ln: ln}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.errMu.Lock()
-			s.serveErr = err
-			s.errMu.Unlock()
-		}
-	}()
-	return s, nil
+	return &Server{Server: obs.ServeOn(ln, NewHandler(e, o)), engine: e}, nil
 }

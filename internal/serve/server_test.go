@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -243,14 +244,17 @@ func TestServeErrSurfacesAcceptLoopFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	s, err := Serve("127.0.0.1:0", e, obs.New())
+	// Serve's own assembly, on a listener the test can kill.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("listen: %v", err)
 	}
+	e.Start()
+	s := &Server{Server: obs.ServeOn(ln, NewHandler(e, obs.New())), engine: e}
 	if err := s.ServeErr(); err != nil {
 		t.Fatalf("ServeErr before any failure = %v", err)
 	}
-	s.ln.Close() // simulate the listener dying while the server runs
+	ln.Close() // simulate the listener dying while the server runs
 	deadline := time.Now().Add(5 * time.Second)
 	for s.ServeErr() == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
