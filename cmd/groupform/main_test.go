@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -154,6 +155,36 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-caches", "20", "-k", "2", "-distributed", "-loss", "1"}, &buf); err == nil {
 		t.Fatal("loss=1 accepted")
+	}
+}
+
+// TestClampLandmarks checks that -l and -m larger than the network allows
+// are shrunk to fit the cache count (landmark.Fit) instead of failing
+// formation.
+func TestClampLandmarks(t *testing.T) {
+	tests := []struct {
+		l, m, n int
+	}{
+		{25, 4, 500},
+		{25, 4, 40},
+		{25, 0, 100},
+		{1, 1, 1},
+	}
+	for _, tt := range tests {
+		var buf bytes.Buffer
+		args := []string{"-caches", strconv.Itoa(tt.n), "-k", "1",
+			"-l", strconv.Itoa(tt.l), "-m", strconv.Itoa(tt.m), "-json"}
+		if err := run(args, &buf); err != nil {
+			t.Errorf("run(-l %d -m %d -caches %d): %v", tt.l, tt.m, tt.n, err)
+			continue
+		}
+		var out output
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("invalid JSON: %v", err)
+		}
+		if len(out.Assignments) != tt.n {
+			t.Errorf("-l %d -m %d -caches %d: %d assignments", tt.l, tt.m, tt.n, len(out.Assignments))
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -188,6 +189,38 @@ func TestDaemonRejectsNonFiniteFlags(t *testing.T) {
 			t.Errorf("%v accepted", flags)
 		}
 		assertNoFormation(t, flags, buf.String())
+	}
+}
+
+// TestClampLandmarks checks that the boot formation shrinks -l and -m to
+// fit the cache count (landmark.Fit) instead of failing.
+func TestClampLandmarks(t *testing.T) {
+	tests := []struct {
+		l, m, n int
+		wantL   int
+	}{
+		{25, 4, 500, 25},
+		{25, 4, 40, 11},
+		{25, 0, 100, 25},
+		{1, 1, 1, 2},
+	}
+	for _, tt := range tests {
+		args := []string{"-addr", "127.0.0.1:0", "-interval", "1h", "-scheme", "sl",
+			"-caches", strconv.Itoa(tt.n), "-k", "1",
+			"-l", strconv.Itoa(tt.l), "-m", strconv.Itoa(tt.m)}
+		ready := make(chan *ecg.ServeServer, 1)
+		var buf bytes.Buffer
+		if err := run(args, &buf, ready); err != nil {
+			t.Errorf("boot(l=%d, m=%d, caches=%d): %v", tt.l, tt.m, tt.n, err)
+			continue
+		}
+		srv := <-ready
+		plan := srv.Engine().Epoch().Plan
+		srv.Close()
+		if len(plan.Landmarks) != tt.wantL {
+			t.Errorf("boot(l=%d, m=%d, caches=%d): %d landmarks, want %d",
+				tt.l, tt.m, tt.n, len(plan.Landmarks), tt.wantL)
+		}
 	}
 }
 
