@@ -277,6 +277,25 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(reqs)), "requests/op")
 }
 
+// BenchmarkGenerateRequests times the simulate workload's request-log
+// synthesis: 500 caches' runs at the default trace parameters, merged into
+// one time-ordered stream.
+func BenchmarkGenerateRequests(b *testing.B) {
+	catalog, err := workload.NewCatalog(workload.DefaultCatalogParams(), simrand.New(11))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []workload.Request
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if reqs, err = workload.GenerateRequests(catalog, 500, workload.DefaultTraceParams(), simrand.New(12)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(reqs)), "requests/op")
+}
+
 // BenchmarkObsHistogram measures the enabled histogram record path — the
 // per-request cost the simulator pays at merge time when an Obs sink is
 // attached. The contract is 0 allocs/op (pinned hard by the

@@ -79,6 +79,16 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 		return err
 	}
 
+	// The formation flags are checked even when a snapshot supplies the
+	// boot plan, so a flag that could not form a plan never boots.
+	fcfg, err := scheme.Config(*caches, o)
+	if err != nil {
+		return err
+	}
+	if err := fcfg.Validate(*caches); err != nil {
+		return err
+	}
+
 	// Boot plan: a persisted snapshot when available, otherwise an initial
 	// formation over a freshly simulated network.
 	if *snapshot != "" {
@@ -93,10 +103,6 @@ func run(args []string, w io.Writer, ready chan<- *ecg.ServeServer) error {
 	}
 	if cfg.Plan == nil {
 		// The boot plan is the one groupform forms for the same flags.
-		fcfg, err := scheme.Config(*caches, o)
-		if err != nil {
-			return err
-		}
 		_, plan, err := cli.Form(nil, *caches, *k, fcfg, cfg.Rand)
 		if err != nil {
 			return err

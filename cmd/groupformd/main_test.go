@@ -141,6 +141,29 @@ func TestDaemonSnapshotRestart(t *testing.T) {
 	}
 }
 
+// TestSnapshotRebootChecksFormationFlags: a reboot on an existing snapshot
+// restores the plan instead of forming one, but a formation flag that
+// could not form a plan must still fail it.
+func TestSnapshotRebootChecksFormationFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	var buf bytes.Buffer
+	if err := boot(t, &buf, "-snapshot", path).Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for _, flags := range [][]string{
+		{"-scheme", "bogus"},
+		{"-theta", "NaN"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-snapshot", path}, flags...)
+		var out bytes.Buffer
+		ready := make(chan *ecg.ServeServer, 1)
+		if err := run(args, &out, ready); err == nil {
+			(<-ready).Close()
+			t.Errorf("%v: booted on the snapshot:\n%s", flags, out.String())
+		}
+	}
+}
+
 func TestDaemonErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

@@ -131,13 +131,21 @@ type Stats struct {
 // simulator's event loop serializes access.
 type EdgeCache struct {
 	cfg Config
-	// entries holds the cached copies densely, in no particular order; slot
-	// maps a document to its index in entries. Removal moves the last entry
-	// into the freed index, so the store never holds gaps.
+	// entries holds the cached copies densely, in no particular order.
+	// Removal moves the last entry into the freed index, so the store never
+	// holds gaps.
 	entries []entry
-	slot    map[int32]int32
-	usedKB  float64
-	stats   Stats
+	// slots is an open-addressed table from document to entry: each slot
+	// holds an index into entries plus one, or 0 when empty. Its length is
+	// a power of two at least twice len(entries); a document's home slot is
+	// the top bits of a multiplicative hash (shift drops the rest), and
+	// collisions probe linearly. The keys are the entries' doc fields, so
+	// the table stores no second copy of them, and deletion shifts the rest
+	// of a probe chain back instead of leaving tombstones.
+	slots  []int32
+	shift  uint32
+	usedKB float64
+	stats  Stats
 
 	// onEvict, when set, is invoked for every entry leaving the cache
 	// (eviction, stale drop or invalidation) so a holder directory can
@@ -157,9 +165,36 @@ func New(cfg Config) (*EdgeCache, error) {
 		cfg.Policy = PolicyUtility
 	}
 	return &EdgeCache{
-		cfg:  cfg,
-		slot: make(map[int32]int32),
+		cfg:   cfg,
+		slots: make([]int32, minSlots),
+		shift: 32 - minSlotBits,
 	}, nil
+}
+
+// The slot table starts at 1<<minSlotBits slots and doubles whenever an
+// insert would take it past half full.
+const (
+	minSlotBits = 4
+	minSlots    = 1 << minSlotBits
+)
+
+// home returns doc's home slot: the top bits of its Fibonacci hash.
+func (ec *EdgeCache) home(doc int32) int {
+	return int((uint32(doc) * 0x9e3779b9) >> ec.shift)
+}
+
+// probe returns the slot that holds doc or, when doc is not cached, the
+// empty slot that ends its probe chain.
+func (ec *EdgeCache) probe(doc int32) int {
+	mask := len(ec.slots) - 1
+	s := ec.home(doc)
+	for {
+		v := ec.slots[s]
+		if v == 0 || ec.entries[v-1].doc == doc {
+			return s
+		}
+		s = (s + 1) & mask
+	}
 }
 
 // find returns the index in entries of the copy of doc, or -1. A DocID
@@ -168,11 +203,33 @@ func (ec *EdgeCache) find(doc workload.DocID) int {
 	if doc < 0 || doc > math.MaxInt32 {
 		return -1
 	}
-	i, ok := ec.slot[int32(doc)]
-	if !ok {
-		return -1
+	return int(ec.slots[ec.probe(int32(doc))]) - 1
+}
+
+// grow doubles the slot table and re-enters every entry, in entries order.
+func (ec *EdgeCache) grow() {
+	ec.slots = make([]int32, 2*len(ec.slots))
+	ec.shift--
+	for i := range ec.entries {
+		ec.slots[ec.probe(ec.entries[i].doc)] = int32(i + 1)
 	}
-	return int(i)
+}
+
+// clearSlot empties slot hole by backward-shift deletion: each later entry
+// of the probe chain whose home does not lie cyclically in (hole, j] moves
+// back into the hole, which then moves to where it was, until the chain
+// ends at an empty slot. Every remaining entry stays reachable from its
+// home without a tombstone.
+func (ec *EdgeCache) clearSlot(hole int) {
+	mask := len(ec.slots) - 1
+	for j := (hole + 1) & mask; ec.slots[j] != 0; j = (j + 1) & mask {
+		v := ec.slots[j]
+		if (j-ec.home(ec.entries[v-1].doc))&mask >= (j-hole)&mask {
+			ec.slots[hole] = v
+			hole = j
+		}
+	}
+	ec.slots[hole] = 0
 }
 
 // SetEvictionHook registers fn to be called whenever a document leaves the
@@ -274,7 +331,10 @@ func (ec *EdgeCache) Insert(d workload.Document, version int64, nowSec float64) 
 		copy(grown, ec.entries)
 		ec.entries = grown
 	}
-	ec.slot[int32(d.ID)] = int32(len(ec.entries))
+	if 2*(len(ec.entries)+1) > len(ec.slots) {
+		ec.grow()
+	}
+	ec.slots[ec.probe(int32(d.ID))] = int32(len(ec.entries) + 1)
 	ec.entries = append(ec.entries, entry{
 		doc:        int32(d.ID),
 		sizeKB:     d.SizeKB,
@@ -330,13 +390,13 @@ func (ec *EdgeCache) evictOne(nowSec float64) bool {
 // removeEntry drops entries[i] by moving the last entry into its index.
 func (ec *EdgeCache) removeEntry(i int, notify bool) {
 	doc, sizeKB := ec.entries[i].doc, ec.entries[i].sizeKB
+	ec.clearSlot(ec.probe(doc))
 	last := len(ec.entries) - 1
 	if i != last {
 		ec.entries[i] = ec.entries[last]
-		ec.slot[ec.entries[i].doc] = int32(i)
+		ec.slots[ec.probe(ec.entries[i].doc)] = int32(i + 1)
 	}
 	ec.entries = ec.entries[:last]
-	delete(ec.slot, doc)
 	ec.usedKB -= sizeKB
 	if ec.usedKB < 0 {
 		ec.usedKB = 0

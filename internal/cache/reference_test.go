@@ -17,11 +17,31 @@ import (
 // both replacement policies.
 //
 // Input layout: byte 0 picks the policy (bit 0) and the capacity; byte 1
-// the miss penalty; then each call takes five bytes: kind, document, two
-// argument bytes, and a time step (zero steps give equal-time ties).
+// the miss penalty; then each call takes five bytes: kind, document (an
+// index into fuzzDocs), two argument bytes, and a time step (zero steps
+// give equal-time ties).
 func FuzzEdgeCacheMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 100, 0, 1, 40, 0, 1, 0, 2, 40, 0, 1, 0, 3, 40, 0, 1})
 	f.Add([]byte{1, 100, 0, 1, 40, 0, 1, 1, 1, 0, 0, 1, 0, 2, 40, 0, 1, 0, 3, 40, 0, 1})
+	// Backward-shift deletion at 16 slots (TestSlotTableBackwardShift has
+	// the layouts): a chain wrapping from slot 15 to slots 0-2, a chain in
+	// slots 13-15 emptied from its head, and a chain in slots 5-8 whose
+	// slot-7 entry is at its home. The last seed fills the table past two
+	// growths, then removes from the wrapped chain.
+	insert := func(i byte) []byte { return []byte{0, i, 0, 4, 1} }
+	lookup := func(i byte) []byte { return []byte{1, i, 0, 0, 1} }
+	invalidate := func(i byte) []byte { return []byte{3, i, 0, 0, 1} }
+	seed := func(calls ...[]byte) []byte {
+		return slices.Concat(append([][]byte{{200, 100}}, calls...)...)
+	}
+	f.Add(seed(insert(2), insert(3), insert(4), insert(6), invalidate(2), lookup(3), lookup(4), lookup(6), invalidate(3), lookup(4), lookup(6)))
+	f.Add(seed(insert(8), insert(9), insert(10), invalidate(8), lookup(9), lookup(10), insert(8), invalidate(9), lookup(10)))
+	f.Add(seed(insert(11), insert(12), insert(14), insert(13), invalidate(11), lookup(12), lookup(14), lookup(13), invalidate(14), lookup(13)))
+	var fill [][]byte
+	for i := range byte(len(fuzzDocs)) {
+		fill = append(fill, insert(i))
+	}
+	f.Add(seed(append(fill, invalidate(2), lookup(3), invalidate(0), lookup(6), invalidate(1), insert(2))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -46,10 +66,9 @@ func FuzzEdgeCacheMatchesReference(f *testing.F) {
 		ec.SetEvictionHook(func(d workload.DocID) { gotEvicted = append(gotEvicted, d) })
 		ref.SetEvictionHook(func(d workload.DocID) { wantEvicted = append(wantEvicted, d) })
 
-		const numDocs = 16
 		now := 0.0
 		for ops := data[2:]; len(ops) >= 5; ops = ops[5:] {
-			d := workload.DocID(ops[1] % numDocs)
+			d := fuzzDocs[int(ops[1])%len(fuzzDocs)]
 			version := int64(ops[2] % 3)
 			now += float64(ops[4]%16) / 4
 			var got, want string
@@ -85,7 +104,8 @@ func FuzzEdgeCacheMatchesReference(f *testing.F) {
 			if !slices.Equal(gotEvicted, wantEvicted) {
 				t.Fatalf("after call %v: evictions %v, reference %v", ops[:5], gotEvicted, wantEvicted)
 			}
-			for doc := workload.DocID(0); doc < numDocs; doc++ {
+			checkSlots(t, ec)
+			for _, doc := range fuzzDocs {
 				u, ok := ec.Utility(doc, now)
 				ru, rok := ref.Utility(doc, now)
 				if ok != rok || math.Float64bits(u) != math.Float64bits(ru) {
@@ -94,6 +114,21 @@ func FuzzEdgeCacheMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzDocs maps FuzzEdgeCacheMatchesReference's document byte to an ID.
+// Beside the ends of the admitted range it holds IDs that share a home slot
+// at table sizes 16 and 32 (TestFuzzDocHomes pins the homes), so short call
+// sequences build probe chains and wrap around the table's end, and enough
+// fillers that the table grows from 16 slots to 32 and then 64.
+var fuzzDocs = []workload.DocID{
+	0, math.MaxInt32,
+	21, 55, 76, 110, // home 15 at 16 slots, 31 at 32: chains wrap
+	34, 68, // home 0 at both sizes: a chain continues after the wrap
+	24, 79, 113, // home 13 at 16 slots, 26 at 32
+	7, 41, 62, // home 5 at 16 slots, 10 at 32
+	25, // home 7 at 16 slots, 14 at 32
+	1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 22, 23, 1 << 30,
 }
 
 // The reference store: EdgeCache as it was before the dense-slice store,

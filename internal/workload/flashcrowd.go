@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"edgecachegroups/internal/simrand"
@@ -87,7 +85,8 @@ func (fc *FlashCrowd) GenerateRequests(numCaches int, base TraceParams, src *sim
 	if numCaches < 1 {
 		return nil, fmt.Errorf("workload: numCaches must be >= 1, got %d", numCaches)
 	}
-	var out []Request
+	var all []Request
+	ends := make([]int, numCaches)
 	for i := 0; i < numCaches; i++ {
 		cacheSrc := src.SplitN("cache", i)
 		lp := newLocalProfile(fc.catalog.NumDocuments(), cacheSrc.Split("perm"))
@@ -113,38 +112,40 @@ func (fc *FlashCrowd) GenerateRequests(numCaches int, base TraceParams, src *sim
 			default:
 				doc = lp.sample(fc.catalog, cacheSrc)
 			}
-			out = append(out, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
+			all = append(all, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
 		}
+		ends[i] = len(all)
 	}
-	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
-	return out, nil
+	return mergeRuns(cutRuns(all, ends), requestTime), nil
 }
 
 // GenerateUpdates synthesizes the update log with the episode applied: the
 // base per-document rates everywhere, plus Poisson updates at
-// UpdateRatePerSec for each hot document inside the window.
+// UpdateRatePerSec for each hot document inside the window. The base log
+// and each hot document's updates are runs in time order, merged with the
+// base log first and the hot documents in HotSet order on equal times.
 func (fc *FlashCrowd) GenerateUpdates(durationSec float64, src *simrand.Source) ([]Update, error) {
-	out, err := GenerateUpdates(fc.catalog, durationSec, src.Split("base"))
-	if err != nil {
-		return nil, err
+	base, err := GenerateUpdates(fc.catalog, durationSec, src.Split("base"))
+	if err != nil || fc.Params.UpdateRatePerSec <= 0 {
+		return base, err
 	}
-	if fc.Params.UpdateRatePerSec > 0 {
-		end := fc.Params.EndSec
-		if end > durationSec {
-			end = durationSec
-		}
-		for i, doc := range fc.HotSet {
-			docSrc := src.SplitN("hot", i)
-			t := fc.Params.StartSec
-			for {
-				t += docSrc.Exponential(fc.Params.UpdateRatePerSec)
-				if t >= end {
-					break
-				}
-				out = append(out, Update{TimeSec: t, Doc: doc})
+	end := fc.Params.EndSec
+	if end > durationSec {
+		end = durationSec
+	}
+	var hot []Update
+	ends := make([]int, len(fc.HotSet))
+	for i, doc := range fc.HotSet {
+		docSrc := src.SplitN("hot", i)
+		t := fc.Params.StartSec
+		for {
+			t += docSrc.Exponential(fc.Params.UpdateRatePerSec)
+			if t >= end {
+				break
 			}
+			hot = append(hot, Update{TimeSec: t, Doc: doc})
 		}
-		slices.SortStableFunc(out, func(a, b Update) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
+		ends[i] = len(hot)
 	}
-	return out, nil
+	return mergeRuns(append([][]Update{base}, cutRuns(hot, ends)...), updateTime), nil
 }

@@ -1,9 +1,8 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 
 	"edgecachegroups/internal/simrand"
 	"edgecachegroups/internal/topology"
@@ -79,8 +78,24 @@ func (lp localProfile) sample(c *Catalog, src *simrand.Source) DocID {
 	return DocID(lp.perm[rank])
 }
 
+func requestTime(r Request) float64 { return r.TimeSec }
+
+func updateTime(u Update) float64 { return u.TimeSec }
+
+// poissonCap sizes a buffer for a Poisson count of the given mean: the
+// mean plus four standard deviations, so append almost never regrows it. A
+// mean beyond 1<<20 starts the buffer at 1<<20 and leaves the rest to
+// append.
+func poissonCap(mean float64) int {
+	if !(mean < 1<<20) {
+		return 1 << 20
+	}
+	return int(mean+4*math.Sqrt(mean)) + 1
+}
+
 // GenerateRequests synthesizes the per-cache request logs for numCaches
-// caches and merges them into one time-ordered stream.
+// caches and merges them into one time-ordered stream. Each cache's log is
+// a run in time order; equal times across caches come out in cache order.
 func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simrand.Source) ([]Request, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -88,7 +103,8 @@ func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simran
 	if numCaches < 1 {
 		return nil, fmt.Errorf("workload: numCaches must be >= 1, got %d", numCaches)
 	}
-	var out []Request
+	all := make([]Request, 0, poissonCap(float64(numCaches)*params.RequestRatePerCache*params.DurationSec))
+	ends := make([]int, numCaches)
 	for i := 0; i < numCaches; i++ {
 		cacheSrc := src.SplitN("cache", i)
 		lp := newLocalProfile(c.NumDocuments(), cacheSrc.Split("perm"))
@@ -104,20 +120,23 @@ func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simran
 			} else {
 				doc = lp.sample(c, cacheSrc)
 			}
-			out = append(out, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
+			all = append(all, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
 		}
+		ends[i] = len(all)
 	}
-	slices.SortStableFunc(out, func(a, b Request) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
-	return out, nil
+	return mergeRuns(cutRuns(all, ends), requestTime), nil
 }
 
 // GenerateUpdates synthesizes the origin server's update log over the given
 // duration: each dynamic document receives Poisson updates at its own rate.
+// Each document's updates are a run in time order; equal times across
+// documents come out in document order.
 func GenerateUpdates(c *Catalog, durationSec float64, src *simrand.Source) ([]Update, error) {
 	if durationSec <= 0 {
 		return nil, fmt.Errorf("workload: durationSec must be > 0, got %v", durationSec)
 	}
-	var out []Update
+	var all []Update
+	var ends []int
 	for i := 0; i < c.NumDocuments(); i++ {
 		doc := c.docs[i]
 		if doc.UpdateRatePerSec <= 0 {
@@ -130,9 +149,9 @@ func GenerateUpdates(c *Catalog, durationSec float64, src *simrand.Source) ([]Up
 			if t >= durationSec {
 				break
 			}
-			out = append(out, Update{TimeSec: t, Doc: doc.ID})
+			all = append(all, Update{TimeSec: t, Doc: doc.ID})
 		}
+		ends = append(ends, len(all))
 	}
-	slices.SortStableFunc(out, func(a, b Update) int { return cmp.Compare(a.TimeSec, b.TimeSec) })
-	return out, nil
+	return mergeRuns(cutRuns(all, ends), updateTime), nil
 }

@@ -18,7 +18,9 @@
 # wall-clock ratio pin the bounds-pruning win), the flat feature-build path
 # (FeatureBuild, with its O(workers)-allocation guards on the feature build
 # and on Prober.MeasureMatrix), the end-to-end Fig3 sweep, the simulator
-# throughput path whose allocs/op the allocation-lean work targets, the observability record paths (ObsHistogram = enabled
+# throughput path whose allocs/op the allocation-lean work targets, the
+# simulate workload's request-log synthesis (GenerateRequests = 500
+# caches' runs merged into one stream), the observability record paths (ObsHistogram = enabled
 # per-sample cost, ObsDisabled = nil-handle overhead; both must stay at
 # 0 allocs/op), and the full-module lint-engine run (EcglintModule = the
 # per-invocation cost of the CI lint gate: load, type-check, call graph,
@@ -31,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
 BENCHTIME="${2:-1x}"
-BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkObs|BenchmarkEcglint'
+BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkGenerateRequests|BenchmarkObs|BenchmarkEcglint'
 OUT="BENCH_pipeline.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
