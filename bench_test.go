@@ -17,7 +17,6 @@ import (
 	"edgecachegroups/internal/cluster"
 	"edgecachegroups/internal/core"
 	"edgecachegroups/internal/experiments"
-	"edgecachegroups/internal/gnp"
 	"edgecachegroups/internal/landmark"
 	"edgecachegroups/internal/lint"
 	"edgecachegroups/internal/netsim"
@@ -189,36 +188,6 @@ func BenchmarkFeatureBuild(b *testing.B) {
 		}
 	}
 }
-
-// benchGNPEmbedHosts runs the phase-2 batch embedding of 200 hosts against
-// 25 landmarks at a fixed worker-pool bound. The per-host RNG streams make
-// the result worker-count-invariant.
-func benchGNPEmbedHosts(b *testing.B, workers int) {
-	src := simrand.New(5)
-	landmarks := make([][]float64, 25)
-	for i := range landmarks {
-		landmarks[i] = []float64{src.Uniform(0, 300), src.Uniform(0, 300), src.Uniform(0, 300), src.Uniform(0, 300), src.Uniform(0, 300)}
-	}
-	toLm := make([][]float64, 200)
-	for h := range toLm {
-		toLm[h] = make([]float64, 25)
-		for i := range toLm[h] {
-			toLm[h][i] = src.Uniform(10, 300)
-		}
-	}
-	cfg := gnp.DefaultConfig()
-	cfg.Parallelism = workers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gnp.EmbedHosts(landmarks, toLm, cfg, src.SplitN("batch", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGNPEmbedHosts1(b *testing.B) { benchGNPEmbedHosts(b, 1) }
-func BenchmarkGNPEmbedHosts8(b *testing.B) { benchGNPEmbedHosts(b, 8) }
 
 func BenchmarkGreedyLandmarkSelection(b *testing.B) {
 	g := benchTopology(b)

@@ -1,12 +1,9 @@
 // Command benchjson converts `go test -bench` output into the tracked
 // benchmark-baseline JSON (BENCH_pipeline.json). It reads benchmark lines
 // from stdin, averages repeated runs (-count=N) and keeps their min and
-// max ns/op beside the mean, derives parallel-vs-serial speedups for
-// benchmark pairs whose names differ only in a trailing worker count
-// (FooPar1/FooPar8, Foo1/Foo8) plus pruned-vs-exhaustive speedups for
-// FooExhaustive/FooPruned pairs, and records the host's CPU budget so a
-// baseline measured on a single-core machine is not mistaken for one where
-// the parallel pipeline could show its wall-clock win.
+// max ns/op beside the mean, derives pruned-vs-exhaustive speedups for
+// FooExhaustive/FooPruned pairs, and records the host's CPU count and
+// GOMAXPROCS beside the numbers.
 //
 // Usage:
 //
@@ -38,7 +35,8 @@ type Bench struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-// Speedup compares a serial/parallel benchmark pair.
+// Speedup compares a FooExhaustive benchmark (Serial) with its
+// FooPruned variant (Parallel).
 type Speedup struct {
 	Name     string  `json:"name"`
 	Serial   string  `json:"serial"`
@@ -53,7 +51,6 @@ type Baseline struct {
 	GoArch     string    `json:"goarch"`
 	NumCPU     int       `json:"num_cpu"`
 	GOMAXPROCS int       `json:"gomaxprocs"`
-	Note       string    `json:"note,omitempty"`
 	Benchmarks []Bench   `json:"benchmarks"`
 	Speedups   []Speedup `json:"speedups,omitempty"`
 }
@@ -81,9 +78,6 @@ func run(r io.Reader, w io.Writer) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: benches,
 		Speedups:   speedups(benches),
-	}
-	if base.NumCPU == 1 {
-		base.Note = "single-CPU host: parallel benches cannot show a wall-clock speedup here; compare allocs/op and re-measure on multi-core hardware"
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -187,38 +181,30 @@ func trimProcs(name string) string {
 	return name[:i]
 }
 
-// speedups pairs benchmarks whose names differ only in a trailing variant
-// marker: a worker count where the serial member ends in "1"
-// (GNPEmbedHosts1/GNPEmbedHosts8), and the algorithmic Exhaustive/Pruned pairs
-// (KMeansFlatExhaustive/KMeansFlatPruned) where the win comes from bounds
-// pruning rather than goroutines — the speedup that survives a 1-CPU host.
+// speedups pairs each FooExhaustive benchmark with its FooPruned variant
+// (KMeansFlatExhaustive/KMeansFlatPruned), where the win comes from
+// bounds pruning rather than goroutines.
 func speedups(benches []Bench) []Speedup {
 	byName := make(map[string]Bench, len(benches))
 	for _, b := range benches {
 		byName[b.Name] = b
 	}
 	var out []Speedup
-	pair := func(baseline Bench, prefix, variant string) {
-		faster, ok := byName[prefix+variant]
-		if !ok || faster.NsPerOp <= 0 {
-			return
+	for _, baseline := range benches {
+		prefix, ok := strings.CutSuffix(baseline.Name, "Exhaustive")
+		if !ok {
+			continue
+		}
+		pruned, ok := byName[prefix+"Pruned"]
+		if !ok || pruned.NsPerOp <= 0 {
+			continue
 		}
 		out = append(out, Speedup{
-			Name:     strings.TrimPrefix(prefix, "Benchmark") + "x" + variant,
+			Name:     strings.TrimPrefix(prefix, "Benchmark") + "xPruned",
 			Serial:   baseline.Name,
-			Parallel: prefix + variant,
-			Factor:   baseline.NsPerOp / faster.NsPerOp,
+			Parallel: pruned.Name,
+			Factor:   baseline.NsPerOp / pruned.NsPerOp,
 		})
-	}
-	for _, baseline := range benches {
-		if prefix, ok := strings.CutSuffix(baseline.Name, "1"); ok {
-			for _, workers := range []string{"2", "4", "8", "16"} {
-				pair(baseline, prefix, workers)
-			}
-		}
-		if prefix, ok := strings.CutSuffix(baseline.Name, "Exhaustive"); ok {
-			pair(baseline, prefix, "Pruned")
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -12,9 +12,9 @@ const sample = `goos: linux
 goarch: amd64
 pkg: edgecachegroups
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkKMeansPar1-8     	     100	   6513225 ns/op	  123568 B/op	      91 allocs/op
-BenchmarkKMeansPar1-8     	     100	   6313225 ns/op	  123568 B/op	      91 allocs/op
-BenchmarkKMeansPar8-8     	     100	   3206612 ns/op	  140848 B/op	     474 allocs/op
+BenchmarkKMeansFlatExhaustive-8	     100	   6513225 ns/op	  123568 B/op	      91 allocs/op
+BenchmarkKMeansFlatExhaustive-8	     100	   6313225 ns/op	  123568 B/op	      91 allocs/op
+BenchmarkKMeansFlatPruned-8	     100	   3206612 ns/op	  140848 B/op	     474 allocs/op
 BenchmarkSimulatorThroughput-8	      10	  52000000 ns/op	  900000 B/op	    1200 allocs/op	     24000 requests/op
 PASS
 ok  	edgecachegroups	0.085s
@@ -29,8 +29,8 @@ func TestParseAveragesRepeatedRuns(t *testing.T) {
 		t.Fatalf("got %d benches, want 3", len(benches))
 	}
 	km := benches[0]
-	if km.Name != "BenchmarkKMeansPar1" {
-		t.Fatalf("first bench %q, want BenchmarkKMeansPar1", km.Name)
+	if km.Name != "BenchmarkKMeansFlatExhaustive" {
+		t.Fatalf("first bench %q, want BenchmarkKMeansFlatExhaustive", km.Name)
 	}
 	if km.Runs != 2 || km.Iterations != 200 {
 		t.Fatalf("runs/iterations = %d/%d, want 2/200", km.Runs, km.Iterations)
@@ -79,23 +79,6 @@ func TestParseKeepsNsPerOpSpread(t *testing.T) {
 	}
 }
 
-func TestSpeedupPairsSerialAndParallel(t *testing.T) {
-	benches, err := parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := speedups(benches)
-	if len(sp) != 1 {
-		t.Fatalf("got %d speedups, want 1: %+v", len(sp), sp)
-	}
-	if sp[0].Serial != "BenchmarkKMeansPar1" || sp[0].Parallel != "BenchmarkKMeansPar8" {
-		t.Fatalf("wrong pair: %+v", sp[0])
-	}
-	if want := 6413225.0 / 3206612.0; math.Abs(sp[0].Factor-want) > 1e-9 {
-		t.Fatalf("factor = %v, want %v", sp[0].Factor, want)
-	}
-}
-
 // TestSpeedupPairsExhaustiveAndPruned pins the algorithmic pairing: a
 // FooExhaustive baseline is compared against its FooPruned variant, the
 // speedup that remains meaningful on a single-CPU host. Other variants of
@@ -136,6 +119,9 @@ func TestRunEmitsValidBaseline(t *testing.T) {
 	}
 	if len(base.Benchmarks) != 3 || len(base.Speedups) != 1 {
 		t.Fatalf("unexpected content: %d benches, %d speedups", len(base.Benchmarks), len(base.Speedups))
+	}
+	if sp := base.Speedups[0]; sp.Name != "KMeansFlatxPruned" || math.Abs(sp.Factor-6413225.0/3206612.0) > 1e-9 {
+		t.Fatalf("wrong speedup: %+v", sp)
 	}
 }
 

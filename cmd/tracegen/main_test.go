@@ -79,6 +79,14 @@ func TestRunRejectsBadParams(t *testing.T) {
 	if err := run([]string{"-similarity", "2"}, &buf); err == nil {
 		t.Fatal("bad similarity accepted")
 	}
+	// NaN parameters must fail before generation starts: a NaN duration
+	// never ends the arrival loop.
+	for _, flag := range []string{"-duration", "-rate", "-similarity"} {
+		err := run([]string{flag, "NaN", "-caches", "2", "-out", t.TempDir()}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Fatalf("%s NaN: err = %v, want a finiteness error", flag, err)
+		}
+	}
 }
 
 func TestRunDeterministicOutput(t *testing.T) {

@@ -188,7 +188,6 @@ func EuclideanScheme(l, m, dim int) SchemeConfig { return core.EuclideanScheme(l
 func WithParallelism(cfg SchemeConfig, workers int) SchemeConfig {
 	cfg.ProbeParallelism = workers
 	cfg.Cluster.Parallelism = workers
-	cfg.GNP.Parallelism = workers
 	return cfg
 }
 

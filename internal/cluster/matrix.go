@@ -64,8 +64,7 @@ func (m Matrix) Rows() int {
 func (m Matrix) Dim() int { return m.dim }
 
 // Data returns the flat row-major backing array (row i occupies
-// [i*Dim, (i+1)*Dim)). It is the bridge to flat-writing producers like
-// gnp.EmbedHostsInto; mutating it mutates the matrix.
+// [i*Dim, (i+1)*Dim)); mutating it mutates the matrix.
 func (m Matrix) Data() []float64 { return m.data }
 
 // Row returns row i as a view into the backing array. The view's capacity

@@ -109,8 +109,9 @@ type Config struct {
 	// Vivaldi configures the spring-relaxation embedding when
 	// Representation is Vivaldi.
 	Vivaldi vivaldi.Config
-	// ProbeParallelism bounds the concurrent per-cache probing fan-out; 0
-	// means a sensible default.
+	// ProbeParallelism bounds every per-cache fan-out of formation:
+	// feature probing and the GNP or Vivaldi host embedding. 0 means a
+	// sensible default.
 	ProbeParallelism int
 	// Verify enables the invariant-checking layer: FormGroups audits the
 	// finished plan (partition well-formedness, centers-are-means,
@@ -288,14 +289,9 @@ func (gf *Coordinator) FormGroups(k int) (*Plan, error) {
 	// Optional representation change: GNP or Vivaldi coordinates.
 	points := features
 	var lmCoords [][]float64
-	if gf.cfg.Representation == Euclidean || gf.cfg.Representation == Vivaldi {
+	if gf.cfg.Representation != FeatureVector {
 		spanEmbed := gf.cfg.Obs.StartSpan("embed")
-		switch gf.cfg.Representation {
-		case Euclidean:
-			points, lmCoords, err = gf.embed(lms, features)
-		case Vivaldi:
-			points, lmCoords, err = gf.embedVivaldi(lms, features)
-		}
+		points, lmCoords, err = gf.embed(lms, features)
 		spanEmbed()
 		if err != nil {
 			return nil, fmt.Errorf("%v embedding: %w", gf.cfg.Representation, err)
@@ -439,49 +435,34 @@ func MeasureFeatureMatrix(p *probe.Prober, n int, lms []probe.Endpoint, parallel
 	return features, serverDist, nil
 }
 
-// gnpConfig returns the GNP config with the embedding parallelism defaulted
-// to the probing fan-out when the caller left it unset.
-func (gf *Coordinator) gnpConfig() gnp.Config {
-	cfg := gf.cfg.GNP
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = gf.cfg.ProbeParallelism
-	}
-	return cfg
-}
-
-// embed converts landmark feature measurements into GNP coordinates,
-// assembled directly into one flat coordinate matrix.
+// embed converts landmark feature measurements into the configured
+// representation's coordinates in two phases: the landmarks embed from
+// their measured pairwise matrix, then every cache embeds against the
+// fixed landmark coordinates, fanned out over ProbeParallelism workers
+// into one flat coordinate matrix. Cache i draws only from its own split
+// stream, so the coordinates are identical for every worker count.
 func (gf *Coordinator) embed(lms []probe.Endpoint, features cluster.Matrix) (cluster.Matrix, [][]float64, error) {
-	cfg := gf.gnpConfig()
 	lmMatrix, err := gf.prober.MeasureMatrix(lms)
 	if err != nil {
 		return cluster.Matrix{}, nil, fmt.Errorf("probe landmark matrix: %w", err)
 	}
-	lmCoords, err := gnp.EmbedLandmarks(lmMatrix, cfg, gf.src.Split("gnp/landmarks"))
-	if err != nil {
-		return cluster.Matrix{}, nil, fmt.Errorf("embed landmarks: %w", err)
+	var (
+		lmCoords  [][]float64
+		embedHost func(i int) ([]float64, error)
+	)
+	switch gf.cfg.Representation {
+	case Euclidean:
+		lmCoords, err = gnp.EmbedLandmarks(lmMatrix, gf.cfg.GNP, gf.src.Split("gnp/landmarks"))
+		hosts := gf.src.Split("gnp/hosts")
+		embedHost = func(i int) ([]float64, error) {
+			return gnp.EmbedHost(lmCoords, features.Row(i), gf.cfg.GNP, hosts.SplitN("host", i))
+		}
+	case Vivaldi:
+		lmCoords, err = vivaldi.EmbedLandmarks(lmMatrix, gf.cfg.Vivaldi, gf.src.Split("vivaldi/landmarks"))
+		embedHost = func(i int) ([]float64, error) {
+			return vivaldi.EmbedHost(lmCoords, features.Row(i), gf.cfg.Vivaldi, gf.src.SplitN("vivaldi/host", i))
+		}
 	}
-	n := features.Rows()
-	toLandmarks := make([][]float64, n)
-	for i := range toLandmarks {
-		toLandmarks[i] = features.Row(i)
-	}
-	points := cluster.NewMatrix(n, len(lmCoords[0]))
-	if err := gnp.EmbedHostsInto(lmCoords, toLandmarks, points.Data(), cfg, gf.src.Split("gnp/hosts")); err != nil {
-		return cluster.Matrix{}, nil, err
-	}
-	return points, lmCoords, nil
-}
-
-// embedVivaldi converts landmark feature measurements into Vivaldi
-// coordinates: landmarks converge among themselves first, then each cache
-// relaxes against the fixed landmark coordinates.
-func (gf *Coordinator) embedVivaldi(lms []probe.Endpoint, features cluster.Matrix) (cluster.Matrix, [][]float64, error) {
-	lmMatrix, err := gf.prober.MeasureMatrix(lms)
-	if err != nil {
-		return cluster.Matrix{}, nil, fmt.Errorf("probe landmark matrix: %w", err)
-	}
-	lmCoords, err := vivaldi.EmbedLandmarks(lmMatrix, gf.cfg.Vivaldi, gf.src.Split("vivaldi/landmarks"))
 	if err != nil {
 		return cluster.Matrix{}, nil, fmt.Errorf("embed landmarks: %w", err)
 	}
@@ -489,7 +470,7 @@ func (gf *Coordinator) embedVivaldi(lms []probe.Endpoint, features cluster.Matri
 	points := cluster.NewMatrix(n, len(lmCoords[0]))
 	errs := make([]error, n)
 	par.ForEach(n, gf.cfg.ProbeParallelism, func(i int) {
-		coords, err := vivaldi.EmbedHost(lmCoords, features.Row(i), gf.cfg.Vivaldi, gf.src.SplitN("vivaldi/host", i))
+		coords, err := embedHost(i)
 		if err != nil {
 			errs[i] = err
 			return

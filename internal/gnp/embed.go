@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"edgecachegroups/internal/par"
 	"edgecachegroups/internal/simrand"
 )
 
@@ -18,11 +17,6 @@ type Config struct {
 	Sweeps int
 	// NM tunes the per-node Nelder–Mead minimizations.
 	NM NMOptions
-	// Parallelism bounds the worker pool used by EmbedHosts for the
-	// phase-2 per-node minimizations; 0 means the pool default. Each host
-	// gets its own split RNG stream, so the embedding is invariant to the
-	// worker count.
-	Parallelism int
 }
 
 // DefaultConfig returns the embedding configuration used by the
@@ -45,9 +39,6 @@ func (c Config) Validate() error {
 	}
 	if c.Sweeps < 0 {
 		return fmt.Errorf("gnp: Sweeps must be >= 0, got %d", c.Sweeps)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("gnp: Parallelism must be >= 0, got %d", c.Parallelism)
 	}
 	return nil
 }
@@ -195,6 +186,9 @@ func EmbedHost(landmarks [][]float64, toLandmarks []float64, cfg Config, src *si
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if src == nil {
+		return nil, fmt.Errorf("gnp: nil random source")
+	}
 	if len(landmarks) == 0 {
 		return nil, fmt.Errorf("gnp: no landmark coordinates")
 	}
@@ -251,63 +245,6 @@ func EmbedHost(landmarks [][]float64, toLandmarks []float64, cfg Config, src *si
 		return best2, nil
 	}
 	return best1, nil
-}
-
-// EmbedHosts computes phase-2 GNP coordinates for a batch of hosts from
-// their measured RTTs to the already-embedded landmarks. The per-host
-// minimizations are embarrassingly parallel — each host reads only the
-// fixed landmark coordinates — and fan out over a worker pool bounded by
-// cfg.Parallelism. Host i's randomness comes from src.SplitN("host", i),
-// a pure function of (src seed, i), so the embedding is bit-identical for
-// every worker count.
-func EmbedHosts(landmarks [][]float64, toLandmarks [][]float64, cfg Config, src *simrand.Source) ([][]float64, error) {
-	cfg = cfg.withDefaults()
-	n := len(toLandmarks)
-	flat := make([]float64, n*cfg.Dim)
-	if err := EmbedHostsInto(landmarks, toLandmarks, flat, cfg, src); err != nil {
-		return nil, err
-	}
-	coords := make([][]float64, n)
-	for i := range coords {
-		coords[i] = flat[i*cfg.Dim : (i+1)*cfg.Dim : (i+1)*cfg.Dim]
-	}
-	return coords, nil
-}
-
-// EmbedHostsInto is EmbedHosts writing host i's coordinates into
-// out[i*Dim : (i+1)*Dim] of a caller-supplied flat array — the backing
-// store of a flat feature matrix, typically — so assembling coordinates
-// for N hosts adds no per-host result allocations. out must have
-// len(toLandmarks)*Dim elements. Host i's randomness remains
-// src.SplitN("host", i), so the embedding is bit-identical to EmbedHosts
-// at every worker count.
-func EmbedHostsInto(landmarks [][]float64, toLandmarks [][]float64, out []float64, cfg Config, src *simrand.Source) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if src == nil {
-		return fmt.Errorf("gnp: nil random source")
-	}
-	n := len(toLandmarks)
-	if len(out) != n*cfg.Dim {
-		return fmt.Errorf("gnp: out has %d slots for %d hosts of dim %d", len(out), n, cfg.Dim)
-	}
-	errs := make([]error, n)
-	par.ForEach(n, cfg.Parallelism, func(i int) {
-		c, err := EmbedHost(landmarks, toLandmarks[i], cfg, src.SplitN("host", i))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		copy(out[i*cfg.Dim:(i+1)*cfg.Dim], c)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("embed host %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // EmbeddingError returns the mean squared relative error of an embedding

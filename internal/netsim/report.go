@@ -20,25 +20,44 @@ const (
 	outcomeFailover
 )
 
-// GroupStat aggregates per-cooperative-group counters.
-type GroupStat struct {
-	// Requests is the number of recorded requests arriving at the group's
-	// members.
+// LatencyTally is a count and an exact running sum of request latencies:
+// the aggregate a Report keeps per cache and per group. Only
+// Report.Overall keeps the samples themselves, for percentiles.
+type LatencyTally struct {
+	// Requests is the number of recorded requests.
 	Requests int64
-	// LocalHits / GroupHits / OriginFetches classify those requests.
-	LocalHits     int64
-	GroupHits     int64
-	OriginFetches int64
 
 	latencySum float64
 }
 
-// MeanLatency returns the group's average latency, or 0 with no requests.
-func (g *GroupStat) MeanLatency() float64 {
-	if g.Requests == 0 {
+// add records one request's latency under metrics.LatencyStats.Add's
+// rule: negative, NaN and infinite samples are dropped, so every tally
+// counts the same requests as Overall.
+func (t *LatencyTally) add(ms float64) {
+	if ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
+		return
+	}
+	t.Requests++
+	t.latencySum += ms
+}
+
+// MeanLatency returns the average latency, or 0 with no requests.
+func (t *LatencyTally) MeanLatency() float64 {
+	if t.Requests == 0 {
 		return 0
 	}
-	return g.latencySum / float64(g.Requests)
+	return t.latencySum / float64(t.Requests)
+}
+
+// GroupStat aggregates per-cooperative-group counters.
+type GroupStat struct {
+	// LatencyTally counts the recorded requests arriving at the group's
+	// members and sums their latency.
+	LatencyTally
+	// LocalHits / GroupHits / OriginFetches classify those requests.
+	LocalHits     int64
+	GroupHits     int64
+	OriginFetches int64
 }
 
 // GroupHitRate returns the share of the group's requests served by a peer.
@@ -54,7 +73,7 @@ type Report struct {
 	// Overall aggregates latency over every recorded request.
 	Overall metrics.LatencyStats
 	// PerCache aggregates latency per edge cache.
-	PerCache []metrics.LatencyStats
+	PerCache []LatencyTally
 	// PerGroup aggregates counters per cooperative group.
 	PerGroup []GroupStat
 
@@ -87,7 +106,7 @@ type Report struct {
 
 func newReport(numCaches, numGroups int, groupOf []int) *Report {
 	return &Report{
-		PerCache: make([]metrics.LatencyStats, numCaches),
+		PerCache: make([]LatencyTally, numCaches),
 		PerGroup: make([]GroupStat, numGroups),
 		groupOf:  groupOf,
 	}
@@ -95,7 +114,7 @@ func newReport(numCaches, numGroups int, groupOf []int) *Report {
 
 func (r *Report) record(c topology.CacheIndex, latencyMS float64, how outcome) {
 	r.Overall.Add(latencyMS)
-	r.PerCache[int(c)].Add(latencyMS)
+	r.PerCache[int(c)].add(latencyMS)
 	r.requests++
 	switch how {
 	case outcomeLocal:
@@ -109,8 +128,7 @@ func (r *Report) record(c topology.CacheIndex, latencyMS float64, how outcome) {
 	}
 	if len(r.groupOf) > int(c) {
 		g := &r.PerGroup[r.groupOf[int(c)]]
-		g.Requests++
-		g.latencySum += latencyMS
+		g.add(latencyMS)
 		switch how {
 		case outcomeLocal:
 			g.LocalHits++
@@ -140,14 +158,14 @@ func (r *Report) MeanLatencyOf(subset []topology.CacheIndex) float64 {
 			continue
 		}
 		st := &r.PerCache[int(c)]
-		if st.Count() == 0 {
+		if st.Requests == 0 {
 			continue
 		}
-		// Use the exact running sum; reconstructing it as Mean()*Count()
-		// round-trips through a division and drifts from the recorded
-		// total.
-		sum += st.Sum()
-		count += int64(st.Count())
+		// Use the exact running sum; reconstructing it as
+		// MeanLatency()*Requests round-trips through a division and drifts
+		// from the recorded total.
+		sum += st.latencySum
+		count += st.Requests
 	}
 	if count == 0 {
 		return 0
@@ -241,7 +259,7 @@ func (r *Report) verifyWithBounds(offeredRequests, offeredUpdates int64, minDocK
 	// cross-check.
 	var perCache int64
 	for i := range r.PerCache {
-		perCache += int64(r.PerCache[i].Count())
+		perCache += r.PerCache[i].Requests
 	}
 	if perCache != r.requests {
 		return fail("per-cache counts sum to %d, recorded requests %d", perCache, r.requests)
@@ -274,7 +292,7 @@ func (r *Report) Checksum() uint64 {
 	d.Int(r.Overall.Count()).Float64(r.Overall.Sum())
 	d.Int(len(r.PerCache))
 	for i := range r.PerCache {
-		d.Int(r.PerCache[i].Count()).Float64(r.PerCache[i].Sum())
+		d.Int64(r.PerCache[i].Requests).Float64(r.PerCache[i].latencySum)
 	}
 	d.Int(len(r.PerGroup))
 	for g := range r.PerGroup {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestReportChecks(t *testing.T) {
 		}, "no origin-served"},
 		{"invalidation fan-out too high", func(c *checkedReport) { c.r.InvalidationsOrigin = 11 }, "origin invalidations exceed"},
 		{"forwarded without origin", func(c *checkedReport) { c.r.InvalidationsOrigin = 0 }, "forwarded invalidations without"},
-		{"per-cache sum mismatch", func(c *checkedReport) { c.r.PerCache[1].Add(10) }, "per-cache counts"},
+		{"per-cache sum mismatch", func(c *checkedReport) { c.r.PerCache[1].Requests++ }, "per-cache counts"},
 		{"per-group sum mismatch", func(c *checkedReport) { c.r.PerGroup[1].Requests++ }, "per-group counts"},
 		{"negative per-group count", func(c *checkedReport) {
 			c.r.PerGroup[0].Requests, c.r.PerGroup[1].Requests = -1, 11
@@ -87,5 +88,19 @@ func TestReportChecks(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestTallyDropsInvalidSamples checks that the per-cache and per-group
+// tallies drop the samples Overall drops, so their counts stay equal.
+func TestTallyDropsInvalidSamples(t *testing.T) {
+	r := newReport(1, 1, []int{0})
+	for _, ms := range []float64{10, -1, math.NaN(), math.Inf(1), 4} {
+		r.record(0, ms, outcomeLocal)
+	}
+	for name, tally := range map[string]LatencyTally{"cache": r.PerCache[0], "group": r.PerGroup[0].LatencyTally} {
+		if tally.Requests != int64(r.Overall.Count()) || tally.latencySum != r.Overall.Sum() {
+			t.Errorf("%s tally %+v, want Overall's %d requests summing to %v", name, tally, r.Overall.Count(), r.Overall.Sum())
+		}
 	}
 }

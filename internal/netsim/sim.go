@@ -239,9 +239,10 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 		dir:       newHolderDir(groups, n, catalog.NumDocuments()),
 	}
 
+	meanSizeKB := catalog.MeanSizeKB()
 	for i := 0; i < n; i++ {
 		ci := topology.CacheIndex(i)
-		missPenalty := cfg.OriginProcessingMS + s.transferCost(nw.DistToOrigin(ci), catalog.MeanSizeKB())
+		missPenalty := cfg.OriginProcessingMS + s.transferCost(nw.DistToOrigin(ci), meanSizeKB)
 		ec, err := cache.New(cache.Config{
 			CapacityKB:    cfg.CacheCapacityKB,
 			MissPenaltyMS: missPenalty,

@@ -333,8 +333,9 @@ func TestFailedCacheFailsOverToOrigin(t *testing.T) {
 		t.Fatalf("origin=%d local=%d", rep.OriginFetches, rep.LocalHits)
 	}
 	// c1 must have zero lookup overhead (its one peer is down).
-	if got := rep.PerCache[1].Max(); math.Abs(got-46) > 1e-9 {
-		t.Fatalf("c1 max latency = %v, want 46", got)
+	// Its two requests are the 46 ms origin fetch and a 1 ms local hit.
+	if pc := rep.PerCache[1]; pc.Requests != 2 || math.Abs(pc.MeanLatency()-47.0/2) > 1e-9 {
+		t.Fatalf("c1 tally = %+v (mean %v), want 2 requests averaging 23.5 ms", pc, pc.MeanLatency())
 	}
 }
 

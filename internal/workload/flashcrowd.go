@@ -35,6 +35,15 @@ type FlashCrowdParams struct {
 // Validate reports whether the parameters are usable against a catalog of
 // numDocs documents.
 func (p FlashCrowdParams) Validate(numDocs int) error {
+	if err := checkFinite(
+		namedValue{"StartSec", p.StartSec},
+		namedValue{"EndSec", p.EndSec},
+		namedValue{"Share", p.Share},
+		namedValue{"RateBoost", p.RateBoost},
+		namedValue{"UpdateRatePerSec", p.UpdateRatePerSec},
+	); err != nil {
+		return err
+	}
 	switch {
 	case p.StartSec < 0 || p.EndSec <= p.StartSec:
 		return fmt.Errorf("workload: flash crowd window [%v,%v) invalid", p.StartSec, p.EndSec)

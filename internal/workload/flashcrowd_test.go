@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -41,6 +42,14 @@ func TestFlashCrowdParamsValidate(t *testing.T) {
 		{"bad share", func(p *FlashCrowdParams) { p.Share = 1.5 }},
 		{"boost below one", func(p *FlashCrowdParams) { p.RateBoost = 0.5 }},
 		{"negative update rate", func(p *FlashCrowdParams) { p.UpdateRatePerSec = -1 }},
+		{"NaN start", func(p *FlashCrowdParams) { p.StartSec = math.NaN() }},
+		{"NaN end", func(p *FlashCrowdParams) { p.EndSec = math.NaN() }},
+		{"infinite end", func(p *FlashCrowdParams) { p.EndSec = math.Inf(1) }},
+		{"NaN share", func(p *FlashCrowdParams) { p.Share = math.NaN() }},
+		{"NaN boost", func(p *FlashCrowdParams) { p.RateBoost = math.NaN() }},
+		{"infinite boost", func(p *FlashCrowdParams) { p.RateBoost = math.Inf(1) }},
+		{"NaN update rate", func(p *FlashCrowdParams) { p.UpdateRatePerSec = math.NaN() }},
+		{"infinite update rate", func(p *FlashCrowdParams) { p.UpdateRatePerSec = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -49,8 +49,33 @@ func DefaultTraceParams() TraceParams {
 	}
 }
 
+// namedValue is one float parameter and the name an error reports it by.
+type namedValue struct {
+	name string
+	v    float64
+}
+
+// checkFinite rejects the first NaN or infinite value. NaN slips through
+// every ordered comparison, and a NaN or infinite duration or rate never
+// ends a generator's arrival loop, so the validators run this first.
+func checkFinite(vals ...namedValue) error {
+	for _, f := range vals {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s must be finite, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Validate reports whether the parameters are usable.
 func (p TraceParams) Validate() error {
+	if err := checkFinite(
+		namedValue{"DurationSec", p.DurationSec},
+		namedValue{"RequestRatePerCache", p.RequestRatePerCache},
+		namedValue{"Similarity", p.Similarity},
+	); err != nil {
+		return err
+	}
 	switch {
 	case p.DurationSec <= 0:
 		return fmt.Errorf("workload: DurationSec must be > 0, got %v", p.DurationSec)
@@ -132,6 +157,9 @@ func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simran
 // Each document's updates are a run in time order; equal times across
 // documents come out in document order.
 func GenerateUpdates(c *Catalog, durationSec float64, src *simrand.Source) ([]Update, error) {
+	if err := checkFinite(namedValue{"durationSec", durationSec}); err != nil {
+		return nil, err
+	}
 	if durationSec <= 0 {
 		return nil, fmt.Errorf("workload: durationSec must be > 0, got %v", durationSec)
 	}

@@ -111,6 +111,11 @@ func TestTraceParamsValidate(t *testing.T) {
 		{DurationSec: 10, RequestRatePerCache: 0, Similarity: 0.5},
 		{DurationSec: 10, RequestRatePerCache: 1, Similarity: -0.1},
 		{DurationSec: 10, RequestRatePerCache: 1, Similarity: 1.1},
+		{DurationSec: math.NaN(), RequestRatePerCache: 1, Similarity: 0.5},
+		{DurationSec: math.Inf(1), RequestRatePerCache: 1, Similarity: 0.5},
+		{DurationSec: 10, RequestRatePerCache: math.NaN(), Similarity: 0.5},
+		{DurationSec: 10, RequestRatePerCache: math.Inf(1), Similarity: 0.5},
+		{DurationSec: 10, RequestRatePerCache: 1, Similarity: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -235,8 +240,10 @@ func TestGenerateUpdatesShape(t *testing.T) {
 			t.Fatalf("update time %v out of range", u.TimeSec)
 		}
 	}
-	if _, err := GenerateUpdates(c, 0, simrand.New(11)); err == nil {
-		t.Fatal("zero duration accepted")
+	for _, d := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := GenerateUpdates(c, d, simrand.New(11)); err == nil {
+			t.Fatalf("duration %v accepted", d)
+		}
 	}
 }
 

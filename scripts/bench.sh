@@ -12,9 +12,7 @@
 # O(1) reseed plus 10 normal draws against the stdlib source it
 # reproduces, in ./internal/simrand; ProbeMeasure = one one-shot
 # Prober.Measure; GreedyLandmarkSelection = the SL landmark-selection
-# probe matrix), the serial/parallel pair (GNPEmbedHosts1/8), the
-# exhaustive-vs-pruned large-N
-# K-means pair (KMeansFlatExhaustive/Pruned, whose distevals/op and
+# probe matrix), the exhaustive-vs-pruned large-N K-means pair (KMeansFlatExhaustive/Pruned, whose distevals/op and
 # wall-clock ratio pin the bounds-pruning win), the flat feature-build path
 # (FeatureBuild, with its O(workers)-allocation guards on the feature build
 # and on Prober.MeasureMatrix), the end-to-end Fig3 sweep, the simulator
@@ -33,7 +31,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
 BENCHTIME="${2:-1x}"
-BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkGNPEmbedHosts|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkGenerateRequests|BenchmarkObs|BenchmarkEcglint'
+BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkGenerateRequests|BenchmarkObs|BenchmarkEcglint'
 OUT="BENCH_pipeline.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
