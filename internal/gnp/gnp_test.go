@@ -39,6 +39,24 @@ func TestMinimizeRosenbrock(t *testing.T) {
 	}
 }
 
+// TestMinimizeAllocationsPerCall pins the simplex loop as allocation-free:
+// a run of many iterations allocates exactly as much as a run of one. The
+// objective is unbounded below, so the simplex keeps expanding and never
+// stops early on TolF.
+func TestMinimizeAllocationsPerCall(t *testing.T) {
+	f := func(x []float64) float64 { return x[0] + 2*x[1] }
+	allocs := func(maxIter int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := Minimize(f, []float64{0.5, -0.25}, NMOptions{MaxIter: maxIter}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(200); many != one {
+		t.Fatalf("Minimize allocates %v times over 200 iterations, %v over 1; want no allocation per iteration", many, one)
+	}
+}
+
 func TestMinimizeErrors(t *testing.T) {
 	f := func(x []float64) float64 { return 0 }
 	if _, _, err := Minimize(f, nil, NMOptions{}); err == nil {

@@ -9,7 +9,7 @@ package gnp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NMOptions tunes the Nelder–Mead optimizer.
@@ -81,11 +81,23 @@ func Minimize(f func([]float64) float64, x0 []float64, opts NMOptions) ([]float6
 	refl := make([]float64, dim)
 	exp := make([]float64, dim)
 	contr := make([]float64, dim)
+	// byValue orders vertices by objective value. Only its "< 0" answers
+	// steer the sort, and they are exactly values[a] < values[b], so the
+	// sort makes the same choices as a sort by that less function.
+	byValue := func(a, b int) int {
+		switch {
+		case values[a] < values[b]:
+			return -1
+		case values[b] < values[a]:
+			return 1
+		}
+		return 0
+	}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+		slices.SortFunc(order, byValue)
 		best, worst, secondWorst := order[0], order[dim], order[dim-1]
 
 		if math.Abs(values[worst]-values[best]) < opts.TolF {

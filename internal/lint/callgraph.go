@@ -19,9 +19,10 @@ import (
 // Soundness limits (documented in DESIGN.md §9): calls through function
 // values (fields, parameters, variables) produce no edge; interface
 // dispatch keeps every loaded method whose receiver's pointer type
-// implements the interface, so it may add edges no run takes (fine for
-// taint propagation) but misses a generic receiver whose method
-// signature mentions its type parameters; the standard library is
+// implements the interface, or, for a generic receiver, the pointer type
+// of one of its instantiations in the loaded packages, so it may add
+// edges no run takes (fine for taint propagation) but misses a generic
+// receiver instantiated only outside them; the standard library is
 // opaque except for the known root sets (time.* wall-clock reads, sync
 // blocking waits).
 
@@ -37,6 +38,9 @@ type program struct {
 	nodes []*funcNode
 	// methodsByName indexes declared methods for interface dispatch.
 	methodsByName map[string][]*funcNode
+	// instances lists the distinct instantiations of each generic type
+	// in the loaded packages, in source order, for interface dispatch.
+	instances map[*types.TypeName][]*types.Named
 	// witness memos (computed post-fixpoint, deterministic edge order).
 	wallMemo  map[*funcNode]string
 	blockMemo map[*funcNode]string
@@ -77,6 +81,7 @@ func newProgram(pkgs []*Package, sup *suppressions) *program {
 		sup:           sup,
 		funcs:         make(map[*types.Func]*funcNode),
 		methodsByName: make(map[string][]*funcNode),
+		instances:     make(map[*types.TypeName][]*types.Named),
 		wallMemo:      make(map[*funcNode]string),
 		blockMemo:     make(map[*funcNode]string),
 	}
@@ -100,6 +105,9 @@ func newProgram(pkgs []*Package, sup *suppressions) *program {
 				}
 			}
 		}
+	}
+	for _, pkg := range pkgs {
+		p.collectInstances(pkg)
 	}
 	for _, n := range p.nodes {
 		p.collectEdges(n)
@@ -191,10 +199,38 @@ func (p *program) resolve(pkg *Package, call *ast.CallExpr) []*funcNode {
 	return nil
 }
 
+// collectInstances records every instantiation of a generic type that
+// pkg's source spells out, walking the files so the lists come out in
+// source order.
+func (p *program) collectInstances(pkg *Package) {
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(node ast.Node) bool {
+			id, ok := node.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			named, ok := pkg.Info.Instances[id].Type.(*types.Named)
+			if !ok {
+				return true
+			}
+			obj := named.Obj()
+			for _, seen := range p.instances[obj] {
+				if types.Identical(seen, named) {
+					return true
+				}
+			}
+			p.instances[obj] = append(p.instances[obj], named)
+			return true
+		})
+	}
+}
+
 // dispatch returns the declared methods a call through iface's method
 // named method could reach: every loaded concrete method of that name
 // whose receiver type, through a pointer so value methods count too,
-// implements iface.
+// implements iface. A method of a generic type also counts when one of
+// the type's loaded instantiations implements iface: func (Box[T]) Get() T
+// never matches interface{ Get() int } as declared, but Box[int] does.
 func (p *program) dispatch(iface *types.Interface, method string) []*funcNode {
 	var out []*funcNode
 	for _, cand := range p.methodsByName[method] {
@@ -202,11 +238,29 @@ func (p *program) dispatch(iface *types.Interface, method string) []*funcNode {
 		if ptr, ok := recv.(*types.Pointer); ok {
 			recv = ptr.Elem()
 		}
-		if types.Implements(types.NewPointer(recv), iface) {
+		if p.implements(recv, iface) {
 			out = append(out, cand)
 		}
 	}
 	return out
+}
+
+// implements reports whether a pointer to recv, or to one of its loaded
+// instantiations when recv is generic, implements iface.
+func (p *program) implements(recv types.Type, iface *types.Interface) bool {
+	if types.Implements(types.NewPointer(recv), iface) {
+		return true
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.TypeParams().Len() == 0 {
+		return false
+	}
+	for _, inst := range p.instances[named.Obj()] {
+		if types.Implements(types.NewPointer(inst), iface) {
+			return true
+		}
+	}
+	return false
 }
 
 // shortFuncName renders a function for findings: package-qualified with

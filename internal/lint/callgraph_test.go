@@ -150,6 +150,33 @@ func TestCallGraphTransitiveSummaries(t *testing.T) {
 	}
 }
 
+// TestCallGraphGenericDispatch pins dispatch to a method of a generic
+// type whose signature mentions its type parameter: func (Box[T]) Get() T
+// implements getter only as Box[int64], which the fixture instantiates, so
+// the call through getter must reach it and detclock must flag the
+// wall-clock read behind it.
+func TestCallGraphGenericDispatch(t *testing.T) {
+	p := buildProgram(t, testCwd(t), "testdata/src/transitive/...")
+	get := findNode(t, p, "Box[T]).Get")
+	found := false
+	for _, e := range findNode(t, p, "transitive.getterStamp").edges {
+		found = found || e.callee == get
+	}
+	if !found {
+		t.Fatal("getterStamp has no edge to (clockutil.Box[T]).Get")
+	}
+	var flagged bool
+	for _, f := range Run(p.pkgs, []Analyzer{DetClock{}}) {
+		if strings.HasSuffix(f.Pos.Filename, "transitive.go") &&
+			strings.Contains(f.Message, "(clockutil.Box[T]).Get reaches time.Now") {
+			flagged = true
+		}
+	}
+	if !flagged {
+		t.Error("detclock does not flag the wall-clock read behind getter.Get")
+	}
+}
+
 // TestCallGraphRepoInterfaceDispatch runs dispatch over real repo
 // concrete types: calls through protocol.Transport must resolve to
 // (*ChanTransport).Send.

@@ -214,6 +214,7 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.fset, files, info)

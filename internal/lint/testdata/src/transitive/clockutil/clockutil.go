@@ -19,3 +19,14 @@ type Clock[T any] struct{ v T }
 
 // Now reads the wall clock one frame down.
 func (c Clock[T]) Now() int64 { return time.Now().UnixNano() }
+
+// Box is a generic type whose method signature mentions its type
+// parameter: Get matches interface{ Get() int64 } only through an
+// instantiation such as Box[int64].
+type Box[T any] struct{ v T }
+
+// Get reads the wall clock one frame down.
+func (b Box[T]) Get() T {
+	_ = time.Now()
+	return b.v
+}

@@ -72,3 +72,12 @@ type nower interface{ Now() int64 }
 
 // ifaceStamp reaches the generic method through interface dispatch.
 func ifaceStamp(n nower) int64 { return n.Now() }
+
+type getter interface{ Get() int64 }
+
+// boxed makes Box[int64] a getter of this program.
+var boxed getter = clockutil.Box[int64]{}
+
+// getterStamp reaches a generic method whose signature mentions its type
+// parameter through interface dispatch.
+func getterStamp(g getter) int64 { return g.Get() }

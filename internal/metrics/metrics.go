@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edgecachegroups/internal/topology"
@@ -79,6 +80,10 @@ func (s *LatencyStats) Add(ms float64) {
 	s.sum += ms
 	s.sorted = false
 }
+
+// Grow reserves room for n more samples, so a caller that knows how many
+// it will add pays for one allocation instead of append's regrowth.
+func (s *LatencyStats) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
 // Merge folds other's samples into s.
 func (s *LatencyStats) Merge(other *LatencyStats) {

@@ -122,6 +122,22 @@ func TestLatencyStatsAddAfterPercentile(t *testing.T) {
 	}
 }
 
+// TestLatencyStatsGrow checks that Grow(n) makes room for n samples: the
+// Adds that follow allocate nothing and keep every sample.
+func TestLatencyStatsGrow(t *testing.T) {
+	var s LatencyStats
+	s.Add(1)
+	const n = 1000
+	s.Grow(n)
+	v := 0.0
+	if allocs := testing.AllocsPerRun(n-1, func() { v++; s.Add(v) }); allocs != 0 {
+		t.Fatalf("Add after Grow averaged %v allocs, want 0", allocs)
+	}
+	if s.Count() != n+1 || s.Min() != 1 || s.Max() != n {
+		t.Fatalf("count=%d min=%v max=%v, want %d samples in [1,%d]", s.Count(), s.Min(), s.Max(), n+1, n)
+	}
+}
+
 func TestLatencyStatsMerge(t *testing.T) {
 	var a, b LatencyStats
 	a.Add(1)

@@ -14,11 +14,13 @@ import (
 // Caches are numbered group by group, each group in its members order, so
 // group g owns the bits [start[g], start[g+1]) and a group's holders come
 // out of an ascending bit walk in that group's members order. Document d
-// owns the row bits[d*words : (d+1)*words], one bit per cache: ⌈N/64⌉
-// words per document.
+// owns the row bits[d*words : (d+1)*words], one bit per indexed cache:
+// ⌈M/64⌉ words per document for M indexed caches. Each shard of a run
+// keeps its own directory, which indexes only the members of its own
+// groups; every other group is empty in it.
 //
-// The Simulator keeps the table exact: a fetch completion sets the bit
-// when its insert succeeds and clears it when the insert fails, the cache
+// The shard keeps the table exact: a fetch completion sets the bit when
+// its insert succeeds and clears it when the insert fails, the cache
 // eviction hook clears it (capacity eviction, stale drop, invalidation),
 // and a version bump clears the whole row, since every copy held at that
 // moment has just gone stale.
@@ -30,13 +32,17 @@ type holderDir struct {
 	start []int32               // group g owns bits [start[g], start[g+1])
 }
 
-// newHolderDir builds an empty directory for the given partition of
-// numCaches caches over numDocs documents.
+// newHolderDir builds an empty directory over numDocs documents for the
+// members of groups, caches numbered below numCaches.
 func newHolderDir(groups [][]topology.CacheIndex, numCaches, numDocs int) holderDir {
+	members := 0
+	for _, g := range groups {
+		members += len(g)
+	}
 	h := holderDir{
-		words: (numCaches + 63) / 64,
+		words: (members + 63) / 64,
 		bit:   make([]int32, numCaches),
-		cache: make([]topology.CacheIndex, 0, numCaches),
+		cache: make([]topology.CacheIndex, 0, members),
 		start: make([]int32, 0, len(groups)+1),
 	}
 	h.bits = make([]uint64, numDocs*h.words)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -101,14 +102,17 @@ func (h *holderDir) holdsBit(doc workload.DocID, c topology.CacheIndex) bool {
 	return h.row(doc)[b>>6]>>(b&63)&1 != 0
 }
 
-// checkHolderDirectory compares the directory with the caches themselves
-// for doc as requested at cache i: the group holders must equal a Contains
-// scan over s.peers[i], in that order, and every cache's bit must say
-// whether it holds the current version. Under push invalidation no cache
-// may hold a stale copy, which pushInvalidate relies on.
-func checkHolderDirectory(t *testing.T, s *Simulator, i topology.CacheIndex, doc workload.DocID) {
-	t.Helper()
-	cur := s.version[int(doc)]
+// checkHolderDirectory compares a shard's directory with the caches it
+// indexes for doc as requested at cache i, one of the shard's caches: the
+// group holders must equal a Contains scan over s.peers[i], in that order,
+// and every one of the shard's caches must have its bit say whether it
+// holds the shard's current version. Under push invalidation no cache may
+// hold a stale copy, which pushInvalidate relies on. It runs on the
+// shard's goroutine, so it returns the first mismatch instead of failing
+// the test.
+func checkHolderDirectory(sh *shard, i topology.CacheIndex, doc workload.DocID) error {
+	s := sh.s
+	cur := sh.version[int(doc)]
 	if !s.failed[int(i)] {
 		var want []topology.CacheIndex
 		for _, p := range s.peers[int(i)] {
@@ -116,31 +120,32 @@ func checkHolderDirectory(t *testing.T, s *Simulator, i topology.CacheIndex, doc
 				want = append(want, p)
 			}
 		}
-		if got := s.groupHolders(i, doc); !slices.Equal(got, want) {
-			t.Fatalf("cache %d doc %d: directory holders %v, peer scan %v", i, doc, got, want)
+		if got := sh.groupHolders(i, doc); !slices.Equal(got, want) {
+			return fmt.Errorf("cache %d doc %d: directory holders %v, peer scan %v", i, doc, got, want)
 		}
 	}
-	for c, ec := range s.caches {
-		ci := topology.CacheIndex(c)
+	for _, c := range sh.dir.cache {
+		ec := s.caches[int(c)]
 		fresh := ec.Contains(doc, cur)
-		if got := s.dir.holdsBit(doc, ci); got != fresh {
-			t.Fatalf("doc %d cache %d: directory bit %v, cache holds current version %v", doc, c, got, fresh)
+		if got := sh.dir.holdsBit(doc, c); got != fresh {
+			return fmt.Errorf("doc %d cache %d: directory bit %v, cache holds current version %v", doc, c, got, fresh)
 		}
 		if _, held := ec.Utility(doc, 0); s.cfg.PushInvalidation && held && !fresh {
-			t.Fatalf("doc %d cache %d: stale copy under push invalidation", doc, c)
+			return fmt.Errorf("doc %d cache %d: stale copy under push invalidation", doc, c)
 		}
 	}
+	return nil
 }
 
 // FuzzHolderDirectory checks the holder directory against the caches it
-// indexes. At every request, the group holders the directory returns must
-// equal a Contains scan over the requester's live peers, in peers order,
-// and every cache's directory bit must match its store; after the run the
-// whole table must. Partitions have groups of more than 64 members and
-// groups that straddle word boundaries, members out of index order, empty
-// groups and failed caches; small capacities force evictions and failed
-// inserts. Every input runs with and without beacons and push
-// invalidation.
+// indexes. At every request, the group holders the requester's shard
+// returns must equal a Contains scan over the requester's live peers, in
+// peers order, and every directory bit of that shard must match its
+// store; after the run every shard's whole table must. Partitions have
+// groups of more than 64 members and groups that straddle word
+// boundaries, members out of index order, empty groups and failed caches;
+// small capacities force evictions and failed inserts. Every input runs
+// on two shards, with and without beacons and push invalidation.
 func FuzzHolderDirectory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dc, ok := decodeDirectoryCase(data)
@@ -157,18 +162,36 @@ func FuzzHolderDirectory(f *testing.F) {
 				cfg.BeaconsPerGroup = beacons
 				cfg.PushInvalidation = push
 				cfg.Verify = true
-				var sim *Simulator
-				cfg.TraceFn = func(tr RequestTrace) { checkHolderDirectory(t, sim, tr.Cache, tr.Doc) }
 				sim, err := New(nw, dc.groups, cat, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				sim.shardCount = 2
+				// Each shard writes only its own slots.
+				shards := make([]*shard, sim.numShards())
+				errs := make([]error, len(shards))
+				sim.inspect = func(sh *shard, ev event) {
+					shards[sh.id] = sh
+					if errs[sh.id] == nil {
+						errs[sh.id] = checkHolderDirectory(sh, ev.cache, ev.doc)
+					}
+				}
 				if _, err := sim.Run(dc.reqs, dc.ups); err != nil {
 					continue
 				}
-				for d := 0; d < dc.numDocs; d++ {
-					for c := 0; c < dc.numCaches; c++ {
-						checkHolderDirectory(t, sim, topology.CacheIndex(c), workload.DocID(d))
+				for k, sh := range shards {
+					if errs[k] != nil {
+						t.Fatalf("beacons=%d push=%v shard %d: %v", beacons, push, k, errs[k])
+					}
+					if sh == nil {
+						continue
+					}
+					for d := 0; d < dc.numDocs; d++ {
+						for _, c := range sh.dir.cache {
+							if err := checkHolderDirectory(sh, c, workload.DocID(d)); err != nil {
+								t.Fatalf("beacons=%d push=%v shard %d after the run: %v", beacons, push, k, err)
+							}
+						}
 					}
 				}
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // outcome classifies how a request was served.
-type outcome int
+type outcome uint8
 
 const (
 	outcomeLocal outcome = iota + 1

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"edgecachegroups/internal/cache"
@@ -47,8 +48,8 @@ type Config struct {
 	PushInvalidation bool
 	// TraceFn, when set, is invoked for every recorded request with its
 	// routing outcome — an observability hook for custom analyses. Calls
-	// happen on Run's goroutine in global event order. It must not retain
-	// the trace beyond the call.
+	// happen on Run's goroutine in global event order, after the trace has
+	// been simulated. It must not retain the trace beyond the call.
 	TraceFn func(RequestTrace)
 	// WarmupSec excludes the initial cold-cache phase from all recorded
 	// statistics — request latencies AND update/invalidation counters use
@@ -64,11 +65,12 @@ type Config struct {
 	// Obs is the optional observability sink: request latencies and
 	// outcomes feed a histogram and counters in event order, cache
 	// hit/miss/eviction counters are aggregated after the run, and
-	// evictions emit trace events through the cache eviction hook, and
-	// Run times its loop and report check as the simulate and
-	// verify-report spans. Nil disables instrumentation; enabling it never
-	// changes the Report (see internal/obs — every write is a side
-	// channel, and only obs reads the wall clock for it).
+	// evictions emit trace events through the cache eviction hook (from
+	// the goroutine of the cache's shard), and Run times its loop and
+	// report check as the simulate and verify-report spans. Nil disables
+	// instrumentation; enabling it never changes the Report (see
+	// internal/obs — every write is a side channel, and only obs reads
+	// the wall clock for it).
 	Obs *obs.Obs
 	// FailedCaches lists caches that are down for the whole run: they serve
 	// no cooperative lookups and their own clients fail over to the origin.
@@ -149,29 +151,25 @@ type Simulator struct {
 	catalog *workload.Catalog
 	cfg     Config
 
-	caches    []*cache.EdgeCache
-	peers     [][]topology.CacheIndex // live group peers of each cache (excl. self)
-	lookup    []float64               // cooperative lookup overhead per cache
-	failed    []bool
-	version   []int64 // current document versions
-	groupOf   []int   // group ID of each cache
-	numGroups int
-	beacons   [][]topology.CacheIndex // per-group beacon members (beacon mode)
+	caches  []*cache.EdgeCache
+	peers   [][]topology.CacheIndex // live group peers of each cache (excl. self)
+	lookup  []float64               // cooperative lookup overhead per cache
+	failed  []bool
+	groups  [][]topology.CacheIndex // the partition, each group in members order
+	groupOf []int                   // group ID of each cache
+	beacons [][]topology.CacheIndex // per-group beacon members (beacon mode)
 
-	ran bool
-	dir holderDir // which caches hold a fresh copy of each document
+	ran    bool
+	events int64 // events processed across shards (diagnostics)
 
-	// Run state of the event loop (see loop.go). Requests are read in
-	// place through order and the cursor next; only pending fetch
-	// completions go on the heap.
-	requests []workload.Request    // the request log, read-only
-	order    []int32               // log indices in (TimeSec, index) order
-	next     int                   // cursor: order[next] is the next request
-	queue    eventQueue            // pending fetch completions
-	seq      int64                 // next fetch-completion sequence number
-	holders  []topology.CacheIndex // holder-scan scratch, reused per request
-	events   int64                 // events processed (diagnostics)
-	rep      *Report               // the report being recorded
+	// shardCount fixes Run's shard count; 0 means one shard per available
+	// core, at most one per group. The outputs never depend on it; tests
+	// set it to check that.
+	shardCount int
+	// inspect, when set, is called by a shard before it serves each
+	// request, on the shard's goroutine; tests use it to audit shard state
+	// mid-run.
+	inspect func(*shard, event)
 
 	// Observability handles, hoisted at New so the hot paths pay one nil
 	// check when cfg.Obs is nil. All durations below are virtual time —
@@ -226,17 +224,18 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 	}
 
 	s := &Simulator{
-		nw:        nw,
-		catalog:   catalog,
-		cfg:       cfg,
-		caches:    make([]*cache.EdgeCache, n),
-		peers:     make([][]topology.CacheIndex, n),
-		lookup:    make([]float64, n),
-		failed:    failed,
-		version:   make([]int64, catalog.NumDocuments()),
-		groupOf:   groupOf,
-		numGroups: len(groups),
-		dir:       newHolderDir(groups, n, catalog.NumDocuments()),
+		nw:      nw,
+		catalog: catalog,
+		cfg:     cfg,
+		caches:  make([]*cache.EdgeCache, n),
+		peers:   make([][]topology.CacheIndex, n),
+		lookup:  make([]float64, n),
+		failed:  failed,
+		groups:  make([][]topology.CacheIndex, len(groups)),
+		groupOf: groupOf,
+	}
+	for g, members := range groups {
+		s.groups[g] = slices.Clone(members)
 	}
 
 	meanSizeKB := catalog.MeanSizeKB()
@@ -310,27 +309,6 @@ func New(nw *topology.Network, groups [][]topology.CacheIndex, catalog *workload
 		s.obsFailover = cfg.Obs.Counter("sim_requests_failover_total")
 		s.obsEvictions = cfg.Obs.Counter("cache_drops_total")
 	}
-	// The eviction hook fires on Run's goroutine inside the event loop for
-	// every copy leaving a cache, so the holder directory drops it too. It
-	// carries no clock, so eviction events use TimeSec -1 ("unknown"); the
-	// Value is the document ID. Each hook captures only s and its cache
-	// index, which keeps the per-cache closure small.
-	for i, ec := range s.caches {
-		ci := topology.CacheIndex(i)
-		ec.SetEvictionHook(func(doc workload.DocID) {
-			s.dir.clear(doc, ci)
-			if s.cfg.Obs == nil {
-				return
-			}
-			s.obsEvictions.Inc()
-			s.cfg.Obs.Emit(obs.Event{
-				Kind:    obs.KindCacheEvict,
-				TimeSec: -1,
-				Value:   int64(doc),
-				Cache:   int(ci),
-			})
-		})
-	}
 	return s, nil
 }
 
@@ -383,10 +361,12 @@ func (s *Simulator) transferCost(rtt, sizeKB float64) float64 {
 // Run replays the request and update logs and returns the collected
 // report. Run may be called only once per Simulator.
 //
-// One event loop (see loop.go) processes requests, origin updates and fetch
-// completions in global (timeSec, seq) order, and each request's outcome is
-// recorded into the Report as it is served, so the Report — including its
-// Checksum — depends only on the logs and the config.
+// The groups are dealt onto shards that run side by side (see loop.go).
+// Each shard processes its requests, every origin update and its fetch
+// completions in global (timeSec, seq) order, and the outcomes are then
+// recorded into the Report in global request order, so the Report —
+// including its Checksum — depends only on the logs and the config, never
+// on the shard count.
 func (s *Simulator) Run(requests []workload.Request, updates []workload.Update) (*Report, error) {
 	if s.ran {
 		return nil, errors.New("netsim: Run called twice")
@@ -420,12 +400,14 @@ func (s *Simulator) Run(requests []workload.Request, updates []workload.Update) 
 		}
 	}
 
-	s.rep = newReport(len(s.caches), s.numGroups, s.groupOf)
+	rep := newReport(len(s.caches), len(s.groups), s.groupOf)
 	spanSim := s.cfg.Obs.StartSpan("simulate")
-	s.loop(requests, updates)
+	err := s.loop(rep, requests, updates)
 	spanSim()
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
+	}
 
-	rep := s.rep
 	if s.cfg.Verify {
 		spanVerify := s.cfg.Obs.StartSpan("verify-report")
 		minKB, maxKB, err := s.docSizeBounds()
@@ -506,32 +488,37 @@ func (st Stages) Snapshot() []StageRecord {
 	return []StageRecord{{Name: "sim-shard-0", Items: st.events}}
 }
 
-// Stages returns the event-count shim described on the Stages type.
+// Stages returns the event-count shim described on the Stages type: the
+// total of requests and fetch completions processed across all shards.
 func (s *Simulator) Stages() Stages { return Stages{events: s.events} }
 
-// handleRequest serves one client request and records its outcome.
-func (s *Simulator) handleRequest(ev event) {
+// handleRequest serves one client request and buffers its outcome.
+func (sh *shard) handleRequest(ev event) {
+	s := sh.s
+	if s.inspect != nil {
+		s.inspect(sh, ev)
+	}
 	i := int(ev.cache)
 	now := ev.timeSec
-	cur := s.version[int(ev.doc)]
+	cur := sh.version[int(ev.doc)]
 	//ecglint:allow errdrop every DocID is validated during Run setup; Doc cannot fail here
 	d, _ := s.catalog.Doc(ev.doc)
 
 	// A failed cache's clients fail over directly to the origin.
 	if s.failed[i] {
 		lat := s.cfg.OriginProcessingMS + s.transferCost(s.nw.DistToOrigin(ev.cache), d.SizeKB)
-		s.recordOutcome(ev, outcomeFailover, lat, d.SizeKB, -1)
+		sh.served(ev, outcomeFailover, lat, -1)
 		return
 	}
 
 	// 1. Local lookup.
 	if s.caches[i].Lookup(ev.doc, cur, now) {
-		s.recordOutcome(ev, outcomeLocal, s.cfg.LocalHitMS, 0, -1)
+		sh.served(ev, outcomeLocal, s.cfg.LocalHitMS, -1)
 		return
 	}
 
 	if s.cfg.BeaconsPerGroup > 0 {
-		s.handleRequestBeacon(ev, d, cur, now)
+		sh.handleRequestBeacon(ev, d, cur, now)
 		return
 	}
 
@@ -546,7 +533,7 @@ func (s *Simulator) handleRequest(ev event) {
 	// the origin.
 	lat := s.cfg.LocalHitMS
 	if len(s.peers[i]) > 0 {
-		holders := s.groupHolders(ev.cache, ev.doc)
+		holders := sh.groupHolders(ev.cache, ev.doc)
 		holder := topology.CacheIndex(-1)
 		if len(holders) > 0 {
 			h := (uint64(ev.doc)*2654435761 + uint64(ev.cache)*40503) % uint64(len(holders))
@@ -555,11 +542,11 @@ func (s *Simulator) handleRequest(ev event) {
 		// The scratch is handed back only after its last read; resetting
 		// before the holder selection aliased the live entries and worked
 		// by accident alone.
-		s.holders = holders[:0]
+		sh.holders = holders[:0]
 		if holder >= 0 {
 			lat += s.transferCost(s.nw.Dist(ev.cache, holder), d.SizeKB)
-			s.recordOutcome(ev, outcomeGroup, lat, 0, holder)
-			s.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
+			sh.served(ev, outcomeGroup, lat, holder)
+			sh.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
 			return
 		}
 		lat += s.lookup[i]
@@ -567,8 +554,8 @@ func (s *Simulator) handleRequest(ev event) {
 
 	// 3. Miss everywhere: fetch from the origin server.
 	lat += s.cfg.OriginProcessingMS + s.transferCost(s.nw.DistToOrigin(ev.cache), d.SizeKB)
-	s.recordOutcome(ev, outcomeOrigin, lat, d.SizeKB, -1)
-	s.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
+	sh.served(ev, outcomeOrigin, lat, -1)
+	sh.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
 }
 
 // handleRequestBeacon serves a local miss through the Cache Clouds beacon
@@ -576,7 +563,8 @@ func (s *Simulator) handleRequest(ev event) {
 // document (hash-partitioned within the group); the beacon either directs
 // it to the nearest fresh holder or reports a group-wide miss, after which
 // the cache fetches from the origin.
-func (s *Simulator) handleRequestBeacon(ev event, d workload.Document, cur int64, now float64) {
+func (sh *shard) handleRequestBeacon(ev event, d workload.Document, cur int64, now float64) {
+	s := sh.s
 	i := int(ev.cache)
 	lat := s.cfg.LocalHitMS
 	// A requester with zero live peers pays no cooperative overhead in
@@ -593,127 +581,93 @@ func (s *Simulator) handleRequestBeacon(ev event, d workload.Document, cur int64
 			}
 			best := -1
 			var bestRTT float64
-			holders := s.groupHolders(ev.cache, ev.doc)
+			holders := sh.groupHolders(ev.cache, ev.doc)
 			for _, p := range holders {
 				if rtt := s.nw.Dist(ev.cache, p); best < 0 || rtt < bestRTT {
 					best, bestRTT = int(p), rtt
 				}
 			}
-			s.holders = holders[:0]
+			sh.holders = holders[:0]
 			if best >= 0 {
 				lat += s.transferCost(bestRTT, d.SizeKB)
-				s.recordOutcome(ev, outcomeGroup, lat, 0, topology.CacheIndex(best))
-				s.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
+				sh.served(ev, outcomeGroup, lat, topology.CacheIndex(best))
+				sh.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
 				return
 			}
 		}
 	}
 	lat += s.cfg.OriginProcessingMS + s.transferCost(s.nw.DistToOrigin(ev.cache), d.SizeKB)
-	s.recordOutcome(ev, outcomeOrigin, lat, d.SizeKB, -1)
-	s.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
-}
-
-// recordOutcome records one served request past the warmup cutoff into the
-// Report, the observability handles (nil no-ops when Config.Obs is unset)
-// and the TraceFn hook. Requests are served in global event order, so every
-// sink sees them in that order. originKB is the origin volume served, 0
-// unless the outcome is origin or failover.
-func (s *Simulator) recordOutcome(ev event, how outcome, latencyMS, originKB float64, peer topology.CacheIndex) {
-	if ev.timeSec < s.cfg.WarmupSec {
-		return
-	}
-	s.rep.record(ev.cache, latencyMS, how)
-	s.rep.OriginKB += originKB
-	s.obsLatency.Record(latencyMS)
-	switch how {
-	case outcomeLocal:
-		s.obsLocal.Inc()
-	case outcomeGroup:
-		s.obsGroup.Inc()
-	case outcomeOrigin:
-		s.obsOrigin.Inc()
-	case outcomeFailover:
-		s.obsFailover.Inc()
-	}
-	if s.cfg.TraceFn != nil {
-		s.cfg.TraceFn(RequestTrace{
-			TimeSec:   ev.timeSec,
-			Cache:     ev.cache,
-			Group:     s.groupOf[int(ev.cache)],
-			Doc:       ev.doc,
-			Outcome:   how.public(),
-			LatencyMS: latencyMS,
-			Peer:      peer,
-		})
-	}
+	sh.served(ev, outcomeOrigin, lat, -1)
+	sh.scheduleInsert(ev.cache, ev.doc, cur, now, lat)
 }
 
 // scheduleInsert queues the arrival of a fetched document copy.
-func (s *Simulator) scheduleInsert(c topology.CacheIndex, doc workload.DocID, version int64, now, latencyMS float64) {
+func (sh *shard) scheduleInsert(c topology.CacheIndex, doc workload.DocID, version int64, now, latencyMS float64) {
 	ev := event{
 		timeSec: now + latencyMS/1000,
-		seq:     s.seq,
+		seq:     sh.seq,
 		cache:   c,
 		doc:     doc,
 		version: version,
 	}
-	s.seq++
-	s.queue.push(ev)
+	sh.seq++
+	sh.queue.push(ev)
 }
 
 // groupHolders returns the live group peers of cache i that hold a fresh
-// copy of doc, in s.peers[i] order, in the reused s.holders scratch. A
+// copy of doc, in peers[i] order, in the reused sh.holders scratch. A
 // failed cache never inserts, so it is never a holder.
-func (s *Simulator) groupHolders(i topology.CacheIndex, doc workload.DocID) []topology.CacheIndex {
-	return s.dir.appendGroupHolders(s.holders[:0], doc, s.groupOf[int(i)], i)
+func (sh *shard) groupHolders(i topology.CacheIndex, doc workload.DocID) []topology.CacheIndex {
+	return sh.dir.appendGroupHolders(sh.holders[:0], doc, sh.s.groupOf[int(i)], i)
 }
 
 // handleFetchComplete admits a fetched document if it is still current and
 // records the new holder in the directory.
-func (s *Simulator) handleFetchComplete(ev event) {
-	if s.version[int(ev.doc)] != ev.version {
+func (sh *shard) handleFetchComplete(ev event) {
+	if sh.version[int(ev.doc)] != ev.version {
 		return // updated while in flight; don't cache a stale copy
 	}
 	//ecglint:allow errdrop every DocID is validated during Run setup; Doc cannot fail here
-	d, _ := s.catalog.Doc(ev.doc)
+	d, _ := sh.s.catalog.Doc(ev.doc)
 	// Insert errors (document larger than the whole cache) deliberately
 	// degrade to "not cached": the request was already served. A failed
 	// re-insert has already dropped the old copy without the eviction
 	// hook, so the bit is cleared here.
-	if err := s.caches[int(ev.cache)].Insert(d, ev.version, ev.timeSec); err != nil {
-		s.dir.clear(ev.doc, ev.cache)
+	if err := sh.s.caches[int(ev.cache)].Insert(d, ev.version, ev.timeSec); err != nil {
+		sh.dir.clear(ev.doc, ev.cache)
 		return
 	}
-	s.dir.set(ev.doc, ev.cache)
+	sh.dir.set(ev.doc, ev.cache)
 }
 
-// pushInvalidate actively drops every cached copy of doc and accounts for
-// the invalidation traffic: one origin message per group holding the
-// document, plus intra-group forwards to the remaining holders. Without
-// groups the origin would message every holder directly. The counters are
-// recorded only when record is true (post-warmup); the invalidation itself
-// always happens.
+// pushInvalidate actively drops the shard's cached copies of doc and
+// accounts for the invalidation traffic: one origin message per group
+// holding the document, plus intra-group forwards to the remaining holders.
+// Without groups the origin would message every holder directly. The
+// counters are recorded only when record is true (post-warmup); the
+// invalidation itself always happens. Each group belongs to one shard, so
+// the shards' counters add up to the whole network's.
 //
 // Under push invalidation every cached copy is fresh (each update drops
 // them all, and a stale completion is never admitted), so the holders are
 // exactly the set bits of doc's directory row. The bits are numbered group
 // by group, so an ascending walk visits each group's holders in one run:
 // the first costs an origin message, the rest are forwards.
-func (s *Simulator) pushInvalidate(doc workload.DocID, rep *Report, record bool) {
+func (sh *shard) pushInvalidate(doc workload.DocID, record bool) {
 	lastGroup := -1
-	for w, x := range s.dir.row(doc) {
+	for w, x := range sh.dir.row(doc) {
 		// x is a copy: the eviction hook clears each bit as its copy goes.
 		for ; x != 0; x &= x - 1 {
-			c := s.dir.cache[w<<6|bits.TrailingZeros64(x)]
-			s.caches[int(c)].Invalidate(doc)
+			c := sh.dir.cache[w<<6|bits.TrailingZeros64(x)]
+			sh.s.caches[int(c)].Invalidate(doc)
 			if !record {
 				continue
 			}
-			if g := s.groupOf[int(c)]; g != lastGroup {
+			if g := sh.s.groupOf[int(c)]; g != lastGroup {
 				lastGroup = g
-				rep.InvalidationsOrigin++
+				sh.invOrigin++
 			} else {
-				rep.InvalidationsForwarded++
+				sh.invForwarded++
 			}
 		}
 	}

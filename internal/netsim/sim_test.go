@@ -936,31 +936,39 @@ func TestRequestPathAllocationLean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ran = true // drive handleRequest directly; Run must not be reused
+	s.ran = true // drive a shard directly; Run must not be reused
+	requests := []workload.Request{req(1, 0, 0)}
+	sh := s.newShards(1, requests, 0)[0]
 	// Cache 1 holds doc 0, so cache 0's requests exercise the longest path:
-	// local miss, holder lookup, group hit, recording, fetch scheduling.
-	// The copy arrives through the simulator's own insert path, so the
-	// holder directory records it.
-	s.handleFetchComplete(event{cache: 1, doc: 0, version: 0})
-	s.requests = []workload.Request{req(1, 0, 0)}
-	s.order = timeOrder(s.requests, requestTime)
-	s.rep = newReport(2, 1, s.groupOf)
-	ev, isRequest, ok := s.head()
+	// local miss, holder lookup, group hit, buffering, fetch scheduling.
+	// The copy arrives through the shard's own insert path, so the holder
+	// directory records it.
+	sh.handleFetchComplete(event{cache: 1, doc: 0, version: 0})
+	ev, isRequest, ok := sh.head()
 	if !ok || !isRequest {
 		t.Fatalf("head = %+v request=%v ok=%v, want the logged request", ev, isRequest, ok)
 	}
+	// Run sizes the outcome buffers to the shard's request count; these
+	// are sized for the 501 calls below.
+	sh.lat = make([]float64, 0, 501)
+	sh.how = make([]outcome, 0, 501)
 	avg := testing.AllocsPerRun(500, func() {
-		s.handleRequest(ev)
-		s.queue = s.queue[:0] // discard scheduled fetch completions
+		sh.handleRequest(ev)
+		sh.queue = sh.queue[:0] // discard scheduled fetch completions
 	})
-	// Outcomes go straight into the Report's fixed per-cache and per-group
-	// aggregates and the completion heap keeps its capacity, so after the
-	// warm-up call the path runs entirely on reused memory.
+	// Outcomes go into the shard's presized buffers and the completion
+	// heap keeps its capacity, so after the warm-up call the path runs
+	// entirely on reused memory.
 	if avg != 0 {
 		t.Fatalf("request path averaged %v allocs/request, want 0", avg)
 	}
-	if got, want := s.rep.GroupHits, int64(501); got != want {
-		t.Fatalf("recorded %d group hits, want %d", got, want)
+	if len(sh.how) != 501 {
+		t.Fatalf("buffered %d outcomes, want 501", len(sh.how))
+	}
+	for k, how := range sh.how {
+		if how != outcomeGroup {
+			t.Fatalf("outcome %d is %v, want a group hit", k, how.public())
+		}
 	}
 }
 
@@ -1005,31 +1013,32 @@ func TestPushInvalidateAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One priming round with a real holder, admitted through the
-	// simulator's own insert path so the holder directory records it,
-	// exercises the per-group accounting.
-	s.handleFetchComplete(event{cache: 0, doc: 1, version: 0})
-	rep := newReport(2, 1, s.groupOf)
-	s.pushInvalidate(1, rep, true)
-	if rep.InvalidationsOrigin != 1 {
-		t.Fatalf("priming round recorded %d origin invalidations, want 1", rep.InvalidationsOrigin)
+	s.ran = true // drive a shard directly; Run must not be reused
+	sh := s.newShards(1, nil, 0)[0]
+	// One priming round with a real holder, admitted through the shard's
+	// own insert path so the holder directory records it, exercises the
+	// per-group accounting.
+	sh.handleFetchComplete(event{cache: 0, doc: 1, version: 0})
+	sh.pushInvalidate(1, true)
+	if sh.invOrigin != 1 {
+		t.Fatalf("priming round recorded %d origin invalidations, want 1", sh.invOrigin)
 	}
 	// The sweep itself must not allocate (the old implementation built a
 	// fresh map per update even when nothing was held). Each round
 	// re-admits a copy at both caches, so every sweep drops two holders.
 	avg := testing.AllocsPerRun(200, func() {
-		s.handleFetchComplete(event{cache: 0, doc: 1, version: 0})
-		s.handleFetchComplete(event{cache: 1, doc: 1, version: 0})
-		s.pushInvalidate(1, rep, true)
+		sh.handleFetchComplete(event{cache: 0, doc: 1, version: 0})
+		sh.handleFetchComplete(event{cache: 1, doc: 1, version: 0})
+		sh.pushInvalidate(1, true)
 	})
 	if avg != 0 {
 		t.Fatalf("pushInvalidate averaged %v allocs/update, want 0", avg)
 	}
 	// The priming round plus 201 sweeps (AllocsPerRun adds a warm-up
 	// call), each of the later ones one origin message and one forward.
-	if rep.InvalidationsOrigin != 202 || rep.InvalidationsForwarded != 201 {
+	if sh.invOrigin != 202 || sh.invForwarded != 201 {
 		t.Fatalf("invalidation msgs = %d origin / %d forwarded, want 202/201",
-			rep.InvalidationsOrigin, rep.InvalidationsForwarded)
+			sh.invOrigin, sh.invForwarded)
 	}
 }
 

@@ -65,12 +65,25 @@ func DefaultCatalogParams() CatalogParams {
 	}
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable. NaN slips through
+// every ordered comparison below, and a NaN or infinite update rate would
+// never let GenerateUpdates finish, so non-finite values are rejected
+// first.
 func (p CatalogParams) Validate() error {
+	if err := checkFinite(
+		namedValue{"ZipfAlpha", p.ZipfAlpha},
+		namedValue{"MeanSizeKB", p.MeanSizeKB},
+		namedValue{"SizeSigma", p.SizeSigma},
+		namedValue{"DynamicFraction", p.DynamicFraction},
+		namedValue{"UpdateRateMin", p.UpdateRateMin},
+		namedValue{"UpdateRateMax", p.UpdateRateMax},
+	); err != nil {
+		return err
+	}
 	switch {
 	case p.NumDocuments < 1:
 		return fmt.Errorf("workload: NumDocuments must be >= 1, got %d", p.NumDocuments)
-	case p.ZipfAlpha < 0 || math.IsNaN(p.ZipfAlpha):
+	case p.ZipfAlpha < 0:
 		return fmt.Errorf("workload: ZipfAlpha must be >= 0, got %v", p.ZipfAlpha)
 	case p.MeanSizeKB <= 0:
 		return fmt.Errorf("workload: MeanSizeKB must be > 0, got %v", p.MeanSizeKB)

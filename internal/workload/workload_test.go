@@ -34,6 +34,16 @@ func TestCatalogParamsValidate(t *testing.T) {
 		{"bad dynamic fraction", func(p *CatalogParams) { p.DynamicFraction = 1.5 }},
 		{"inverted rates", func(p *CatalogParams) { p.UpdateRateMin = 1; p.UpdateRateMax = 0.5 }},
 		{"negative rate", func(p *CatalogParams) { p.UpdateRateMin = -1 }},
+		{"NaN alpha", func(p *CatalogParams) { p.ZipfAlpha = math.NaN() }},
+		{"infinite alpha", func(p *CatalogParams) { p.ZipfAlpha = math.Inf(1) }},
+		{"NaN size", func(p *CatalogParams) { p.MeanSizeKB = math.NaN() }},
+		{"infinite size", func(p *CatalogParams) { p.MeanSizeKB = math.Inf(1) }},
+		{"NaN sigma", func(p *CatalogParams) { p.SizeSigma = math.NaN() }},
+		{"infinite sigma", func(p *CatalogParams) { p.SizeSigma = math.Inf(1) }},
+		{"NaN dynamic fraction", func(p *CatalogParams) { p.DynamicFraction = math.NaN() }},
+		{"NaN min rate", func(p *CatalogParams) { p.UpdateRateMin = math.NaN() }},
+		{"NaN max rate", func(p *CatalogParams) { p.UpdateRateMax = math.NaN() }},
+		{"infinite max rate", func(p *CatalogParams) { p.UpdateRateMax = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
