@@ -246,6 +246,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(reqs)), "requests/op")
 }
 
+// BenchmarkNewNetwork times the exact RTT build of the form-sdsl
+// benchmark workload at seed 1: the default transit-stub topology with
+// stub domains added until 2001 stub routers exist, then the origin and
+// 2000 caches placed on it, so 2001 single-source runs and the fold.
+func BenchmarkNewNetwork(b *testing.B) {
+	const caches = 2000
+	p := topology.DefaultTransitStubParams()
+	for p.StubNodeCount() < caches+1 {
+		p.StubDomainsPerTransitNode++
+	}
+	root := simrand.New(1)
+	g, err := topology.GenerateTransitStub(p, root.Split("topology"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := topology.NewNetwork(g, topology.PlaceParams{NumCaches: caches}, root.Split("placement")); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGenerateRequests times the simulate workload's request-log
 // synthesis: 500 caches' runs at the default trace parameters, merged into
 // one time-ordered stream.

@@ -135,13 +135,6 @@ func AnalyzeRequests(reqs []Request) (*TraceStats, error) {
 	return workload.AnalyzeRequests(reqs)
 }
 
-// Router-level paths.
-type (
-	// PathTree is a single-source shortest-path tree with extractable
-	// router-level paths.
-	PathTree = topology.ShortestPathTree
-)
-
 // Group maintenance.
 type (
 	// MaintainerConfig tunes maintenance rounds.

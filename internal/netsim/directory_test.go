@@ -146,6 +146,12 @@ func checkHolderDirectory(sh *shard, i topology.CacheIndex, doc workload.DocID) 
 // boundaries, members out of index order, empty groups and failed caches;
 // small capacities force evictions and failed inserts. Every input runs
 // on two shards, with and without beacons and push invalidation.
+//
+// Fuzz it with -fuzzminimizetime capped, as CI's fuzz-smoke step does (2s).
+// Each input builds and runs four simulators and checks the directory at
+// every request, so the default 60 s minimization of each new interesting
+// input takes the whole run: from an empty fuzz cache, 15 s on 2 vCPUs
+// made 10-11 execs uncapped and 2,000-4,000 with the cap.
 func FuzzHolderDirectory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dc, ok := decodeDirectoryCase(data)

@@ -90,16 +90,16 @@ func NewNetworkAt(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 	return buildNetwork(g, origin, cp)
 }
 
-// buildNetwork runs Dijkstra from every endpoint (index 0 the origin,
-// k+1 cache k) and keeps only the endpoint columns of each source's
-// distances. Sources are spread over GOMAXPROCS workers, each with its
-// own Dijkstra scratch. Source e writes its distances to the endpoints
-// after it straight into its row of the packed triangle (toOrigin for the
-// origin), and those to the endpoints before it into its row of a
-// transient lower triangle; foldPairs then averages the two directions
-// and the transient is dropped. Every entry depends on its source alone,
-// so the result is the same at any worker count, and the error of the
-// lowest failing source wins.
+// buildNetwork runs shortestPaths from every endpoint (index 0 the
+// origin, k+1 cache k) over one shared adjacency and keeps only the
+// endpoint columns of each source's distances. Sources are spread over
+// GOMAXPROCS workers, each with its own bucket scratch. Source e writes
+// its distances to the endpoints after it straight into its row of the
+// packed triangle (toOrigin for the origin), and those to the endpoints
+// before it into its row of a transient lower triangle; foldPairs then
+// averages the two directions and the transient is dropped. Every entry
+// depends on its source alone, so the result is the same at any worker
+// count, and the error of the lowest failing source wins.
 func buildNetwork(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 	endpoints := make([]NodeID, 0, len(caches)+1)
 	endpoints = append(endpoints, origin)
@@ -113,11 +113,12 @@ func buildNetwork(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 	// endpoints 0..e-1.
 	below := make([]float64, n*(n-1)/2)
 	errs := make([]error, n)
+	adj := g.adjacency()
 	workers := par.Workers(n, runtime.GOMAXPROCS(0))
-	scratch := make([]dijkstraScratch, workers)
+	scratch := make([]bucketScratch, workers)
 	par.ForEachWorker(n, workers, func(w, e int) {
 		s := &scratch[w]
-		if err := g.dijkstra(endpoints[e], nil, s); err != nil {
+		if err := adj.shortestPaths(endpoints[e], s); err != nil {
 			errs[e] = fmt.Errorf("compute RTT matrix: source %d (%d): %w", e, endpoints[e], err)
 			return
 		}
@@ -152,13 +153,13 @@ func buildNetwork(g *Graph, origin NodeID, caches []NodeID) (*Network, error) {
 // blocks of float64, one per triangle, fit in a core's L1 or L2 cache.
 const foldTile = 64
 
-// foldPairs symmetrizes the RTTs in place. Dijkstra accumulates edge
-// weights in path order, so d_ij and d_ji can differ by a few ULPs, and
-// RTTs are symmetric by assumption (paper §3): each upper entry d_ij,
-// i < j, becomes (d_ij + d_ji)/2, with d_ji from row j of below (see
-// buildNetwork). The upper triangle is read along its rows and below
-// along its columns, so the cache pairs are walked in tiles of foldTile
-// rows by foldTile columns to keep both in cache.
+// foldPairs symmetrizes the RTTs in place. A shortest path's length is
+// its edge weights summed in path order, so d_ij and d_ji can differ by a
+// few ULPs, and RTTs are symmetric by assumption (paper §3): each upper
+// entry d_ij, i < j, becomes (d_ij + d_ji)/2, with d_ji from row j of
+// below (see buildNetwork). The upper triangle is read along its rows and
+// below along its columns, so the cache pairs are walked in tiles of
+// foldTile rows by foldTile columns to keep both in cache.
 func foldPairs(toOrigin, pairs, below []float64) {
 	for c := range toOrigin {
 		toOrigin[c] = (toOrigin[c] + below[(c+1)*c/2]) / 2

@@ -235,27 +235,27 @@ func TestMeanPairwiseDistSingleCache(t *testing.T) {
 }
 
 // TestDijkstraAllocationFree pins the RTT build's allocation shape: a warm
-// per-worker scratch runs Dijkstra without allocating, and a NewNetworkAt
-// build allocates a fixed set of slices plus a few per worker, never per
-// endpoint or per heap push, so per-row slices or boxing heap items into
-// interfaces cannot come back unnoticed.
+// per-worker scratch runs the shortest-path loop without allocating, and a
+// NewNetworkAt build allocates a fixed set of slices plus a few per
+// worker, never per endpoint or per queued node, so per-row slices or
+// buckets that grow as they fill cannot come back unnoticed.
 func TestDijkstraAllocationFree(t *testing.T) {
 	g := testGraph(t)
-	var s dijkstraScratch
-	// Warm from every source so the heap backing reaches its peak size.
+	adj := g.adjacency()
+	var s bucketScratch
 	for src := 0; src < g.NumNodes(); src++ {
-		if err := g.dijkstra(NodeID(src), nil, &s); err != nil {
+		if err := adj.shortestPaths(NodeID(src), &s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	src := NodeID(0)
 	if a := testing.AllocsPerRun(20, func() {
-		if err := g.dijkstra(src, nil, &s); err != nil {
+		if err := adj.shortestPaths(src, &s); err != nil {
 			t.Fatal(err)
 		}
 		src = NodeID((int(src) + 37) % g.NumNodes())
 	}); a != 0 {
-		t.Fatalf("warm dijkstra allocates %v per run, want 0", a)
+		t.Fatalf("warm shortestPaths allocates %v per run, want 0", a)
 	}
 
 	// testing.AllocsPerRun pins GOMAXPROCS to 1, so count mallocs by hand
@@ -278,9 +278,9 @@ func TestDijkstraAllocationFree(t *testing.T) {
 		build()
 	}
 	runtime.ReadMemStats(&after)
-	// A few slices per build (the triangles, toOrigin, errors, the work
-	// channel) and per worker its scratch (dist, done, heap and its
-	// growth) plus a goroutine.
+	// A few slices per build (the triangles, toOrigin, errors, the
+	// adjacency, the work channel) and per worker its scratch (dist,
+	// next, prev) plus a goroutine.
 	bound := float64(16 + 8*workers)
 	if a := float64(after.Mallocs-before.Mallocs) / runs; a > bound {
 		t.Fatalf("NewNetworkAt with %d endpoints and %d workers allocates %v per build, want <= %v", n, workers, a, bound)

@@ -6,22 +6,29 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"edgecachegroups/internal/simrand"
 )
 
-// The reference below is the RTT matrix build as it was before the typed
-// heap: Dijkstra through container/heap's interface, one full row per
-// source, built serially. FuzzNetworkMatchesReference holds the real
-// build to it bit for bit, and each endpoint's shortest-path tree to its
-// predecessors. Distances do not depend on the order in which equal
-// keys leave the heap, but predecessors do, so a sift step that settles
-// a tie differently or a worker that writes the wrong row cannot hide.
+// The reference below is the RTT matrix build as it was before the
+// bucket queue: Dijkstra through container/heap's interface, one full
+// row per source, built serially. FuzzNetworkMatchesReference holds the
+// real build to it bit for bit, and ShortestPaths from each endpoint to
+// its full row. Distances do not depend on the order in which the queue
+// hands out nodes, so a bucket index that lands behind the cursor, a
+// lost relaxation or a worker that writes the wrong row cannot hide.
 
-type refHeap []pqItem
+type refItem struct {
+	node NodeID
+	dist float64
+}
+
+type refHeap []refItem
 
 func (h refHeap) Len() int            { return len(h) }
 func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refItem)) }
 func (h *refHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -30,7 +37,7 @@ func (h *refHeap) Pop() interface{} {
 	return it
 }
 
-func refShortestPaths(g *Graph, src NodeID, prev []NodeID) ([]float64, error) {
+func refShortestPaths(g *Graph, src NodeID) ([]float64, error) {
 	n := len(g.nodes)
 	if int(src) < 0 || int(src) >= n {
 		return nil, fmt.Errorf("topology: source node %d out of range [0,%d)", src, n)
@@ -39,15 +46,12 @@ func refShortestPaths(g *Graph, src NodeID, prev []NodeID) ([]float64, error) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	for i := range prev {
-		prev[i] = -1
-	}
 	dist[int(src)] = 0
 	done := make([]bool, n)
 	h := make(refHeap, 0, n)
-	heap.Push(&h, pqItem{node: src, dist: 0})
+	heap.Push(&h, refItem{node: src, dist: 0})
 	for h.Len() > 0 {
-		it := heap.Pop(&h).(pqItem)
+		it := heap.Pop(&h).(refItem)
 		u := int(it.node)
 		if done[u] {
 			continue
@@ -57,10 +61,7 @@ func refShortestPaths(g *Graph, src NodeID, prev []NodeID) ([]float64, error) {
 			v := int(e.to)
 			if nd := it.dist + e.weight; nd < dist[v] {
 				dist[v] = nd
-				if prev != nil {
-					prev[v] = it.node
-				}
-				heap.Push(&h, pqItem{node: e.to, dist: nd})
+				heap.Push(&h, refItem{node: e.to, dist: nd})
 			}
 		}
 	}
@@ -71,7 +72,7 @@ func refBuildNetwork(g *Graph, origin NodeID, caches []NodeID) ([][]float64, err
 	endpoints := append([]NodeID{origin}, caches...)
 	rows := make([][]float64, len(endpoints))
 	for i, s := range endpoints {
-		d, err := refShortestPaths(g, s, nil)
+		d, err := refShortestPaths(g, s)
 		if err != nil {
 			return nil, fmt.Errorf("compute RTT matrix: source %d (%d): %w", i, s, err)
 		}
@@ -100,8 +101,11 @@ func refBuildNetwork(g *Graph, origin NodeID, caches []NodeID) ([][]float64, err
 
 // fuzzWeights holds the edge weights a fuzz input can pick: zero, equal
 // and repeated values that make distance ties, and decimals whose sums
-// round differently by path order.
-var fuzzWeights = [...]float64{0, 0.1, 0.2, 0.3, 0.5, 1, 1, 3}
+// round differently by path order. 6.4 is 64 times 0.1, the widest spread
+// that keeps the bucket width Δ at half the lightest positive weight, and
+// its paths wrap the ring of buckets; 300 forces Δ above half of 0.1, so
+// the light edges land back in the bucket being drained.
+var fuzzWeights = [...]float64{0, 0.1, 0.2, 0.3, 0.5, 1, 1, 3, 6.4, 300}
 
 // decodeFuzzNetwork turns b into a small graph and endpoint placement:
 // b[0] picks 1..12 nodes, b[1] the origin, b[2] 1..6 caches, then one
@@ -144,24 +148,23 @@ func decodeFuzzNetwork(b []byte) (g *Graph, origin NodeID, caches []NodeID, ok b
 // checkNetworkMatchesReference checks that NewNetworkAt gives the
 // reference build's Dist, DistToOrigin and MeanPairwiseDist bit for bit,
 // and Dist(i,i) == +0, or the same error text, with one worker and with
-// four, and that ShortestPathTree from each endpoint gives the
-// reference's distances and predecessors. Every cache pair is read, so a
-// packed index that is off at a row boundary cannot hide.
+// four, and that ShortestPaths from each endpoint gives the reference's
+// distance to every node. Every cache pair is read, so a packed index
+// that is off at a row boundary cannot hide.
 func checkNetworkMatchesReference(t *testing.T, g *Graph, origin NodeID, caches []NodeID) {
 	t.Helper()
 	for _, src := range append([]NodeID{origin}, caches...) {
-		prev := make([]NodeID, g.NumNodes())
-		dist, err := refShortestPaths(g, src, prev)
+		want, err := refShortestPaths(g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := g.ShortestPathTree(src)
+		got, err := g.ShortestPaths(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range dist {
-			if math.Float64bits(tree.dist[v]) != math.Float64bits(dist[v]) || tree.prev[v] != prev[v] {
-				t.Fatalf("tree from %d: node %d at %v via %d, reference %v via %d", src, v, tree.dist[v], tree.prev[v], dist[v], prev[v])
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("ShortestPaths(%d): node %d at %v, reference %v", src, v, got[v], want[v])
 			}
 		}
 	}
@@ -226,11 +229,23 @@ func FuzzNetworkMatchesReference(f *testing.F) {
 		{3, 0, 0, 3, 0, 1, 1, 1, 2, 2, 2, 3, 3},
 		// Two components.
 		{4, 0, 1, 1, 3, 0, 1, 4, 2, 3, 4},
-		// Two equal-key children under a heavier last item: which one
-		// the sift lifts decides node 5's predecessor.
+		// Two equal-key children under a heavier last item: the heap's
+		// tie order decided node 5's predecessor, never its distance.
 		{5, 0, 0, 5, 0, 1, 1, 0, 2, 4, 0, 3, 4, 0, 4, 5, 2, 5, 3, 3, 5, 3},
 		// An equal-weight cycle with parallel edges.
 		{4, 4, 3, 0, 1, 2, 3, 0, 1, 5, 0, 1, 6, 1, 2, 5, 2, 3, 5, 3, 0, 5, 2, 3, 0, 4, 0, 7, 4, 2, 7},
+		// A zero-weight cycle 3-4-5 and a zero edge 5-1: node 1 is
+		// scanned at 0.1+0.2, then lowered to 0.3 through the cycle in
+		// the same bucket and scanned again.
+		{5, 0, 2, 1, 3, 5, 3, 4, 0, 4, 5, 0, 5, 3, 0, 4, 0, 3, 0, 2, 1, 1, 5, 0, 0, 0, 3, 2, 1, 2, 4, 0, 3},
+		// A 300 edge beside 0.1-1 edges, which are lighter than Δ: from
+		// node 0 a node is scanned, lowered inside the bucket being
+		// drained, and scanned again.
+		{6, 0, 2, 1, 2, 3, 0, 0, 2, 2, 4, 3, 4, 1, 2, 0, 6, 9, 0, 2, 2, 3, 1, 2, 3, 6, 3, 1, 0, 5, 6, 3, 1},
+		// A line of 6.4 edges after one 0.1 edge: Δ is 0.05, the heaviest
+		// edge spans the most buckets the ring allows, and node 11 lies
+		// five times round the ring.
+		{11, 0, 3, 11, 5, 8, 1, 0, 1, 1, 1, 2, 8, 2, 3, 8, 3, 4, 8, 4, 5, 8, 5, 6, 8, 6, 7, 8, 7, 8, 8, 8, 9, 8, 9, 10, 8, 10, 11, 8},
 	} {
 		f.Add(seed)
 	}
@@ -252,4 +267,32 @@ func TestNetworkMatchesReferenceTransitStub(t *testing.T) {
 		caches[i] = stubs[(7*i+3)%len(stubs)]
 	}
 	checkNetworkMatchesReference(t, g, stubs[1], caches)
+}
+
+// TestNetworkMatchesReferenceWaxman runs the same check on a generated
+// Waxman graph. Its link RTTs run from the 0.5 ms floor to over 100 ms, a
+// wider spread than transit-stub's, so the bucket width is raised above
+// half the lightest weight and light edges are relaxed inside the bucket
+// being drained.
+func TestNetworkMatchesReferenceWaxman(t *testing.T) {
+	p := DefaultWaxmanParams()
+	p.Nodes = 300
+	g, err := GenerateWaxman(p, simrand.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	minW := math.Inf(1)
+	for _, es := range g.adj {
+		for _, e := range es {
+			minW = min(minW, e.weight)
+		}
+	}
+	if inv := g.adjacency().inv; !(inv < 2/minW) {
+		t.Fatalf("bucket width 1/%v is half the lightest weight %v; the test needs a wider spread", inv, minW)
+	}
+	caches := make([]NodeID, 120)
+	for i := range caches {
+		caches[i] = NodeID((11*i + 5) % p.Nodes)
+	}
+	checkNetworkMatchesReference(t, g, 7, caches)
 }

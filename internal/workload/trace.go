@@ -3,7 +3,9 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 
+	"edgecachegroups/internal/par"
 	"edgecachegroups/internal/simrand"
 	"edgecachegroups/internal/topology"
 )
@@ -120,7 +122,10 @@ func poissonCap(mean float64) int {
 
 // GenerateRequests synthesizes the per-cache request logs for numCaches
 // caches and merges them into one time-ordered stream. Each cache's log is
-// a run in time order; equal times across caches come out in cache order.
+// a run in time order, drawn from the cache's own SplitN("cache", i)
+// stream, so the runs are generated on GOMAXPROCS workers and the stream
+// is the same at any worker count; equal times across caches come out in
+// cache order.
 func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simrand.Source) ([]Request, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -128,11 +133,12 @@ func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simran
 	if numCaches < 1 {
 		return nil, fmt.Errorf("workload: numCaches must be >= 1, got %d", numCaches)
 	}
-	all := make([]Request, 0, poissonCap(float64(numCaches)*params.RequestRatePerCache*params.DurationSec))
-	ends := make([]int, numCaches)
-	for i := 0; i < numCaches; i++ {
+	runs := make([][]Request, numCaches)
+	perCache := poissonCap(params.RequestRatePerCache * params.DurationSec)
+	par.ForEach(numCaches, runtime.GOMAXPROCS(0), func(i int) {
 		cacheSrc := src.SplitN("cache", i)
 		lp := newLocalProfile(c.NumDocuments(), cacheSrc.Split("perm"))
+		run := make([]Request, 0, perCache)
 		t := 0.0
 		for {
 			t += cacheSrc.Exponential(params.RequestRatePerCache)
@@ -145,11 +151,11 @@ func GenerateRequests(c *Catalog, numCaches int, params TraceParams, src *simran
 			} else {
 				doc = lp.sample(c, cacheSrc)
 			}
-			all = append(all, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
+			run = append(run, Request{TimeSec: t, Cache: topology.CacheIndex(i), Doc: doc})
 		}
-		ends[i] = len(all)
-	}
-	return mergeRuns(cutRuns(all, ends), requestTime), nil
+		runs[i] = run
+	})
+	return mergeRuns(runs, requestTime), nil
 }
 
 // GenerateUpdates synthesizes the origin server's update log over the given

@@ -18,7 +18,9 @@
 # and on Prober.MeasureMatrix), the end-to-end Fig3 sweep, the simulator
 # throughput path whose allocs/op the allocation-lean work targets, the
 # simulate workload's request-log synthesis (GenerateRequests = 500
-# caches' runs merged into one stream), the observability record paths (ObsHistogram = enabled
+# caches' runs merged into one stream), the exact RTT build of the
+# form-sdsl workload (NewNetwork = 2001 single-source shortest-path runs
+# on a 2128-router transit-stub graph, then the fold), the observability record paths (ObsHistogram = enabled
 # per-sample cost, ObsDisabled = nil-handle overhead; both must stay at
 # 0 allocs/op), and the full-module lint-engine run (EcglintModule = the
 # per-invocation cost of the CI lint gate: load, type-check, call graph,
@@ -31,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${1:-3}"
 BENCHTIME="${2:-1x}"
-BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkGenerateRequests|BenchmarkObs|BenchmarkEcglint'
+BENCH_PATTERN='BenchmarkSimrandReseed|BenchmarkProbeMeasure|BenchmarkGreedyLandmarkSelection|BenchmarkKMeansFlat|BenchmarkFeatureBuild|BenchmarkFig3GroupSizeSweep|BenchmarkSimulatorThroughput|BenchmarkGenerateRequests|BenchmarkNewNetwork|BenchmarkObs|BenchmarkEcglint'
 OUT="BENCH_pipeline.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
